@@ -6,8 +6,7 @@ and Newton polygons (lfun), lattice polytopes and Hodge data (polytope),
 verification suites (suites) and the command line (cli).
 """
 
-from .cyclotomic import (CycloRational, SumValue, embed_complex, ord_q_coeff,
-                         reduce_mod_phi)
+from .cyclotomic import CycloRational, SumValue, embed_complex, reduce_mod_phi
 from .expsum import (Budget, CharacterTuple, LaurentPoly, e_sum,
                      gauss_formula_parts, gauss_formula_sum, gauss_sum,
                      ik_laurent, kloosterman_sum, tn_transform, toric_sum)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -175,7 +176,8 @@ def sumvalue_to_json(v: SumValue) -> dict:
 
 def lfactorization_to_json(lf, heldout_results) -> dict:
     out = {
-        "n": lf.n, "p": lf.p, "a": 1, "b": lf.b, "q": lf.q, "sign": lf.sign,
+        "n": lf.n, "p": lf.p, "a": round(math.log(lf.q, lf.p)), "b": lf.b,
+        "q": lf.q, "sign": lf.sign,
         "trivial": [[e, m] for e, m in lf.trivial_part],
         "coefficients_rational": lf.coefficients_rational,
         "newton_polygon": [[k, o.numerator, o.denominator]
@@ -358,11 +360,9 @@ def cmd_sum(args) -> int:
     chi = _parse_chi(args.chi, F.q, args.n + 1) if args.chi else None
     budget = Budget(points=args.budget, force=args.force)
     if args.tn:
-        v = tn_transform(F, args.n, args.b, chi, threads=args.threads,
-                         budget=budget)
+        v = tn_transform(F, args.n, args.b, chi, budget=budget)
     else:
-        v = kloosterman_sum(F, args.k, args.n, args.b, chi,
-                            threads=args.threads, budget=budget)
+        v = kloosterman_sum(F, args.k, args.n, args.b, chi, budget=budget)
     obj = sumvalue_to_json(v)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -396,9 +396,8 @@ def cmd_lfun(args) -> int:
     F = build_field(args.p, args.a)
     budget = Budget(points=args.budget, force=args.force)
     heldout = [int(x) for x in args.heldout.split(",")] if args.heldout else []
-    lf, results = lfunction_pipeline(
-        F, args.n, args.b, kmax=args.kmax, heldout=heldout,
-        threads=args.threads, budget=budget)
+    lf, results = lfunction_pipeline(F, args.n, args.b, heldout=heldout,
+                                     budget=budget)
     obj = lfactorization_to_json(lf, results)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -448,20 +447,19 @@ def cmd_polytope(args) -> int:
 
 def cmd_verify(args) -> int:
     fn = SUITES[args.suite]
-    budget = Budget(points=args.budget, force=args.force)
     kwargs = {}
+    if args.suite not in ("prop31", "thm33"):      # the suites that enumerate
+        kwargs["budget"] = Budget(points=args.budget, force=args.force)
     if args.suite in ("thm0", "thm2", "identities"):
         if args.p:
             kwargs["ps"] = tuple(int(x) for x in args.p.split(","))
         if args.n:
             kwargs["ns"] = tuple(int(x) for x in args.n.split(","))
-        kwargs.update(threads=args.threads, budget=budget)
     elif args.suite == "cor1":
         if args.p and args.n:
             ns = [int(x) for x in args.n.split(",")]
             ps = [int(x) for x in args.p.split(",")]
             kwargs["grid"] = tuple(zip(ns, ps))
-        kwargs.update(threads=args.threads, budget=budget)
     elif args.suite == "thm1":
         if args.p and args.n:
             ns = [int(x) for x in args.n.split(",")]
@@ -473,7 +471,6 @@ def cmd_verify(args) -> int:
             kwargs["grid"] = ((1, 3), (2, 7))   # smallest odd/even defaults
         if args.b:
             kwargs["bs"] = tuple(int(x) for x in args.b.split(","))
-        kwargs.update(threads=args.threads, budget=budget)
     elif args.suite in ("prop31", "thm33"):
         if args.n:
             kwargs["ns"] = tuple(int(x) for x in args.n.split(","))
@@ -491,16 +488,12 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(sp, *, threads=True):
+def _add_common(sp):
     sp.add_argument("--out", choices=("json", "csv", "table"), default="table")
     sp.add_argument("--budget", type=int, default=10 ** 10,
                     help="enumeration point budget")
     sp.add_argument("--force", action="store_true",
                     help="run despite a budget refusal")
-    if threads:
-        sp.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
-                        help="worker count (results are identical for any value)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,14 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--k", type=int, default=1, help="also build F_{q^k}")
-    _add_common(sp, threads=False)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_field)
 
     sp = sub.add_parser("gauss", help="Gauss sum G(chi_j)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--j", type=int, required=True, help="character index")
-    _add_common(sp, threads=False)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_gauss)
 
     sp = sub.add_parser("sum", help="inverted Kloosterman sum S_n (or T_n)")
@@ -551,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--kmax", type=int, help="power sums to collect (>= 2n)")
     sp.add_argument("--heldout", help="comma list of extra k to cross-check")
     _add_common(sp)
     sp.set_defaults(fn=cmd_lfun)
@@ -564,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="field for text polynomials")
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--kmax", type=int, help="weight range k (default dim*D)")
-    _add_common(sp, threads=False)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_polytope)
 
     sp = sub.add_parser("verify", help="run a verification suite")

@@ -492,11 +492,6 @@ def reduce_mod_phi(v: SumValue) -> CycloRational:
         p, [Fraction(v.counts[t][0] - top, v.denom) for t in range(p - 1)])
 
 
-def ord_q_coeff(x: CycloRational, q: int):
-    """q-adic valuation of x for q a power of x's conductor (inf for 0)."""
-    return x.ord_q(q)
-
-
 def embed_complex(v) -> complex:
     """Complex embedding of a SumValue or CycloRational.
 

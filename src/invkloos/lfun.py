@@ -28,7 +28,7 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import Budget, kloosterman_sum
+from .expsum import Budget, check_points, kloosterman_sum
 from .gf import FieldTable
 
 
@@ -62,22 +62,23 @@ class HeldoutResult:
 
 
 def power_sums(F: FieldTable, n: int, b: int, K: int, *,
-               threads: int = 1, budget: Budget | None = None
-               ) -> list[CycloRational]:
+               budget: Budget | None = None) -> list[CycloRational]:
     """S*_k = q^k S_{k,n}(b) + (q^k - 1)^n for k = 1..K, exact in Z[zeta_p].
 
     Refuses when p | n+1: the facet determinants +-(n+1) vanish mod p, the
     associated Laurent polynomial degenerates, and the degree-2n shape of
-    the nontrivial factor is no longer guaranteed.
+    the nontrivial factor is no longer guaranteed.  The budget is checked
+    for the largest k before any enumeration.
     """
     if (n + 1) % F.p == 0:
         raise DegenerateError(
             f"p = {F.p} divides n+1 = {n + 1}: the reduction to a "
             "nondegenerate toric sum fails and the L-function degree "
             "claims do not apply")
+    check_points((F.q ** K - 1) ** n, budget)
     out = []
     for k in range(1, K + 1):
-        hist = kloosterman_sum(F, k, n, b, threads=threads, budget=budget)
+        hist = kloosterman_sum(F, k, n, b, budget=budget)
         s_k = reduce_mod_phi(hist)
         out.append(F.q ** k * s_k + (F.q ** k - 1) ** n)
     return out
@@ -252,7 +253,7 @@ def predicted_power_sum(lf: LFactorization, k: int) -> CycloRational:
 
 
 def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int,
-                  extra: list[int], *, threads: int = 1,
+                  extra: list[int], *,
                   budget: Budget | None = None) -> list[HeldoutResult]:
     """Compare predicted S_k against fresh enumeration for held-out k.
 
@@ -262,7 +263,7 @@ def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int,
     out = []
     for k in extra:
         predicted = predicted_power_sum(lf, k)
-        hist = kloosterman_sum(F, k, n, b, threads=threads, budget=budget)
+        hist = kloosterman_sum(F, k, n, b, budget=budget)
         observed = reduce_mod_phi(hist)
         ok = predicted == observed
         out.append(HeldoutResult(k, predicted, observed, ok))
@@ -283,19 +284,19 @@ def alpha_hodge_slopes(n: int) -> list[Fraction]:
 
 
 def lfunction_pipeline(F: FieldTable, n: int, b: int, *,
-                       kmax: int | None = None,
                        heldout: list[int] | None = None,
-                       threads: int = 1, budget: Budget | None = None
+                       budget: Budget | None = None
                        ) -> tuple[LFactorization, list[HeldoutResult]]:
-    """power sums -> strip trivial roots -> assemble -> weights (+ heldout)."""
-    K = kmax if kmax is not None else 2 * n
-    if K < 2 * n:
-        raise ValueError(f"need kmax >= 2n = {2 * n}")
-    star = power_sums(F, n, b, K, threads=threads, budget=budget)
-    lf = strip_trivial_roots(star[:2 * n], n, F.q, b=b)
+    """power sums -> strip trivial roots -> assemble -> weights (+ heldout).
+
+    The budget is checked for the largest k, held-out ones included,
+    before any enumeration.
+    """
+    check_points((F.q ** max([2 * n, *(heldout or [])]) - 1) ** n, budget)
+    star = power_sums(F, n, b, 2 * n, budget=budget)
+    lf = strip_trivial_roots(star, n, F.q, b=b)
     lf = assemble_lfunction(lf, n, F.q)
     _, roots = complex_weights(lf.P_coeffs)
     lf.complex_roots = tuple(roots)
-    results = heldout_check(lf, F, n, b, heldout, threads=threads,
-                            budget=budget) if heldout else []
+    results = heldout_check(lf, F, n, b, heldout or [], budget=budget)
     return lf, results

@@ -104,7 +104,7 @@ def _chi_at(F, j: int, b: int) -> complex:
 # ----------------------------------------------------------------------
 
 def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
-               threads: int = 1, budget: Budget | None = None) -> VerifyReport:
+               budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "thm0",
         "elementary bound: |S_n + (q-1)^n/q chi_1(b)| <= q^((n+1)/2) for "
@@ -121,7 +121,6 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
             for b in range(1, q):
                 for chi in _char_tuples(q, n):
                     s = embed_complex(kloosterman_sum(F, 1, n, b, chi,
-                                                      threads=threads,
                                                       budget=budget))
                     if chi.all_equal():
                         lhs = abs(s + (q - 1) ** n / q * _chi_at(F, chi.indices[0], b))
@@ -135,7 +134,7 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
 
 
 def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
-               threads: int = 1, budget: Budget | None = None) -> VerifyReport:
+               budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "thm2",
         "toric bound for gcd(p, n+1) = 1: "
@@ -157,7 +156,6 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
             for b in range(1, q):
                 for chi in _char_tuples(q, n):
                     s = embed_complex(kloosterman_sum(F, 1, n, b, chi,
-                                                      threads=threads,
                                                       budget=budget))
                     if chi.all_equal():
                         main = ((q - 1) ** n - (-1) ** n) / q * _chi_at(
@@ -176,7 +174,7 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
 
 
 def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *, tol: float = 1e-6,
-               threads: int = 1, budget: Budget | None = None) -> VerifyReport:
+               budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "cor1",
         "untwisted tower bound: "
@@ -189,8 +187,7 @@ def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *, tol: float = 1e-6,
             t0 = time.perf_counter()
             worst = 0.0
             for b in range(1, q):
-                s = embed_complex(kloosterman_sum(F, k, n, b, threads=threads,
-                                                  budget=budget))
+                s = embed_complex(kloosterman_sum(F, k, n, b, budget=budget))
                 main = ((q ** k - 1) ** n - (-1) ** n * (q ** k + 1)) / q ** k
                 worst = max(worst, abs(s + main))
             bound = 2 * n * q ** (n * k / 2)
@@ -217,7 +214,7 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13)), *,
                ordinary_table: bool = True,
                weight_rel_tol: float = 1e-5,
                bs: tuple[int, ...] | None = None,
-               threads: int = 1, budget: Budget | None = None) -> VerifyReport:
+               budget: Budget | None = None) -> VerifyReport:
     if heldout_spec is None:
         heldout_spec = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5]}
     rep = VerifyReport(
@@ -244,7 +241,7 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13)), *,
         for b in b_list:
             try:
                 lf, results = lfunction_pipeline(
-                    F, n, b, heldout=ks, threads=threads, budget=budget)
+                    F, n, b, heldout=ks, budget=budget)
             except VerificationError:
                 slope_ok = held_ok = False
                 continue
@@ -275,7 +272,7 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13)), *,
         ok = True
         seen = []
         for b in bs if bs is not None else range(1, p):
-            lf, _ = lfunction_pipeline(F, n, b, threads=threads, budget=budget)
+            lf, _ = lfunction_pipeline(F, n, b, budget=budget)
             np_ps = _sorted_partial_sums(lf.slopes)
             above = all(a >= h for a, h in zip(np_ps, hp))
             endpoints = len(np_ps) == len(hp) and np_ps[-1] == hp[-1]
@@ -381,7 +378,6 @@ def suite_thm33(ns=(1, 2, 3, 4)) -> VerifyReport:
 def suite_identities(ps=(3, 5, 7), ns=(1, 2),
                      grid3=((1, 3), (1, 5), (2, 7), (2, 13)), *,
                      toric_cap: int = 10 ** 7, oracle_tol: float = 1e-6,
-                     threads: int = 1,
                      budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "identities",
@@ -404,7 +400,7 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
             for b in range(1, q):
                 db = int(F.dlog[b])
                 for chi in _char_tuples(q, n):
-                    lhs = kloosterman_sum(F, 1, n, b, chi, threads=threads,
+                    lhs = kloosterman_sum(F, 1, n, b, chi,
                                           budget=budget).scale(q)
                     en = e_sum(F, n, b, chi, budget=budget)
                     if chi.all_equal():
@@ -437,7 +433,7 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
             ok = True
             for b in range(1, q):
                 lhs = toric_sum(F, k, ik_laurent(F, n, b), budget=budget)
-                rhs = kloosterman_sum(F, k, n, b, threads=threads,
+                rhs = kloosterman_sum(F, k, n, b,
                                       budget=budget).scale(q ** k) + \
                     SumValue.integer(p, (q ** k - 1) ** n)
                 if not (lhs == rhs):
@@ -452,7 +448,7 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
             count = 0
             for b in range(1, p):
                 for chi in _char_tuples(p, n):
-                    tn_transform(F, n, b, chi, threads=threads, budget=budget)
+                    tn_transform(F, n, b, chi, budget=budget)
                     count += 1
             _timed_case(rep.cases, f"(c) transform q={p} n={n}", t0, True,
                         "exact", "exact", f"{count} cases")
@@ -467,7 +463,7 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
             for b in range(1, q):
                 for chi in _char_tuples(q, n):
                     brute = embed_complex(kloosterman_sum(
-                        F, 1, n, b, chi, threads=threads, budget=budget))
+                        F, 1, n, b, chi, budget=budget))
                     s1, s2 = gauss_formula_parts(F, 1, n, b, chi, budget=budget)
                     worst = max(worst, abs(brute - embed_complex(s1 + s2)))
                     worst_s2 = max(worst_s2, abs(embed_complex(s2)))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from invkloos import lfun
 from invkloos.errors import BudgetExceeded
 from invkloos.expsum import Budget
 from invkloos.gf import build_field
@@ -192,12 +193,23 @@ def test_criterion_10_ordinariness_table():
     assert ok
 
 
-def test_out_of_scope_refuses_gracefully_on_budget():
+def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     # the smallest ordinary case beyond desk scale: n=3, p=5 needs k <= 6
-    # over a ~10^12-point torus; the pipeline must refuse, not attempt it
+    # over a ~10^12-point torus; the pipeline must refuse before it
+    # enumerates anything
+    kernel_calls = []
+    real = lfun.kloosterman_sum
+    monkeypatch.setattr(lfun, "kloosterman_sum",
+                        lambda *a, **kw: kernel_calls.append(a) or real(*a, **kw))
     F = build_field(5, 1)
     with pytest.raises(BudgetExceeded) as ei:
         power_sums(F, 3, 1, 6, budget=Budget())
     assert ei.value.estimate > 10 ** 10
+    with pytest.raises(BudgetExceeded):
+        lfunction_pipeline(F, 3, 1, budget=Budget())
+    with pytest.raises(BudgetExceeded):
+        lfunction_pipeline(build_field(7, 1), 1, 1, heldout=[12],
+                           budget=Budget())
+    assert kernel_calls == []
     _report("out-of-scope", True,
             f"n=3 p=5 refused at {ei.value.estimate:.1e} points")

@@ -86,24 +86,33 @@ def run(capsys, *argv):
 
 def test_cli_sum_json_schema_and_determinism(capsys):
     code, out1 = run(capsys, "sum", "--p", "3", "--n", "1", "--b", "1",
-                     "--out", "json", "--threads", "1")
+                     "--out", "json")
     assert code == 0
     obj = json.loads(out1)
     jsonschema.validate(obj, SCHEMAS["sum"])
     code, out2 = run(capsys, "sum", "--p", "3", "--n", "1", "--b", "1",
-                     "--out", "json", "--threads", "2")
-    assert out1 == out2     # reports are byte-identical for any worker count
+                     "--out", "json")
+    assert out1 == out2     # reports are byte-identical across runs
 
 
 def test_cli_lfun_json_schema(capsys):
     code, out = run(capsys, "lfun", "--p", "3", "--n", "1", "--b", "1",
-                    "--heldout", "3", "--out", "json", "--threads", "1")
+                    "--heldout", "3", "--out", "json")
     assert code == 0
     obj = json.loads(out)
     jsonschema.validate(obj, SCHEMAS["lfun"])
     assert obj["P"] == [[1, 1], [1, 1], [3, 1]]
     assert obj["slopes"] == [[0, 1, 1], [1, 1, 1]]
     assert obj["heldout"] == [{"k": 3, "match": True}]
+
+
+def test_cli_lfun_json_reports_base_field_degree(capsys):
+    code, out = run(capsys, "lfun", "--p", "3", "--a", "2", "--n", "1",
+                    "--b", "1", "--out", "json")
+    assert code == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, SCHEMAS["lfun"])
+    assert (obj["p"], obj["a"], obj["q"]) == (3, 2, 9)
 
 
 def test_cli_polytope_json_schema_and_csv(capsys):
@@ -119,7 +128,7 @@ def test_cli_polytope_json_schema_and_csv(capsys):
 
 def test_cli_verify_json_schema(capsys):
     code, out = run(capsys, "verify", "prop31", "--n", "1,2",
-                    "--out", "json", "--threads", "1")
+                    "--out", "json")
     assert code == 0
     obj = json.loads(out)
     jsonschema.validate(obj, SCHEMAS["verify"])
@@ -128,9 +137,9 @@ def test_cli_verify_json_schema(capsys):
 
 def test_cli_verify_deterministic_json(capsys):
     _, out1 = run(capsys, "verify", "thm0", "--p", "3", "--n", "1",
-                  "--out", "json", "--threads", "1")
+                  "--out", "json")
     _, out2 = run(capsys, "verify", "thm0", "--p", "3", "--n", "1",
-                  "--out", "json", "--threads", "2")
+                  "--out", "json")
     assert out1 == out2
 
 
@@ -142,8 +151,7 @@ def test_cli_field_and_gauss(capsys):
 
 
 def test_cli_toric_text_poly(capsys):
-    code, out = run(capsys, "toric", "--poly", "x1", "--p", "5",
-                    "--threads", "1")
+    code, out = run(capsys, "toric", "--poly", "x1", "--p", "5")
     assert code == 0 and "-1.000000" in out
 
 
@@ -151,15 +159,14 @@ def test_cli_exit_codes(capsys):
     code, _ = run(capsys, "field", "--p", "4")
     assert code == 2                                    # usage error
     code, _ = run(capsys, "sum", "--p", "3", "--n", "3", "--b", "1",
-                  "--k", "6", "--budget", "100", "--threads", "1")
+                  "--k", "6", "--budget", "100")
     assert code == 3                                    # budget refusal
-    code, _ = run(capsys, "toric", "--poly", "x1+x1", "--p", "2",
-                  "--threads", "1")
+    code, _ = run(capsys, "toric", "--poly", "x1+x1", "--p", "2")
     assert code == 2                                    # parse error
     assert main(["nope"]) == 2                          # unknown command
 
 
 def test_cli_tn_flag(capsys):
     code, out = run(capsys, "sum", "--p", "3", "--n", "1", "--b", "2",
-                    "--tn", "--threads", "1")
+                    "--tn")
     assert code == 0 and "T_1" in out

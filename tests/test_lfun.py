@@ -231,9 +231,3 @@ def test_predicted_power_sum_matches_known_value():
     F = build_field(3, 1)
     lf, _ = lfunction_pipeline(F, 1, 1)
     assert predicted_power_sum(lf, 1) == C(3, -1)
-
-
-def test_pipeline_kmax_validation():
-    F = build_field(3, 1)
-    with pytest.raises(ValueError, match="kmax"):
-        lfunction_pipeline(F, 1, 1, kmax=1)
