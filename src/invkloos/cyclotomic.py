@@ -12,11 +12,11 @@ Two representations:
 
 * CycloRational: an element of Q(zeta_p) as a rational vector on the
   basis 1, zeta, ..., zeta^(p-2).  Carries pi-adic and q-adic valuations
-  computed through the field norm: p is totally ramified in Q(zeta_p),
-  so ord_pi(x) = v_p(Norm(x)) = v_p(Res(Phi_p, X)) for any integer
-  polynomial representative X of x, and the norm is evaluated exactly as
-  the product of Galois conjugates.  No floating point enters any
-  valuation.
+  computed on the pi-adic basis: Z[zeta_p] = Z[pi] with pi = zeta_p - 1
+  Eisenstein, so ord_pi(sum_j c_j pi^j) = min_j ((p-1) v_p(c_j) + j) over
+  j < p-1, in O(p^2) integer operations.  The field norm (the product of
+  the Galois conjugates, ord_pi(x) = v_p(Norm(x))) is the independent
+  check.  No floating point enters any valuation.
 """
 
 from __future__ import annotations
@@ -438,16 +438,21 @@ class CycloRational:
 
     def ord_pi(self):
         """Valuation at the unique prime above p, normalized ord_pi(pi) = 1
-        for pi = zeta_p - 1.  Returns math.inf for 0."""
+        for pi = zeta_p - 1.  Returns math.inf for 0.  A Taylor shift
+        (zeta^i = (1 + pi)^i) writes d*x, d the lcm of the denominators, as
+        sum_j d_j pi^j, j < p-1, whose terms have valuations
+        (p-1) v_p(d_j) + j, distinct mod p-1: the least one is ord_pi(d*x).
+        """
         if self.is_zero():
             return math.inf
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        y = self * d
-        nrm = y.norm()
-        assert nrm.denominator == 1 and nrm != 0
-        return _vp(int(nrm), self.p) - (self.p - 1) * _vp(d, self.p)
+        p = self.p
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        ds = [int(c * d) for c in self.coeffs]
+        for k in range(p - 2):
+            for j in range(p - 3, k - 1, -1):
+                ds[j] += ds[j + 1]
+        best = min((p - 1) * _vp(dj, p) + j for j, dj in enumerate(ds) if dj)
+        return best - (p - 1) * _vp(d, p)
 
     def ord_q(self, q: int):
         """q-adic valuation, q = p^a: ord_pi / ((p-1) a).  inf for 0."""

@@ -189,16 +189,26 @@ class FieldTable:
         assert g is not None
         self.g = g
 
-        exp = np.zeros(max(m_order, 1), dtype=np.int64)
-        dlog = np.full(q, -1, dtype=np.int64)
-        val = [1]
+        # exp/dlog in blocks of B <= 1024 rows (bigger ones only grow peak
+        # memory): mat multiplies by g, g^2, g^4, ... to double g^0..g^(B-1),
+        # then by g^B per block; int64 is exact while a (p-1)^2 < 2^63
+        self._pows = np.array([p ** i for i in range(a)], dtype=np.int64)
         gpoly = self._int_to_poly(g)
-        for e in range(m_order):
-            enc = self._poly_to_int(val)
-            exp[e] = enc
-            dlog[enc] = e
-            val = _pmulmod(val, gpoly, mlist, p)
-        assert self._poly_to_int(val) == 1, "generator order mismatch"
+        mat = np.array([(_pmulmod([0] * i + [1], gpoly, mlist, p) + [0] * a)[:a]
+                        for i in range(a)], dtype=np.int64)
+        B = 1 << min(10, (m_order - 1).bit_length())
+        blk = np.eye(1, a, dtype=np.int64)
+        while len(blk) < B:
+            blk = np.vstack([blk, (blk @ mat) % p])
+            mat = (mat @ mat) % p
+        exp = np.zeros(m_order, dtype=np.int64)
+        dlog = np.full(q, -1, dtype=np.int64)
+        for s in range(0, m_order, B):
+            enc = (blk @ self._pows)[:m_order - s]
+            exp[s:s + B] = enc
+            dlog[enc] = np.arange(s, s + len(enc))
+            blk = (blk @ mat) % p
+        assert (dlog[1:] >= 0).all(), "generator order mismatch"
         self.exp = exp
         self.dlog = dlog
 
@@ -208,14 +218,13 @@ class FieldTable:
             inv[exp[idx]] = exp[(m_order - idx) % max(m_order, 1)]
         self.inv = inv
 
-        # digit matrix and packing powers
+        # digit matrix
         digits = np.zeros((q, a), dtype=np.int16)
         rem = np.arange(q, dtype=np.int64)
         for i in range(a):
             digits[:, i] = rem % p
             rem //= p
         self.digits = digits
-        self._pows = np.array([p ** i for i in range(a)], dtype=np.int64)
 
         # absolute trace on the power basis: tr(t^j) = sum_i (t^j)^(p^i)
         tr_basis = np.zeros(a, dtype=np.int64)
@@ -239,9 +248,6 @@ class FieldTable:
             out.append(x % self.p)
             x //= self.p
         return out
-
-    def _poly_to_int(self, f: list[int]) -> int:
-        return sum(c % self.p * self.p ** i for i, c in enumerate(f))
 
     def element_str(self, x: int) -> str:
         if self.a == 1:
@@ -319,6 +325,17 @@ class FieldTable:
 _FIELDS: dict[tuple[int, int], FieldTable] = {}
 
 
+def check_table_cap(p: int, a: int, cap: int = TABLE_CAP) -> None:
+    """Refuse F_{p^a} over the table cap, reporting the memory it needs."""
+    q = p ** a
+    if q > cap:
+        need = q * (8 * 3 + 2 * (a + 1)) // (1 << 20)
+        raise BudgetExceeded(
+            f"field F_{p}^{a} has {q} elements, over the table cap {cap} "
+            f"(tables would need ~{need} MiB); raise cap= to override",
+            estimate=q)
+
+
 def build_field(p: int, a: int, cap: int = TABLE_CAP) -> FieldTable:
     """Construct (and cache) F_{p^a}.
 
@@ -333,13 +350,7 @@ def build_field(p: int, a: int, cap: int = TABLE_CAP) -> FieldTable:
     key = (p, a)
     if key in _FIELDS:
         return _FIELDS[key]
-    q = p ** a
-    if q > cap:
-        need = q * (8 * 3 + 2 * (a + 1)) // (1 << 20)
-        raise BudgetExceeded(
-            f"field F_{p}^{a} has {q} elements, over the table cap {cap} "
-            f"(tables would need ~{need} MiB); raise cap= to override",
-            estimate=q)
+    check_table_cap(p, a, cap)
     field = FieldTable(p, a, smallest_irreducible(p, a))
     _FIELDS[key] = field
     return field

@@ -29,7 +29,7 @@ import numpy as np
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
 from .expsum import Budget, check_points, kloosterman_sum
-from .gf import FieldTable
+from .gf import FieldTable, check_table_cap
 
 
 @dataclass
@@ -67,8 +67,8 @@ def power_sums(F: FieldTable, n: int, b: int, K: int, *,
 
     Refuses when p | n+1: the facet determinants +-(n+1) vanish mod p, the
     associated Laurent polynomial degenerates, and the degree-2n shape of
-    the nontrivial factor is no longer guaranteed.  The budget is checked
-    for the largest k before any enumeration.
+    the nontrivial factor is no longer guaranteed.  The point budget and
+    the table cap are checked for the largest k before any enumeration.
     """
     if (n + 1) % F.p == 0:
         raise DegenerateError(
@@ -76,6 +76,7 @@ def power_sums(F: FieldTable, n: int, b: int, K: int, *,
             "nondegenerate toric sum fails and the L-function degree "
             "claims do not apply")
     check_points((F.q ** K - 1) ** n, budget)
+    check_table_cap(F.p, F.a * K)
     out = []
     for k in range(1, K + 1):
         hist = kloosterman_sum(F, k, n, b, budget=budget)
@@ -289,10 +290,12 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int, *,
                        ) -> tuple[LFactorization, list[HeldoutResult]]:
     """power sums -> strip trivial roots -> assemble -> weights (+ heldout).
 
-    The budget is checked for the largest k, held-out ones included,
-    before any enumeration.
+    The point budget and the table cap are checked for the largest k,
+    held-out ones included, before any enumeration.
     """
-    check_points((F.q ** max([2 * n, *(heldout or [])]) - 1) ** n, budget)
+    k_max = max([2 * n, *(heldout or [])])
+    check_points((F.q ** k_max - 1) ** n, budget)
+    check_table_cap(F.p, F.a * k_max)
     star = power_sums(F, n, b, 2 * n, budget=budget)
     lf = strip_trivial_roots(star, n, F.q, b=b)
     lf = assemble_lfunction(lf, n, F.q)

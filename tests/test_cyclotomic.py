@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from invkloos.cyclotomic import (CycloRational, SumValue, cyclotomic_poly,
                                  embed_complex, reduce_mod_phi)
@@ -80,6 +80,30 @@ def test_ord_is_a_valuation(p, data):
     assert (x * y).ord_q(q) == (math.inf if math.inf in (ox, oy) else ox + oy)
     os = (x + y).ord_q(q)
     assert os >= min(ox, oy)
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 12), st.data())
+def test_ord_pi_matches_norm_oracle(p, k, data):
+    # p-power numerators and denominators put the valuation anywhere, and
+    # the factor pi^k moves it off the multiples of p-1
+    x = CycloRational(p, [Fraction(data.draw(st.integers(-3, 3))
+                                   * p ** data.draw(st.integers(0, 3)),
+                                   p ** data.draw(st.integers(0, 3)))
+                          for _ in range(p - 1)])
+    x = x * (CycloRational.zeta(p) - 1) ** k
+    assume(not x.is_zero())
+    d = math.lcm(*(c.denominator for c in x.coeffs))
+    nrm = (x * d).norm()
+    assert nrm.denominator == 1
+    assert x.ord_pi() == _vp(int(nrm), p) - (p - 1) * _vp(d, p)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invkloos.errors import BudgetExceeded
-from invkloos.gf import build_field, field_maps, is_prime, smallest_irreducible
+from invkloos.gf import (_pmulmod, build_field, field_maps, is_prime,
+                         smallest_irreducible)
 
 
 def test_f7_generator_is_smallest_primitive_root():
@@ -34,7 +35,8 @@ def test_table_cap_refusal_reports_memory():
         build_field(2, 30, cap=1 << 20)
 
 
-@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (3, 2), (5, 2), (2, 4), (7, 3)])
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (3, 2), (5, 2), (2, 4), (7, 3),
+                                 (2, 13), (4099, 1)])
 def test_exp_dlog_bijection_and_inverses(p, a):
     F = build_field(p, a)
     q = F.q
@@ -44,6 +46,51 @@ def test_exp_dlog_bijection_and_inverses(p, a):
     xs = np.arange(1, q)
     assert (F.mul(xs, F.inv[xs]) == 1).all()
     assert F.inv[0] == 0
+
+
+def _reference_tables(p, a):
+    """Tables built one element at a time: g is the smallest candidate
+    whose powers, stepped by single polynomial products, reach 1 only after
+    q-1 steps; the trace sums the Frobenius conjugates x^(p^i)."""
+    mod = list(smallest_irreducible(p, a))
+    q, m = p ** a, p ** a - 1
+    for g in range(1, q):
+        gpoly = [(g // p ** i) % p for i in range(a)]
+        exp, val = [], [1]
+        while True:
+            exp.append(sum(c * p ** i for i, c in enumerate(val)))
+            val = _pmulmod(val, gpoly, mod, p)
+            if val == [1]:
+                break
+        if len(exp) == m:
+            break
+    exp = np.array(exp, dtype=np.int64)
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[exp] = np.arange(m)
+    inv = np.zeros(q, dtype=np.int64)
+    inv[exp] = exp[-np.arange(m) % m]
+    digits = np.array([[(x // p ** i) % p for i in range(a)] for x in range(q)],
+                      dtype=np.int16)
+    conj = sum(digits[exp[dlog[1:] * p ** i % m]].astype(np.int64)
+               for i in range(a)) % p
+    assert not conj[:, 1:].any()
+    tr_abs = np.zeros(q, dtype=np.int16)
+    tr_abs[1:] = conj[:, 0]
+    return dict(g=g, exp=exp, dlog=dlog, inv=inv, tr_abs=tr_abs, digits=digits)
+
+
+# q-1 against the block of 1024 powers: below it (2^1, 3^2, 2^10), one
+# short of a multiple (2^12), a multiple (12289), just above one (4099), and
+# a partial last block with a = 3 (17^3)
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 2), (2, 10), (2, 12), (12289, 1),
+                                 (4099, 1), (17, 3)])
+def test_tables_match_per_element_reference(p, a):
+    F = build_field(p, a)
+    ref = _reference_tables(p, a)
+    assert F.g == ref.pop("g")
+    for name, want in ref.items():
+        got = getattr(F, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (5, 1), (7, 2), (2, 5)])

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from invkloos import lfun
 from invkloos.cyclotomic import CycloRational, embed_complex
-from invkloos.errors import DegenerateError, VerificationError
+from invkloos.errors import BudgetExceeded, DegenerateError, VerificationError
 from invkloos.expsum import Budget
 from invkloos.gf import build_field
 from invkloos.lfun import (alpha_hodge_slopes, assemble_lfunction,
@@ -64,6 +65,23 @@ def test_power_sums_refuses_degenerate_characteristic():
         power_sums(build_field(3, 1), 2, 1, 2)
     with pytest.raises(DegenerateError):
         power_sums(build_field(2, 1), 1, 1, 2)
+
+
+def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
+    # F_{3^17} and F_{8209^2} are over the table cap while their points are
+    # within the point budget: the refusal must come before any smaller k
+    # enumerates
+    kernel_calls = []
+    real = lfun.kloosterman_sum
+    monkeypatch.setattr(lfun, "kloosterman_sum",
+                        lambda *a, **kw: kernel_calls.append(a) or real(*a, **kw))
+    F = build_field(3, 1)
+    with pytest.raises(BudgetExceeded, match="table cap") as ei:
+        lfunction_pipeline(F, 1, 1, heldout=[13, 17])
+    assert ei.value.estimate == 3 ** 17
+    with pytest.raises(BudgetExceeded, match="table cap"):
+        power_sums(build_field(8209, 1), 1, 1, 2)
+    assert kernel_calls == []
 
 
 def test_power_sum_growth_bound():
