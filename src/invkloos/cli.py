@@ -467,8 +467,6 @@ def cmd_verify(args) -> int:
             kwargs["grid"] = tuple(zip(ns, ps))
             kwargs["nonordinary"] = ()          # honor the user's restriction
             kwargs["ordinary_table"] = False
-        else:
-            kwargs["grid"] = ((1, 3), (2, 7))   # smallest odd/even defaults
         if args.b:
             kwargs["bs"] = tuple(int(x) for x in args.b.split(","))
     elif args.suite in ("prop31", "thm33"):
@@ -488,12 +486,11 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(sp):
+def _add_common(sp, budget_help="enumeration point budget"):
     sp.add_argument("--out", choices=("json", "csv", "table"), default="table")
-    sp.add_argument("--budget", type=int, default=10 ** 10,
-                    help="enumeration point budget")
+    sp.add_argument("--budget", type=int, default=10 ** 10, help=budget_help)
     sp.add_argument("--force", action="store_true",
-                    help="run despite a budget refusal")
+                    help="run despite a point-budget refusal")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--heldout", help="comma list of extra k to cross-check")
-    _add_common(sp)
+    _add_common(sp, "point budget of the n = 1 enumeration; n >= 2 uses the "
+                "transform, priced by table cap and rounding bound instead")
     sp.set_defaults(fn=cmd_lfun)
 
     sp = sub.add_parser("polytope", help="weights, Hodge numbers, Hodge polygon")

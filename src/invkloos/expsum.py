@@ -16,31 +16,26 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    q S_n in closed form
 * gauss_formula_sum  an independent oracle for S_n built from q^k - 1
                    Gauss-sum products instead of point enumeration
+* _transform_sum   untwisted S_n from two FFTs behind a rounding bound
 
-Enumeration kernels are numpy-vectorized over the last variable and are
-parallel-reducible: the outermost exponent range splits into contiguous
-chunks, each chunk owns a private integer histogram, and chunks merge by
-addition, so results are identical integers for any worker count.  The
-inverted-sum kernel runs serially below POOL_MIN_POINTS torus points and
-above it splits across a fork pool with one worker per available CPU.
+Enumeration kernels are numpy-vectorized over the last variable and run
+serially; chunks of the outermost exponent range own private integer
+histograms that merge by addition, identically for any chunk layout.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .cyclotomic import SumValue
-from .errors import BudgetExceeded
-from .gf import FieldTable, build_field, field_maps
+from .errors import BudgetExceeded, VerificationError
+from .gf import FieldTable, field_maps
 
 DEFAULT_POINT_BUDGET = 10 ** 10
-# serial/pooled s on 2 CPUs: 4.8e6 pts .25/.29, 9.8e6 .61/.48, 1.7e7 1.9/1.2
-POOL_MIN_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -162,10 +157,6 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
     """
     p, M = E.p, E.q - 1
     DIG, EXP = E.digits, E.exp
-    EXP2 = np.concatenate([EXP, EXP])
-    EN = np.arange(M, dtype=np.int64)
-    MN = M - EN
-    DXN = DIG[EXP]                      # digits of the inner variable
     TQ = _tq_table(E, w)
     twisted = jidx is not None
     if twisted:
@@ -190,8 +181,8 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
     if n == 1:
         # the single free variable is the vector; restrict it to the chunk
         e = np.arange(e1_lo, e1_hi, dtype=np.int64)
-        idx = (d_last + M - e) % M + M              # in [M, 2M)
-        v = EXP2[idx]
+        idx = (d_last + M - e) % M
+        v = EXP[idx]
         sd = DIG[EXP[e]] + DIG[v]
         sd %= p
         t = TQ[_pack(sd, p)]
@@ -203,6 +194,10 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
             hist += np.bincount(flat, minlength=(p + 1) * M)
         return hist
 
+    EXP2 = np.concatenate([EXP, EXP])   # inner-variable tables, n >= 2 only
+    EN = np.arange(M, dtype=np.int64)
+    MN = M - EN
+    DXN = DIG[EXP]                      # digits of the inner variable
     for e1 in range(e1_lo, e1_hi):
         for rest in product(range(M), repeat=n - 2):
             pre = (e1,) + rest
@@ -214,27 +209,6 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
                 jsum = int(sum(j * e for j, e in zip(jidx, pre)) % M)
             hist += inner(dig_pre, esum, jsum)
     return hist
-
-
-def _kls_chunk_worker(args):
-    (p, a_ext, n, d_last, w, jidx, lo, hi) = args
-    E = build_field(p, a_ext)
-    return _inverted_hist(E, n, d_last, w, jidx, lo, hi)
-
-
-def _run_inverted(E: FieldTable, n: int, d_last: int, w: int,
-                  jidx: tuple[int, ...] | None) -> np.ndarray:
-    M = E.q - 1
-    workers = len(os.sched_getaffinity(0))
-    if M ** n < POOL_MIN_POINTS or workers <= 1 or M < 2 * workers:
-        return _inverted_hist(E, n, d_last, w, jidx, 0, M)
-    bounds = [M * i // workers for i in range(workers + 1)]
-    argses = [(E.p, E.a, n, d_last, w, jidx, bounds[i], bounds[i + 1])
-              for i in range(workers)]
-    import multiprocessing as mp
-    with mp.get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_kls_chunk_worker, argses)
-    return np.sum(parts, axis=0)
 
 
 def _finish_hist(E: FieldTable, hist: np.ndarray,
@@ -272,7 +246,7 @@ def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
     d_last = int(E.dlog[b_ext])
     lifted = chi.lifted(F.q, E.q)
     jidx = None if all(j == 0 for j in lifted) else lifted
-    hist = _run_inverted(E, n, d_last, 1, jidx)
+    hist = _inverted_hist(E, n, d_last, 1, jidx, 0, E.q - 1)
     return _finish_hist(E, hist, jidx)
 
 
@@ -293,7 +267,7 @@ def tn_transform(F: FieldTable, n: int, b: int,
     check_points(M ** n, budget)
     lifted = chi.lifted(F.q, F.q)
     jidx = None if all(j == 0 for j in lifted) else lifted
-    hist = _run_inverted(F, n, 0, b, jidx)
+    hist = _inverted_hist(F, n, 0, b, jidx, 0, M)
     direct = _finish_hist(F, hist, jidx)
 
     db = int(F.dlog[b])
@@ -302,11 +276,80 @@ def tn_transform(F: FieldTable, n: int, b: int,
     if jidx is not None:
         via_s = via_s.shift(0, sum(lifted) * db % M)
     if not (direct == via_s):
-        from .errors import VerificationError
         raise VerificationError(
             "transform mismatch between the direct sum and its "
             "reciprocal-parameter expression (implementation bug)")
     return direct
+
+
+# ----------------------------------------------------------------------
+# the Gauss-sum transform for untwisted sums
+# ----------------------------------------------------------------------
+
+def check_transform(Q: int, n: int) -> float:
+    """A-priori bound on max |A_float - A| in _sum_one_counts over F_Q.
+
+    Source: Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., §24.1, Thm 24.2: an FFT has normwise relative error eps <= L eta /
+    (1 - L eta), eta = u + gamma_4 (sqrt2 + u), u = 2^-53, L = log2 length;
+    L = 3 ceil(log2 4M), M = Q - 1, covers pocketfft's Bluestein passes.
+    Gauss sums (f within 32u of unimodular, ||DFT f||_2 = M) are then within
+    r sqrt Q, r = (eps + 33u) M / sqrt Q; n+1 complex products (Lemma 3.5)
+    make rho = (1+r)^(n+2) (1 + sqrt2 gamma_2)^(n+1) - 1 relative to
+    Q^((n+2)/2); the inverse FFT (2-norm 1/sqrt M) and (M^n + C)/Q give
+    (rho + (eps+u)(1+rho) + 6u) Q^(n/2) + 3u M^n / Q.  Refuses at >= 1/2,
+    or when counts up to M^n overflow int64.
+    """
+    M, u, s2 = Q - 1, 2.0 ** -53, math.sqrt(2)
+    leta = 3 * math.ceil(math.log2(4 * M)) * (u + 4 * u / (1 - 4 * u) * (s2 + u))
+    eps = leta / (1 - leta)
+    r = (eps + 33 * u) * M / math.sqrt(Q)
+    rho = (1 + r) ** (n + 2) * (1 + s2 * 2 * u / (1 - 2 * u)) ** (n + 1) - 1
+    bound = (rho + (eps + u) * (1 + rho) + 6 * u) * math.sqrt(Q) ** n + 3 * u * M ** n / Q
+    if bound >= 0.5 or M ** n >= 2 ** 63:
+        raise BudgetExceeded(f"transform over F_{Q}, n = {n}: rounding bound {bound:.2g}"
+                             " (needs < 1/2, counts below 2^63)", estimate=Q)
+    return bound
+
+
+def _sum_one_counts(E: FieldTable, n: int) -> tuple[np.ndarray, float]:
+    """A[d] = #{y in torus^(n+1): sum y = 1, prod y = g^d}, max |A_float - A|.
+
+    DFT(f)^(n+1), f[e] = psi(g^e), is the DFT of the hyper-Kloosterman sums
+    K[d]; A = (M^n + C)/Q with C[d] = sum_v psi(-g^v) K[d + (n+1)v], whose
+    DFT is DFT(K) conj(DFT(f)[(n+1)j]).  Asserts the deviation bound and
+    sum A = (M^(n+1) - (-1)^(n+1))/Q, the points of y_1 + ... = 1.
+    """
+    Q, M = E.q, E.q - 1
+    bound = check_transform(Q, n)
+    G = np.fft.fft(np.exp(2j * np.pi / E.p * np.arange(E.p))[E.tr_abs[E.exp]])
+    P = np.conj(G[(n + 1) * np.arange(M) % M])
+    for _ in range(n + 1):
+        P *= G
+    A_float = (float(M ** n) + np.fft.ifft(P).real) / Q       # (M^n + C)/Q
+    A = np.rint(A_float).astype(np.int64)
+    dev = float(np.abs(A_float - A).max())
+    if dev > bound or int(A.sum()) != (M ** (n + 1) - (-1) ** (n + 1)) // Q:
+        raise VerificationError(f"transform counts over F_{Q}: deviation "
+                                f"{dev:.2g} over {bound:.2g} or a wrong total")
+    return A, dev
+
+
+def _transform_sum(F: FieldTable, k: int, n: int, b: int) -> SumValue:
+    """Untwisted S_n(b) over F_{q^k}, equal to kloosterman_sum's.
+
+    x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
+    1/s = g^u, hist[t] = sum over tr(g^u) = t of A[dlog b + (n+1)u] (int64).
+    """
+    _validate_b(F, b)
+    check_transform(F.q ** k, n)                 # before building tables
+    maps = field_maps(F, k)
+    E, M = maps.ext, maps.ext.q - 1
+    A, _ = _sum_one_counts(E, n)
+    d_b = int(E.dlog[maps.embed_tab[b]])
+    hist = np.zeros(E.p, dtype=np.int64)
+    np.add.at(hist, E.tr_abs[E.exp], A[(d_b + (n + 1) * np.arange(M)) % M])
+    return SumValue.from_hist(E.p, hist)
 
 
 # ----------------------------------------------------------------------

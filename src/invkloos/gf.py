@@ -17,7 +17,6 @@ to share across any number of workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -238,7 +237,12 @@ class FieldTable:
                 y = _ppowmod(y, p, mlist, p)
             assert len(acc) <= 1, "trace of basis element not in prime field"
             tr_basis[j] = acc[0] if acc else 0
-        self.tr_abs = ((digits.astype(np.int64) @ tr_basis) % p).astype(np.int16)
+        # column by column, no (q, a) int64 copy; dt holds a (p-1)^2
+        dt = np.result_type(np.int16, np.min_scalar_type(-a * p * p))
+        tr = np.zeros(q, dtype=dt)
+        for j in np.flatnonzero(tr_basis):
+            tr += digits[:, j] * dt.type(tr_basis[j])
+        self.tr_abs = (tr % p).astype(np.int16)
 
     # -- encoding helpers ------------------------------------------------
 
@@ -248,16 +252,6 @@ class FieldTable:
             out.append(x % self.p)
             x //= self.p
         return out
-
-    def element_str(self, x: int) -> str:
-        if self.a == 1:
-            return str(x)
-        terms = []
-        for i, c in enumerate(self._int_to_poly(x)):
-            if c:
-                terms.append(f"{c}" if i == 0 else
-                             (f"t^{i}" if c == 1 else f"{c}*t^{i}"))
-        return "+".join(terms) if terms else "0"
 
     def modulus_str(self) -> str:
         def mono(i, c):
@@ -286,9 +280,6 @@ class FieldTable:
             return int(d @ self._pows)
         return d @ self._pows
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def mul(self, x, y):
         m = self.q - 1
         if isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer)):
@@ -312,11 +303,6 @@ class FieldTable:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0
         return int(self.exp[(int(self.dlog[x]) * e) % m])
-
-    def invert(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return int(self.inv[x])
 
     def __repr__(self):
         return f"FieldTable(p={self.p}, a={self.a}, modulus={self.modulus_str()}, g={self.g})"
@@ -441,18 +427,19 @@ def field_maps(base: FieldTable, k: int, cap: int = TABLE_CAP) -> ExtensionMaps:
     iemb = np.full(Q, -1, dtype=np.int64)
     iemb[embed_tab] = np.arange(q)
 
-    ds = np.arange(M, dtype=np.int64)
-    acc = np.zeros((M, ext.a), dtype=np.int64)
-    for i in range(k):
-        acc += ext.digits[ext.exp[(ds * pow(q, i, M)) % M]]
-    acc %= p
-    packed = acc @ ext._pows
+    # relative trace x + x^q + ... on digit rows, 1024 rows at a time
     tr_rel_tab = np.zeros(Q, dtype=np.int64)
-    tr_rel_tab[ext.exp[ds]] = iemb[packed]
+    dt = np.result_type(np.int16, np.min_scalar_type(k * p))
+    for lo in range(0, M, 1024):
+        ds = np.arange(lo, min(lo + 1024, M), dtype=np.int64)
+        acc = np.zeros((len(ds), ext.a), dtype=dt)
+        for i in range(k):
+            acc += ext.digits[ext.exp[(ds * pow(q, i, M)) % M]]
+        tr_rel_tab[ext.exp[ds]] = iemb[(acc % p) @ ext._pows]
     assert (tr_rel_tab >= 0).all(), "relative trace escaped the base field"
 
     norm_rel_tab = np.zeros(Q, dtype=np.int64)
-    norm_rel_tab[ext.exp[ds]] = iemb[ext.exp[(ds * s) % M]]
+    norm_rel_tab[ext.exp] = iemb[ext.exp[np.arange(M, dtype=np.int64) * s % M]]
     assert (norm_rel_tab >= 0).all(), "relative norm escaped the base field"
 
     maps = ExtensionMaps(base, ext, k, embed_tab, tr_rel_tab, norm_rel_tab)

@@ -5,7 +5,7 @@ extension tower F_{q^k} is rational; its interesting part is a degree-2n
 polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path:
 
   1. power sums: S*_k = q^k S_{k,n}(b) + (q^k - 1)^n, exact in Z[zeta_p],
-     for k = 1..2n (from the conductor-1 enumeration histograms);
+     for k = 1..2n (Gauss-sum transform for n >= 2, enumeration for n = 1);
   2. sign-normalize to root power sums P_k = (-1)^n S*_k and subtract the
      two known trivial reciprocal roots 1 and q;
   3. Newton identities give the elementary symmetric functions of the
@@ -14,7 +14,7 @@ polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path:
 
 The q-adic Newton polygon of P and the complex magnitudes of its
 reciprocal roots implement the slope / weight checks; held-out power
-sums (k > 2n compared against fresh enumeration) validate the assembled
+sums (k > 2n recomputed by the same route) validate the assembled
 rational function end to end.
 """
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import Budget, check_points, kloosterman_sum
+from .expsum import (Budget, _transform_sum, check_points, check_transform,
+                     kloosterman_sum)
 from .gf import FieldTable, check_table_cap
 
 
@@ -61,28 +62,39 @@ class HeldoutResult:
     match: bool
 
 
+def _plan(F: FieldTable, n: int, k_max: int, budget: Budget | None) -> None:
+    """Refuse before any work: points (n = 1), table cap, rounding bound."""
+    if n == 1:
+        check_points(F.q ** k_max - 1, budget)
+    check_table_cap(F.p, F.a * k_max)
+    if n > 1:
+        check_transform(F.q ** k_max, n)
+
+
+def _tower_sum(F: FieldTable, k: int, n: int, b: int,
+               budget: Budget | None) -> CycloRational:
+    """S_{k,n}(b); the n = 1 torus is only q^k - 1 points: enumerate it."""
+    return reduce_mod_phi(kloosterman_sum(F, k, n, b, budget=budget) if n == 1
+                          else _transform_sum(F, k, n, b))
+
+
 def power_sums(F: FieldTable, n: int, b: int, K: int, *,
                budget: Budget | None = None) -> list[CycloRational]:
     """S*_k = q^k S_{k,n}(b) + (q^k - 1)^n for k = 1..K, exact in Z[zeta_p].
 
     Refuses when p | n+1: the facet determinants +-(n+1) vanish mod p, the
     associated Laurent polynomial degenerates, and the degree-2n shape of
-    the nontrivial factor is no longer guaranteed.  The point budget and
-    the table cap are checked for the largest k before any enumeration.
+    the nontrivial factor is no longer guaranteed.  The cost of the
+    largest k is checked before any sum is computed (see _plan).
     """
     if (n + 1) % F.p == 0:
         raise DegenerateError(
             f"p = {F.p} divides n+1 = {n + 1}: the reduction to a "
             "nondegenerate toric sum fails and the L-function degree "
             "claims do not apply")
-    check_points((F.q ** K - 1) ** n, budget)
-    check_table_cap(F.p, F.a * K)
-    out = []
-    for k in range(1, K + 1):
-        hist = kloosterman_sum(F, k, n, b, budget=budget)
-        s_k = reduce_mod_phi(hist)
-        out.append(F.q ** k * s_k + (F.q ** k - 1) ** n)
-    return out
+    _plan(F, n, K, budget)
+    return [F.q ** k * _tower_sum(F, k, n, b, budget) + (F.q ** k - 1) ** n
+            for k in range(1, K + 1)]
 
 
 def newton_to_elementary(ps: list[CycloRational]) -> list[CycloRational]:
@@ -256,7 +268,7 @@ def predicted_power_sum(lf: LFactorization, k: int) -> CycloRational:
 def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int,
                   extra: list[int], *,
                   budget: Budget | None = None) -> list[HeldoutResult]:
-    """Compare predicted S_k against fresh enumeration for held-out k.
+    """Compare predicted S_k against S_{k,n}(b) recomputed for held-out k.
 
     Exact comparison in Z[zeta_p]; any mismatch raises, since this is the
     strongest end-to-end correctness signal of the whole pipeline.
@@ -264,14 +276,13 @@ def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int,
     out = []
     for k in extra:
         predicted = predicted_power_sum(lf, k)
-        hist = kloosterman_sum(F, k, n, b, budget=budget)
-        observed = reduce_mod_phi(hist)
+        observed = _tower_sum(F, k, n, b, budget)
         ok = predicted == observed
         out.append(HeldoutResult(k, predicted, observed, ok))
         if not ok:
             raise VerificationError(
                 f"held-out power sum mismatch at k={k}: "
-                f"predicted {predicted!r}, enumerated {observed!r}")
+                f"predicted {predicted!r}, computed {observed!r}")
     return out
 
 
@@ -290,12 +301,10 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int, *,
                        ) -> tuple[LFactorization, list[HeldoutResult]]:
     """power sums -> strip trivial roots -> assemble -> weights (+ heldout).
 
-    The point budget and the table cap are checked for the largest k,
-    held-out ones included, before any enumeration.
+    The cost of the largest k, held-out ones included, is checked before
+    any sum is computed (see _plan).
     """
-    k_max = max([2 * n, *(heldout or [])])
-    check_points((F.q ** k_max - 1) ** n, budget)
-    check_table_cap(F.p, F.a * k_max)
+    _plan(F, n, max([2 * n, *(heldout or [])]), budget)
     star = power_sums(F, n, b, 2 * n, budget=budget)
     lf = strip_trivial_roots(star, n, F.q, b=b)
     lf = assemble_lfunction(lf, n, F.q)

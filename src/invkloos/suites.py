@@ -208,7 +208,7 @@ def _sorted_partial_sums(slopes) -> list[Fraction]:
     return out
 
 
-def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13)), *,
+def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
                nonordinary=((2, 5),),
                heldout_spec: dict | None = None,
                ordinary_table: bool = True,
@@ -216,13 +216,13 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13)), *,
                bs: tuple[int, ...] | None = None,
                budget: Budget | None = None) -> VerifyReport:
     if heldout_spec is None:
-        heldout_spec = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5]}
+        heldout_spec = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5], (3, 5): [7]}
     rep = VerifyReport(
         "thm1",
         "degree-2n nontrivial factor with integral coefficients, reciprocal "
         "roots of modulus q^(n/2), ordinary slope sequence "
         "{0,1,1,...,n-1,n-1,n} exactly when p = 1 mod n+1; held-out power "
-        "sums must match fresh enumeration exactly",
+        "sums must match their recomputed values exactly",
         {"grid": [list(g) for g in grid],
          "nonordinary": [list(g) for g in nonordinary],
          "heldout": {f"{k[0]},{k[1]}": v for k, v in heldout_spec.items()},

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from invkloos import lfun
+from invkloos import expsum, lfun
 from invkloos.errors import BudgetExceeded
 from invkloos.expsum import Budget
 from invkloos.gf import build_field
@@ -194,22 +194,29 @@ def test_criterion_10_ordinariness_table():
 
 
 def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
-    # the smallest ordinary case beyond desk scale: n=3, p=5 needs k <= 6
-    # over a ~10^12-point torus; the pipeline must refuse before it
-    # enumerates anything
+    # n=3, p=5 is in scope through the Gauss-sum transform; beyond it, an
+    # n >= 2 case over the rounding bound or the table cap, an n = 1 case
+    # over the point budget, and a direct enumeration over it must all be
+    # refused before any kernel runs
     kernel_calls = []
-    real = lfun.kloosterman_sum
-    monkeypatch.setattr(lfun, "kloosterman_sum",
-                        lambda *a, **kw: kernel_calls.append(a) or real(*a, **kw))
+    for mod, name in ((lfun, "kloosterman_sum"), (lfun, "_transform_sum"),
+                      (expsum, "_inverted_hist"), (expsum, "_sum_one_counts")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _real=real, **kw:
+                            kernel_calls.append(a) or _real(*a, **kw))
     F = build_field(5, 1)
-    with pytest.raises(BudgetExceeded) as ei:
-        power_sums(F, 3, 1, 6, budget=Budget())
-    assert ei.value.estimate > 10 ** 10
-    with pytest.raises(BudgetExceeded):
-        lfunction_pipeline(F, 3, 1, budget=Budget())
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="rounding bound"):
+        power_sums(build_field(3, 1), 3, 1, 16)          # F_{3^16}, in the cap
+    with pytest.raises(BudgetExceeded, match="table cap"):
+        lfunction_pipeline(F, 3, 1, heldout=[12], budget=Budget())
+    with pytest.raises(BudgetExceeded, match="points") as ei:
         lfunction_pipeline(build_field(7, 1), 1, 1, heldout=[12],
                            budget=Budget())
+    assert ei.value.estimate == 7 ** 12 - 1
+    with pytest.raises(BudgetExceeded) as ei:
+        expsum.kloosterman_sum(F, 6, 3, 1, budget=Budget())
+    assert ei.value.estimate > 10 ** 10
     assert kernel_calls == []
     _report("out-of-scope", True,
-            f"n=3 p=5 refused at {ei.value.estimate:.1e} points")
+            f"enumeration of n=3 p=5 k=6 refused at {ei.value.estimate:.1e} "
+            "points; transform beyond its bound and the table cap refused")

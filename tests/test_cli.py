@@ -115,6 +115,16 @@ def test_cli_lfun_json_reports_base_field_degree(capsys):
     assert (obj["p"], obj["a"], obj["q"]) == (3, 2, 9)
 
 
+def test_cli_lfun_n3_p5_heldout_k7(capsys):
+    code, out = run(capsys, "lfun", "--p", "5", "--n", "3", "--b", "1",
+                    "--heldout", "7", "--out", "json")
+    assert code == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, SCHEMAS["lfun"])
+    assert obj["slopes"] == [[0, 1, 1], [1, 1, 2], [2, 1, 2], [3, 1, 1]]
+    assert obj["heldout"] == [{"k": 7, "match": True}]
+
+
 def test_cli_polytope_json_schema_and_csv(capsys):
     code, out = run(capsys, "polytope", "--n", "2", "--out", "json")
     assert code == 0

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from invkloos.cyclotomic import SumValue, embed_complex, reduce_mod_phi
 from invkloos.errors import BudgetExceeded, VerificationError
-from invkloos import expsum
-from invkloos.expsum import (Budget, CharacterTuple, LaurentPoly, e_sum,
-                             gauss_formula_parts, gauss_formula_sum, gauss_sum,
-                             ik_laurent, kloosterman_sum, tn_transform,
-                             toric_sum, _inverted_hist)
-from invkloos.gf import build_field, field_maps
+from invkloos.expsum import (Budget, CharacterTuple, LaurentPoly,
+                             check_transform, e_sum, gauss_formula_parts,
+                             gauss_formula_sum, gauss_sum, ik_laurent,
+                             kloosterman_sum, tn_transform, toric_sum,
+                             _inverted_hist, _sum_one_counts, _transform_sum)
+from invkloos.gf import _FIELDS, build_field, field_maps
 
 
 # ----------------------------------------------------------------------
@@ -121,28 +121,16 @@ def test_extension_matches_direct_enumeration():
     assert v.counts == [[int(c)] for c in acc]
 
 
-def test_enumeration_deterministic_across_chunks_and_workers(monkeypatch):
+def test_enumeration_deterministic_across_chunks_and_workers():
     F = build_field(5, 1)
     m = field_maps(F, 2)
     E = m.ext
     M = E.q - 1
-    full = _inverted_hist(E, 2, 0, 1, None, 0, M)
-    split = sum(_inverted_hist(E, 2, 0, 1, None, lo, hi)
-                for lo, hi in [(0, 7), (7, 11), (11, M)])
-    assert (full == split).all()
-    # force the fork pool on a small torus: the parent enumerates nothing
-    # itself and the merged histograms equal the serial ones
-    chi = CharacterTuple((1, 2, 3))
-    serial = [kloosterman_sum(F, 2, 2, 3), kloosterman_sum(F, 2, 2, 3, chi)]
-    in_parent = []
-    real = expsum._inverted_hist
-    monkeypatch.setattr(expsum, "_inverted_hist",
-                        lambda *a: in_parent.append(a) or real(*a))
-    monkeypatch.setattr(expsum, "POOL_MIN_POINTS", 0)
-    monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: {0, 1})
-    pooled = [kloosterman_sum(F, 2, 2, 3), kloosterman_sum(F, 2, 2, 3, chi)]
-    assert in_parent == []
-    assert [v.counts for v in pooled] == [v.counts for v in serial]
+    for jidx in (None, (1, 2, 3)):
+        full = _inverted_hist(E, 2, 0, 1, jidx, 0, M)
+        split = sum(_inverted_hist(E, 2, 0, 1, jidx, lo, hi)
+                    for lo, hi in [(0, 7), (7, 11), (11, M)])
+        assert (full == split).all()
 
 
 def test_conjugation_symmetry_untwisted():
@@ -341,3 +329,69 @@ def test_mass_bounded_by_point_count(q, n, data):
     idx = tuple(data.draw(st.integers(0, q - 2)) for _ in range(n + 1))
     v = kloosterman_sum(F, 1, n, b, CharacterTuple(idx))
     assert v.mass() <= (q - 1) ** n
+
+
+# ----------------------------------------------------------------------
+# the Gauss-sum transform against enumeration
+# ----------------------------------------------------------------------
+
+# (p, a, n, largest k): n = 2, 3, 4 over p = 2, 3, 5, 7 and the non-prime
+# bases q = 4 and q = 9; the p | n+1 cells (3, 2), (2, 3), (5, 4) included,
+# since the sum is defined there even where the L-function is refused
+TRANSFORM_GRID = [
+    (2, 1, 2, 6), (3, 1, 2, 4), (5, 1, 2, 3), (7, 1, 2, 2), (2, 2, 2, 3),
+    (3, 2, 2, 2),
+    (2, 1, 3, 4), (3, 1, 3, 3), (5, 1, 3, 2), (7, 1, 3, 2), (2, 2, 3, 2),
+    (3, 2, 3, 1),
+    (2, 1, 4, 3), (3, 1, 4, 2), (5, 1, 4, 1), (7, 1, 4, 1),
+]
+
+
+@pytest.mark.parametrize("p,a,n,kmax", TRANSFORM_GRID)
+def test_gauss_transform_matches_enumeration(p, a, n, kmax):
+    F = build_field(p, a)
+    for k in range(1, kmax + 1):
+        for b in range(1, F.q):
+            assert _transform_sum(F, k, n, b).counts == \
+                kloosterman_sum(F, k, n, b).counts, (k, b)
+
+
+# the largest n >= 2 fields of the tier-1 run (criteria 3 and 8, the n=3,
+# p=5 held-out k), and 7^7, where the rounding error is no longer zero
+@pytest.mark.parametrize("p,k,n", [(13, 4, 2), (7, 5, 2), (5, 7, 3), (7, 7, 3)])
+def test_gauss_transform_rounding_within_stated_bound(p, k, n):
+    A, dev = _sum_one_counts(build_field(p, k), n)
+    assert dev <= check_transform(p ** k, n) < 0.5
+    M = p ** k - 1
+    assert int(A.sum()) == (M ** (n + 1) - (-1) ** (n + 1)) // p ** k
+
+
+def test_gauss_transform_bound_admits_the_point_budget():
+    # every n >= 2 torus of at most 10^10 points has q^k - 1 <= 10^(10/n),
+    # and the bound grows with q^k; only F_2 has an unbounded n
+    for n in range(2, 34):
+        Q = 2
+        while Q ** n <= 10 ** 10:
+            Q += 1
+        check_transform(Q, n)
+    for n in range(2, 80):
+        check_transform(2, n)
+
+
+def test_gauss_transform_refuses_over_bound_before_any_fft(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _real=real, **kw: calls.append(a)
+                            or _real(*a, **kw))
+    F = build_field(3, 1)
+    with pytest.raises(BudgetExceeded, match="rounding bound") as ei:
+        _transform_sum(F, 16, 3, 1)        # within the table cap
+    assert ei.value.estimate == 3 ** 16
+    assert (3, 16) not in _FIELDS           # no table was built either
+    with pytest.raises(BudgetExceeded, match="2\\^63"):
+        check_transform(6 * 10 ** 4, 4)     # bound 0.3, but M^4 > 2^63
+    assert calls == []
+    _transform_sum(F, 2, 3, 1)
+    assert len(calls) == 2                 # one forward, one inverse FFT

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from invkloos import gf
 from invkloos.errors import BudgetExceeded
 from invkloos.gf import (_pmulmod, build_field, field_maps, is_prime,
                          smallest_irreducible)
@@ -232,3 +235,21 @@ def test_smallest_irreducible_lex_order():
 def test_is_prime():
     assert [n for n in range(2, 40) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
+    # the traces go column by column or 1024 rows at a time; (q, a) int64
+    # temporaries used to push the peak past 3x the tables' bytes
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    monkeypatch.setattr(gf, "_MAPS", {})
+    tracemalloc.start()
+    try:
+        m = field_maps(build_field(2, 9), 2)    # builds F_{2^18} and its maps
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    E = m.ext
+    tables = sum(arr.nbytes for arr in (
+        E.exp, E.dlog, E.inv, E.tr_abs, E.digits,
+        m.embed_tab, m.tr_rel_tab, m.norm_rel_tab))
+    assert peak < 2 * tables

@@ -238,6 +238,23 @@ def test_pipeline_even_branch_n2_q5():
     assert sorted(lf.slopes) != hp          # and strictly above somewhere
 
 
+def test_pipeline_n3_q5_ordinary_with_heldout_k7(monkeypatch):
+    # p = 5 = 1 mod 4: the ordinary slopes {0,1,1,2,2,3} for every b; n >= 2
+    # goes through the Gauss-sum transform and never enumerates
+    kernel_calls = []
+    real = lfun.kloosterman_sum
+    monkeypatch.setattr(lfun, "kloosterman_sum",
+                        lambda *a, **kw: kernel_calls.append(a) or real(*a, **kw))
+    F = build_field(5, 1)
+    for b in range(1, 5):
+        lf, res = lfunction_pipeline(F, 3, b, heldout=[7])
+        assert sorted(lf.slopes) == alpha_hodge_slopes(3)
+        assert [(r.k, r.match) for r in res] == [(7, True)]
+        assert all(abs(abs(r) - 5 ** 1.5) < 1e-5 * 5 ** 1.5
+                   for r in lf.complex_roots)
+    assert kernel_calls == []
+
+
 def test_heldout_on_training_range_is_consistent():
     F = build_field(3, 1)
     lf, _ = lfunction_pipeline(F, 1, 2)
