@@ -486,8 +486,12 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(sp, budget_help="enumeration point budget"):
+def _add_out(sp):
     sp.add_argument("--out", choices=("json", "csv", "table"), default="table")
+
+
+def _add_common(sp, budget_help="enumeration point budget"):
+    _add_out(sp)
     sp.add_argument("--budget", type=int, default=10 ** 10, help=budget_help)
     sp.add_argument("--force", action="store_true",
                     help="run despite a point-budget refusal")
@@ -504,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--k", type=int, default=1, help="also build F_{q^k}")
-    _add_common(sp)
+    _add_out(sp)
     sp.set_defaults(fn=cmd_field)
 
     sp = sub.add_parser("gauss", help="Gauss sum G(chi_j)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--j", type=int, required=True, help="character index")
-    _add_common(sp)
+    _add_out(sp)
     sp.set_defaults(fn=cmd_gauss)
 
     sp = sub.add_parser("sum", help="inverted Kloosterman sum S_n (or T_n)")
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="field for text polynomials")
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--kmax", type=int, help="weight range k (default dim*D)")
-    _add_common(sp)
+    _add_out(sp)
     sp.set_defaults(fn=cmd_polytope)
 
     sp = sub.add_parser("verify", help="run a verification suite")

@@ -115,16 +115,10 @@ class SumValue:
             counts = [[int(c) for c in row] for row in arr]
         return cls(p, m, counts, denom)
 
-    def copy(self) -> "SumValue":
-        return SumValue(self.p, self.m, [row[:] for row in self.counts], self.denom)
-
     # -- structure -------------------------------------------------------
 
     def mass(self) -> int:
         return sum(abs(c) for row in self.counts for c in row)
-
-    def nnz(self) -> int:
-        return sum(1 for row in self.counts for c in row if c)
 
     def promote(self, new_m: int) -> "SumValue":
         """Reinterpret with conductor new_m (requires m | new_m)."""
@@ -208,15 +202,6 @@ class SumValue:
             for j, c in enumerate(row):
                 if c:
                     orow[(j + dj) % m] += c
-        return out
-
-    def conj_psi(self) -> "SumValue":
-        """Replace the additive character by its conjugate (t -> -t).
-
-        This is complex conjugation exactly when m = 1."""
-        out = SumValue(self.p, self.m, denom=self.denom)
-        for t in range(self.p):
-            out.counts[(-t) % self.p] = self.counts[t][:]
         return out
 
     def conjugate(self) -> "SumValue":

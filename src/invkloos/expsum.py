@@ -18,9 +18,8 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    Gauss-sum products instead of point enumeration
 * _transform_sum   untwisted S_n from two FFTs behind a rounding bound
 
-Enumeration kernels are numpy-vectorized over the last variable and run
-serially; chunks of the outermost exponent range own private integer
-histograms that merge by addition, identically for any chunk layout.
+Enumeration kernels are numpy-vectorized over the last variable, run
+serially and accumulate exact integer histograms.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
-from .gf import FieldTable, field_maps
+from .gf import FieldTable, digit_dtype, field_maps
 
 DEFAULT_POINT_BUDGET = 10 ** 10
 
@@ -72,10 +71,6 @@ class CharacterTuple:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(j == 0 for j in self.indices)
 
     def all_equal(self) -> bool:
         return len(set(self.indices)) == 1
@@ -129,7 +124,7 @@ def gauss_sum(F: FieldTable, j: int) -> SumValue:
 def _tq_table(E: FieldTable, w: int) -> np.ndarray:
     """TQ[s] = tr_abs(w/s) for s != 0; sentinel value p at s = 0."""
     M, p = E.q - 1, E.p
-    out = np.full(E.q, p, dtype=np.int16)
+    out = np.full(E.q, p, dtype=E.tr_abs.dtype)      # holds p
     dw = int(E.dlog[w])
     e = np.arange(M, dtype=np.int64)
     out[E.exp[e]] = E.tr_abs[E.exp[(dw + M - e) % M]]
@@ -145,18 +140,20 @@ def _pack(sd: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
-                   jidx: tuple[int, ...] | None,
-                   e1_lo: int, e1_hi: int) -> np.ndarray:
-    """Histogram of the inverted sum over prefixes e_1 in [e1_lo, e1_hi).
+                   jidx: tuple[int, ...] | None) -> np.ndarray:
+    """Histogram of the inverted sum over the whole torus.
 
     Free variables x_1..x_n run over the torus by exponent; the dependent
     variable is x_last = exp(d_last) / (x_1 ... x_n).  Points with
     s = x_1 + ... + x_n + x_last = 0 are skipped (sentinel bucket, dropped
     by the caller).  Buckets are tr_abs(w/s) in the untwisted case, else
     (tr_abs(w/s), sum_i j_i dlog x_i + j_last dlog x_last mod q^k-1).
+    Digit rows of the n+1 variables are summed before one reduction mod p,
+    in a dtype that holds (n+1)(p-1).
     """
     p, M = E.p, E.q - 1
-    DIG, EXP = E.digits, E.exp
+    dt = digit_dtype((n + 1) * (p - 1))
+    DIG, EXP = E.digits.astype(dt, copy=False), E.exp
     TQ = _tq_table(E, w)
     twisted = jidx is not None
     if twisted:
@@ -179,8 +176,8 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
         return np.bincount(flat, minlength=(p + 1) * M)
 
     if n == 1:
-        # the single free variable is the vector; restrict it to the chunk
-        e = np.arange(e1_lo, e1_hi, dtype=np.int64)
+        # the single free variable is the vector
+        e = np.arange(M, dtype=np.int64)
         idx = (d_last + M - e) % M
         v = EXP[idx]
         sd = DIG[EXP[e]] + DIG[v]
@@ -198,16 +195,13 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
     EN = np.arange(M, dtype=np.int64)
     MN = M - EN
     DXN = DIG[EXP]                      # digits of the inner variable
-    for e1 in range(e1_lo, e1_hi):
-        for rest in product(range(M), repeat=n - 2):
-            pre = (e1,) + rest
-            dig_pre = DIG[EXP[np.array(pre, dtype=np.int64)]].sum(
-                axis=0, dtype=np.int16)
-            esum = sum(pre) % M
-            jsum = 0
-            if twisted:
-                jsum = int(sum(j * e for j, e in zip(jidx, pre)) % M)
-            hist += inner(dig_pre, esum, jsum)
+    for pre in product(range(M), repeat=n - 1):
+        dig_pre = DIG[EXP[np.array(pre, dtype=np.int64)]].sum(axis=0, dtype=dt)
+        esum = sum(pre) % M
+        jsum = 0
+        if twisted:
+            jsum = int(sum(j * e for j, e in zip(jidx, pre)) % M)
+        hist += inner(dig_pre, esum, jsum)
     return hist
 
 
@@ -246,7 +240,7 @@ def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
     d_last = int(E.dlog[b_ext])
     lifted = chi.lifted(F.q, E.q)
     jidx = None if all(j == 0 for j in lifted) else lifted
-    hist = _inverted_hist(E, n, d_last, 1, jidx, 0, E.q - 1)
+    hist = _inverted_hist(E, n, d_last, 1, jidx)
     return _finish_hist(E, hist, jidx)
 
 
@@ -267,7 +261,7 @@ def tn_transform(F: FieldTable, n: int, b: int,
     check_points(M ** n, budget)
     lifted = chi.lifted(F.q, F.q)
     jidx = None if all(j == 0 for j in lifted) else lifted
-    hist = _inverted_hist(F, n, 0, b, jidx, 0, M)
+    hist = _inverted_hist(F, n, 0, b, jidx)
     direct = _finish_hist(F, hist, jidx)
 
     db = int(F.dlog[b])

@@ -8,11 +8,11 @@ over Z/p (coefficients compared from the constant term upward) and the
 generator g is the generating element with the smallest integer
 encoding.
 
-Multiplication, inversion and powers go through exp/dlog tables, so
-per-element cost inside enumeration kernels is a handful of table
-lookups; addition goes through a precomputed digit matrix so it
-vectorizes with numpy.  Tables are immutable after construction and safe
-to share across any number of workers.
+Multiplication and powers go through exp/dlog tables, so per-element
+cost inside enumeration kernels is a handful of table lookups; addition
+goes through a precomputed digit matrix so it vectorizes with numpy.
+Tables are immutable after construction and cached per field, so every
+caller in a process shares one copy.
 """
 
 from __future__ import annotations
@@ -158,14 +158,15 @@ def smallest_irreducible(p: int, a: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 class FieldTable:
-    """F_{p^a} with exp/dlog, inverse, absolute-trace and digit tables.
+    """F_{p^a} with exp/dlog, absolute-trace and digit tables.
 
     Public arrays (all numpy, immutable by convention):
       exp      (q-1,) exp[e] = g^e
       dlog     (q,)   dlog[exp[e]] = e, dlog[0] = -1
-      inv      (q,)   multiplicative inverse, inv[0] = 0
       tr_abs   (q,)   absolute trace to Z/p
       digits   (q, a) base-p digit matrix (coefficient vectors)
+    exp and dlog are int64; digits and tr_abs use digit_dtype(p), the
+    narrowest of int16 and wider that holds p.
     """
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...]):
@@ -211,14 +212,8 @@ class FieldTable:
         self.exp = exp
         self.dlog = dlog
 
-        inv = np.zeros(q, dtype=np.int64)
-        if m_order >= 1:
-            idx = np.arange(m_order)
-            inv[exp[idx]] = exp[(m_order - idx) % max(m_order, 1)]
-        self.inv = inv
-
         # digit matrix
-        digits = np.zeros((q, a), dtype=np.int16)
+        digits = np.zeros((q, a), dtype=digit_dtype(p))
         rem = np.arange(q, dtype=np.int64)
         for i in range(a):
             digits[:, i] = rem % p
@@ -238,11 +233,11 @@ class FieldTable:
             assert len(acc) <= 1, "trace of basis element not in prime field"
             tr_basis[j] = acc[0] if acc else 0
         # column by column, no (q, a) int64 copy; dt holds a (p-1)^2
-        dt = np.result_type(np.int16, np.min_scalar_type(-a * p * p))
+        dt = digit_dtype(a * p * p)
         tr = np.zeros(q, dtype=dt)
         for j in np.flatnonzero(tr_basis):
             tr += digits[:, j] * dt.type(tr_basis[j])
-        self.tr_abs = (tr % p).astype(np.int16)
+        self.tr_abs = (tr % p).astype(digits.dtype)
 
     # -- encoding helpers ------------------------------------------------
 
@@ -311,15 +306,25 @@ class FieldTable:
 _FIELDS: dict[tuple[int, int], FieldTable] = {}
 
 
+def digit_dtype(bound: int) -> np.dtype:
+    """The narrowest signed dtype, int16 or wider, that holds 0..bound."""
+    return np.result_type(np.int16, np.min_scalar_type(-bound))
+
+
+def _table_bytes(p: int, a: int) -> int:
+    """Bytes of the arrays that FieldTable stores for F_{p^a}."""
+    q = p ** a
+    return 8 * (2 * q - 1 + a) + digit_dtype(p).itemsize * q * (a + 1)
+
+
 def check_table_cap(p: int, a: int, cap: int = TABLE_CAP) -> None:
     """Refuse F_{p^a} over the table cap, reporting the memory it needs."""
     q = p ** a
     if q > cap:
-        need = q * (8 * 3 + 2 * (a + 1)) // (1 << 20)
         raise BudgetExceeded(
             f"field F_{p}^{a} has {q} elements, over the table cap {cap} "
-            f"(tables would need ~{need} MiB); raise cap= to override",
-            estimate=q)
+            f"(tables would need ~{_table_bytes(p, a) // (1 << 20)} MiB); "
+            f"raise cap= to override", estimate=q)
 
 
 def build_field(p: int, a: int, cap: int = TABLE_CAP) -> FieldTable:
@@ -348,35 +353,23 @@ def build_field(p: int, a: int, cap: int = TABLE_CAP) -> FieldTable:
 
 @dataclass(frozen=True)
 class ExtensionMaps:
-    """Tables for the extension F_{q^k} over F_q.
-
-    tr_rel(x)  = x + x^q + ... + x^(q^(k-1))  (values in the base field)
-    norm_rel(x) = x^((q^k-1)/(q-1))
-    embed      = the unique-up-to-conjugacy ring embedding, pinned to the
-                 smallest root of the base generator's minimal polynomial
+    """F_{q^k} over F_q: embed_tab is the unique-up-to-conjugacy ring
+    embedding of the base field, pinned to the smallest root of the base
+    generator's minimal polynomial.  Relative traces and norms are not
+    tabulated: sums reach F_q through tr_abs, and characters lift through
+    the norm by index arithmetic (CharacterTuple.lifted).
     """
     base: FieldTable
     ext: FieldTable
     k: int
     embed_tab: np.ndarray
-    tr_rel_tab: np.ndarray
-    norm_rel_tab: np.ndarray
-
-    def embed(self, y):
-        return self.embed_tab[y]
-
-    def tr_rel(self, x):
-        return self.tr_rel_tab[x]
-
-    def norm_rel(self, x):
-        return self.norm_rel_tab[x]
 
 
 _MAPS: dict[tuple[int, int, int], ExtensionMaps] = {}
 
 
 def field_maps(base: FieldTable, k: int, cap: int = TABLE_CAP) -> ExtensionMaps:
-    """Build F_{q^k} over the given base together with embed/trace/norm tables."""
+    """Build F_{q^k} over the given base together with the embedding table."""
     if k < 1:
         raise ValueError("k must be >= 1")
     key = (base.p, base.a, k)
@@ -384,12 +377,11 @@ def field_maps(base: FieldTable, k: int, cap: int = TABLE_CAP) -> ExtensionMaps:
         return _MAPS[key]
     p, q = base.p, base.q
     if k == 1:
-        ident = np.arange(q, dtype=np.int64)
-        maps = ExtensionMaps(base, base, 1, ident, ident.copy(), ident.copy())
+        maps = ExtensionMaps(base, base, 1, np.arange(q, dtype=np.int64))
         _MAPS[key] = maps
         return maps
     ext = build_field(p, base.a * k, cap=cap)
-    Q, M = ext.q, ext.q - 1
+    M = ext.q - 1
     s = M // (q - 1)
 
     # embed: send the base generator to the smallest root of its minimal
@@ -424,24 +416,13 @@ def field_maps(base: FieldTable, k: int, cap: int = TABLE_CAP) -> ExtensionMaps:
         e = np.arange(q - 1, dtype=np.int64)
         embed_tab[base.exp[e]] = ext.exp[(e * dh) % M]
 
-    iemb = np.full(Q, -1, dtype=np.int64)
-    iemb[embed_tab] = np.arange(q)
+    # F_q^* must go to q-1 distinct elements fixed by x -> x^q, which are
+    # the g^(s j), 0 <= j < q-1 (no np.unique or np.sort: either one grows
+    # the resident set by ~1 MiB for this O(q) check)
+    d = ext.dlog[embed_tab[1:]]
+    assert (d % s == 0).all() and (np.bincount(d // s) == 1).all(), \
+        "embedding is not onto the subfield F_q"
 
-    # relative trace x + x^q + ... on digit rows, 1024 rows at a time
-    tr_rel_tab = np.zeros(Q, dtype=np.int64)
-    dt = np.result_type(np.int16, np.min_scalar_type(k * p))
-    for lo in range(0, M, 1024):
-        ds = np.arange(lo, min(lo + 1024, M), dtype=np.int64)
-        acc = np.zeros((len(ds), ext.a), dtype=dt)
-        for i in range(k):
-            acc += ext.digits[ext.exp[(ds * pow(q, i, M)) % M]]
-        tr_rel_tab[ext.exp[ds]] = iemb[(acc % p) @ ext._pows]
-    assert (tr_rel_tab >= 0).all(), "relative trace escaped the base field"
-
-    norm_rel_tab = np.zeros(Q, dtype=np.int64)
-    norm_rel_tab[ext.exp] = iemb[ext.exp[np.arange(M, dtype=np.int64) * s % M]]
-    assert (norm_rel_tab >= 0).all(), "relative norm escaped the base field"
-
-    maps = ExtensionMaps(base, ext, k, embed_tab, tr_rel_tab, norm_rel_tab)
+    maps = ExtensionMaps(base, ext, k, embed_tab)
     _MAPS[key] = maps
     return maps

@@ -11,7 +11,7 @@ from invkloos.expsum import (Budget, CharacterTuple, LaurentPoly,
                              check_transform, e_sum, gauss_formula_parts,
                              gauss_formula_sum, gauss_sum, ik_laurent,
                              kloosterman_sum, tn_transform, toric_sum,
-                             _inverted_hist, _sum_one_counts, _transform_sum)
+                             _sum_one_counts, _transform_sum)
 from invkloos.gf import _FIELDS, build_field, field_maps
 
 
@@ -112,33 +112,21 @@ def test_extension_matches_direct_enumeration():
     acc = np.zeros(3, dtype=int)
     skipped = 0
     for x in range(1, 9):
-        s = E.add(x, E.mul(b_ext, int(E.inv[x])))
+        s = E.add(x, E.mul(b_ext, E.power(x, -1)))
         if s == 0:
             skipped += 1
             continue
-        acc[E.tr_abs[E.inv[s]]] += 1
+        acc[E.tr_abs[E.power(s, -1)]] += 1
     v = kloosterman_sum(F, 2, 1, 1)
     assert v.counts == [[int(c)] for c in acc]
 
 
-def test_enumeration_deterministic_across_chunks_and_workers():
-    F = build_field(5, 1)
-    m = field_maps(F, 2)
-    E = m.ext
-    M = E.q - 1
-    for jidx in (None, (1, 2, 3)):
-        full = _inverted_hist(E, 2, 0, 1, jidx, 0, M)
-        split = sum(_inverted_hist(E, 2, 0, 1, jidx, lo, hi)
-                    for lo, hi in [(0, 7), (7, 11), (11, M)])
-        assert (full == split).all()
-
-
 def test_conjugation_symmetry_untwisted():
-    # relabelling t -> -t is the sum for the conjugate additive character,
-    # and for untwisted sums that is the complex conjugate value
+    # for untwisted sums (m = 1) conjugate() only relabels t -> -t, the sum
+    # for the conjugate additive character
     F = build_field(7, 1)
     v = kloosterman_sum(F, 1, 2, 4)
-    assert abs(embed_complex(v.conj_psi())
+    assert abs(embed_complex(v.conjugate())
                - embed_complex(v).conjugate()) < 1e-12
 
 
@@ -308,7 +296,6 @@ def test_character_tuple_reduction_and_lift():
     chi = CharacterTuple.reduced((7, -1, 0), 5)
     assert chi.indices == (3, 3, 0)
     assert chi.lifted(5, 25) == (18, 18, 0)
-    assert CharacterTuple.trivial(3).is_trivial
     assert CharacterTuple((2, 2)).all_equal()
     assert not CharacterTuple((2, 1)).all_equal()
 
@@ -354,6 +341,16 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
         for b in range(1, F.q):
             assert _transform_sum(F, k, n, b).counts == \
                 kloosterman_sum(F, k, n, b).counts, (k, b)
+
+
+# n = 1 sums two digit rows, which pass int16 once 2(p-1) > 32767; at
+# p = 65537 the digits and traces themselves do
+@pytest.mark.parametrize("p", [16411, 65537])
+def test_kernel_matches_transform_past_int16(p):
+    F = build_field(p, 1)
+    for b in (1, 2, 3, p - 1):
+        assert kloosterman_sum(F, 1, 1, b).counts == \
+            _transform_sum(F, 1, 1, b).counts, b
 
 
 # the largest n >= 2 fields of the tier-1 run (criteria 3 and 8, the n=3,

@@ -47,8 +47,10 @@ def test_exp_dlog_bijection_and_inverses(p, a):
     assert (F.dlog[F.exp[idx]] == idx).all()
     assert sorted(F.exp.tolist()) == list(range(1, q))
     xs = np.arange(1, q)
-    assert (F.mul(xs, F.inv[xs]) == 1).all()
-    assert F.inv[0] == 0
+    inv = np.array([F.power(int(x), -1) for x in xs])
+    assert (F.mul(xs, inv) == 1).all()
+    with pytest.raises(ZeroDivisionError):
+        F.power(0, -1)
 
 
 def _reference_tables(p, a):
@@ -70,8 +72,6 @@ def _reference_tables(p, a):
     exp = np.array(exp, dtype=np.int64)
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[exp] = np.arange(m)
-    inv = np.zeros(q, dtype=np.int64)
-    inv[exp] = exp[-np.arange(m) % m]
     digits = np.array([[(x // p ** i) % p for i in range(a)] for x in range(q)],
                       dtype=np.int16)
     conj = sum(digits[exp[dlog[1:] * p ** i % m]].astype(np.int64)
@@ -79,7 +79,7 @@ def _reference_tables(p, a):
     assert not conj[:, 1:].any()
     tr_abs = np.zeros(q, dtype=np.int16)
     tr_abs[1:] = conj[:, 0]
-    return dict(g=g, exp=exp, dlog=dlog, inv=inv, tr_abs=tr_abs, digits=digits)
+    return dict(g=g, exp=exp, dlog=dlog, tr_abs=tr_abs, digits=digits)
 
 
 # q-1 against the block of 1024 powers: below it (2^1, 3^2, 2^10), one
@@ -134,6 +134,22 @@ def test_dlog_is_homomorphism_exhaustive_up_to_2401():
         assert (F.dlog[F.mul(x, y)] == (F.dlog[x] + F.dlog[y]) % M).all()
 
 
+def _rel_trace(m, x):
+    """x + x^q + ... + x^(q^(k-1)) in F_{q^k}, by Frobenius powers."""
+    E, s = m.ext, 0
+    for i in range(m.k):
+        s = E.add(s, E.power(x, m.base.q ** i))
+    return s
+
+
+def _rel_norm(m, x):
+    """x x^q ... x^(q^(k-1)) in F_{q^k}, by Frobenius powers."""
+    E, s = m.ext, 1
+    for i in range(m.k):
+        s = E.mul(s, E.power(x, m.base.q ** i))
+    return s
+
+
 def test_random_norm_mult_trace_add_on_large_field():
     F = build_field(13, 4)
     rng = np.random.default_rng(0)
@@ -141,44 +157,47 @@ def test_random_norm_mult_trace_add_on_large_field():
     y = rng.integers(0, F.q, size=10 ** 4)
     assert (F.tr_abs[F.add(x, y)]
             == (F.tr_abs[x].astype(np.int64) + F.tr_abs[y]) % 13).all()
-    maps = field_maps(build_field(13, 1), 4)
-    nx = maps.norm_rel_tab[x]
-    ny = maps.norm_rel_tab[y]
-    base = maps.base
-    assert (maps.norm_rel_tab[F.mul(x, y)] == base.mul(nx, ny)).all()
+    # the norm to F_13 is x^((q^4-1)/12): multiplicative, into the prime field
+    m = field_maps(build_field(13, 1), 4)
+    assert m.ext is F
+    x, y = x[:2000], y[:2000]
+    nx = np.array([_rel_norm(m, int(v)) for v in x])
+    ny = np.array([_rel_norm(m, int(v)) for v in y])
+    nxy = np.array([_rel_norm(m, int(v)) for v in F.mul(x, y)])
+    assert (nx == [F.power(int(v), (F.q - 1) // 12) if v else 0 for v in x]).all()
+    assert (nxy == F.mul(nx, ny)).all()
+    assert (nx < 13).all() and (nxy < 13).all()
 
 
 def test_extension_maps_f9_over_f3():
     base = build_field(3, 1)
     m = field_maps(base, 2)
-    t = 3  # encoding of the generator-of-basis element x in F_9
-    assert m.tr_rel(t) == 0
-    # tr_rel(x) = x + x^3 for every x, computed independently
     E = m.ext
+    assert (m.embed_tab == np.arange(3)).all()      # prime field: identity
+    assert _rel_trace(m, 3) == 0    # x + x^3 = 0 for x = t, t^2 = -1
+    # x + x^3 lies in F_3 for every x, and tr_abs factors through it
     for x in range(E.q):
-        expect = E.add(x, E.power(x, 3))
-        assert m.embed_tab[m.tr_rel(x)] == expect
+        t = _rel_trace(m, x)
+        assert t < 3 and E.tr_abs[x] == base.tr_abs[t]
 
 
 def test_extension_maps_k1_identity():
     base = build_field(5, 1)
     m = field_maps(base, 1)
-    assert m.ext is base
-    xs = np.arange(5)
-    assert (m.tr_rel(xs) == xs).all()
-    assert (m.norm_rel(xs) == xs).all()
+    assert m.ext is base and m.k == 1
+    assert (m.embed_tab == np.arange(5)).all()
 
 
 def test_norm_f49_over_f7_is_x8_and_surjective():
     base = build_field(7, 1)
     m = field_maps(base, 2)
     E = m.ext
-    for x in range(1, E.q):
-        assert m.embed_tab[m.norm_rel(x)] == E.power(x, 8)
-    g_norm = int(m.norm_rel(E.g))
+    norms = [_rel_norm(m, x) for x in range(1, E.q)]
+    assert norms == [E.power(x, 8) for x in range(1, E.q)]
+    g_norm = _rel_norm(m, E.g)
     assert sorted({pow(g_norm, e, 7) for e in range(1, 7)}) == list(range(1, 7))
-    # surjectivity by enumeration
-    assert set(int(m.norm_rel(x)) for x in range(1, E.q)) == set(range(1, 7))
+    # surjectivity onto the embedded F_7^* by enumeration
+    assert set(norms) == set(m.embed_tab[1:].tolist())
 
 
 def test_embed_is_ring_hom():
@@ -196,18 +215,20 @@ def test_embed_is_ring_hom():
 
 def test_absolute_trace_factors_through_relative():
     base = build_field(3, 2)
-    m = field_maps(base, 3)
-    E = m.ext
-    xs = np.arange(E.q)
-    assert (E.tr_abs[xs] == base.tr_abs[m.tr_rel_tab[xs]]).all()
-    # tr_rel(embed(y)) = k*y and norm_rel(embed(y)) = y^k
-    for y in range(base.q):
-        s = 0
-        for _ in range(3):
-            s = base.add(s, y)
-        assert m.tr_rel_tab[m.embed_tab[y]] == s
-        if y:
-            assert m.norm_rel_tab[m.embed_tab[y]] == base.power(y, 3)
+    for k in (2, 3):
+        m = field_maps(base, k)
+        E = m.ext
+        pre = {int(v): y for y, v in enumerate(m.embed_tab)}    # embed^-1
+        # Tr_{E/F_3} = Tr_{F_9/F_3} o Tr_{E/F_9}, the inner a Frobenius sum
+        for x in range(E.q):
+            assert E.tr_abs[x] == base.tr_abs[pre[_rel_trace(m, x)]]
+        # on the embedded base: Tr_{E/F_3}(y) = k Tr_{F_9/F_3}(y) and
+        # N_{E/F_9}(y) = y^k
+        for y in range(base.q):
+            v = int(m.embed_tab[y])
+            assert E.tr_abs[v] == k * base.tr_abs[y] % 3
+            if y:
+                assert pre[_rel_norm(m, v)] == base.power(y, k)
 
 
 @given(st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2), (2, 3), (7, 1)]),
@@ -219,7 +240,7 @@ def test_field_axioms_random(pa, xi, yi):
     assert F.mul(x, y) == F.mul(y, x)
     assert F.add(x, F.neg(x)) == 0
     if x:
-        assert F.mul(x, int(F.inv[x])) == 1
+        assert F.mul(x, F.power(x, -1)) == 1
     # distributivity
     z = (xi * 7 + yi * 3) % F.q
     assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
@@ -238,8 +259,8 @@ def test_is_prime():
 
 
 def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
-    # the traces go column by column or 1024 rows at a time; (q, a) int64
-    # temporaries used to push the peak past 3x the tables' bytes
+    # the trace goes column by column; (q, a) int64 temporaries used to
+    # push the peak past 3x the tables' bytes
     monkeypatch.setattr(gf, "_FIELDS", {})
     monkeypatch.setattr(gf, "_MAPS", {})
     tracemalloc.start()
@@ -250,6 +271,24 @@ def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
         tracemalloc.stop()
     E = m.ext
     tables = sum(arr.nbytes for arr in (
-        E.exp, E.dlog, E.inv, E.tr_abs, E.digits,
-        m.embed_tab, m.tr_rel_tab, m.norm_rel_tab))
+        E.exp, E.dlog, E.tr_abs, E.digits, m.embed_tab))
     assert peak < 2 * tables
+
+
+@pytest.mark.parametrize("p,a", [(3, 5), (7, 3), (65537, 1)])
+def test_table_cap_reports_the_bytes_the_tables_store(p, a):
+    F = build_field(p, a)
+    stored = sum(v.nbytes for v in vars(F).values() if isinstance(v, np.ndarray))
+    assert gf._table_bytes(p, a) == stored
+    with pytest.raises(BudgetExceeded, match=f"~{stored // (1 << 20)} MiB"):
+        gf.check_table_cap(p, a, cap=1)
+
+
+def test_tables_hold_p_above_int16():
+    # digits and traces of F_65537 do not fit int16
+    p = 65537
+    F = build_field(p, 1)
+    assert F.add(40000, 1) == 40001 and F.add(40000, 30000) == 4463
+    assert F.neg(1) == p - 1
+    assert (F.digits[:, 0] == np.arange(p)).all()
+    assert (F.tr_abs == np.arange(p)).all()          # Tr_{F_p/F_p} = id
