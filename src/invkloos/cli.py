@@ -448,8 +448,14 @@ def cmd_polytope(args) -> int:
 def cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = {}
-    if args.suite not in ("prop31", "thm33"):      # the suites that enumerate
-        kwargs["budget"] = Budget(points=args.budget, force=args.force)
+    if args.suite in ("prop31", "thm33"):          # the suites that enumerate nothing
+        if args.budget is not None or args.force:
+            print(f"error: verify {args.suite} enumerates nothing; --budget and "
+                  f"--force do not apply", file=sys.stderr)
+            return EXIT_USAGE
+    else:
+        kwargs["budget"] = Budget(force=args.force) if args.budget is None \
+            else Budget(points=args.budget, force=args.force)
     if args.suite in ("thm0", "thm2", "identities"):
         if args.p:
             kwargs["ps"] = tuple(int(x) for x in args.p.split(","))
@@ -566,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", help="comma list of primes")
     sp.add_argument("--n", help="comma list of n values")
     sp.add_argument("--b", help="comma list of b values (thm1)")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_verify)
+    _add_common(sp, "enumeration point budget (not for prop31, thm33)")
+    sp.set_defaults(fn=cmd_verify, budget=None)      # tells an explicit --budget apart
     return ap
 
 

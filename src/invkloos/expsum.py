@@ -2,7 +2,8 @@
 
 Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
 
-* gauss_sum        G(chi) = sum_{x != 0} chi(x) psi(x)
+* gauss_sum        G(chi) = sum_{x != 0} chi(x) psi(x), refused when its
+                   p x (q-1) histogram exceeds gf.TABLE_CAP cells
 * kloosterman_sum  the inverted n-variable Kloosterman sum S_n(chi, b)
                    over any extension F_{q^k}: the sum over the torus of
                    chi-products times psi(1/(x_1 + ... + x_{n+1})) on the
@@ -11,11 +12,14 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    the numerator of psi; cross-checked exactly against
                    its reciprocal-parameter expression via S_n
 * toric_sum        generic twisted toric exponential sum of a Laurent
-                   polynomial
+                   polynomial; a variable x_v with exponents in {0, 1} and
+                   trivial character is summed out in closed form,
+                   sum_{x_v} psi(Tr(x_v A + C)) = psi(Tr C) (Q [A = 0] - 1)
 * e_sum            the auxiliary (n+2)-variable toric sum that rewrites
                    q S_n in closed form
-* gauss_formula_sum  an independent oracle for S_n built from q^k - 1
-                   Gauss-sum products instead of point enumeration
+* gauss_formula_parts  an independent oracle for S_n built from q^k - 1
+                   Gauss-sum products instead of point enumeration; the
+                   products do not depend on b and are built once per call
 * _transform_sum   untwisted S_n from two FFTs behind a rounding bound
 
 Enumeration kernels are numpy-vectorized over the last variable, run
@@ -25,6 +29,7 @@ serially and accumulate exact integer histograms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
-from .gf import FieldTable, digit_dtype, field_maps
+from .gf import TABLE_CAP, FieldTable, digit_dtype, field_maps
 
 DEFAULT_POINT_BUDGET = 10 ** 10
 
@@ -105,16 +110,28 @@ class LaurentPoly:
 # Gauss sums
 # ----------------------------------------------------------------------
 
-def gauss_sum(F: FieldTable, j: int) -> SumValue:
-    """Exact histogram of sum_{x != 0} zeta_{q-1}^(j dlog x) zeta_p^(tr x)."""
-    M = F.q - 1
-    j %= M
+def _gauss_hists(F: FieldTable, js) -> np.ndarray:
+    """(len(js), p, q-1) histograms of the Gauss sums G(chi_j), j in js.
+
+    Row i, cell (t, u) counts the x != 0 with tr x = t and j_i dlog x = u
+    mod q-1.  Refused before allocating when the cells exceed gf.TABLE_CAP.
+    """
+    p, M = F.p, F.q - 1
+    js = np.asarray(js, dtype=np.int64).reshape(-1, 1) % M
+    cells = len(js) * p * M
+    if cells > TABLE_CAP:
+        raise BudgetExceeded(f"{len(js)} Gauss sums over F_{F.q} need {cells} "
+                             f"histogram cells, over the table cap {TABLE_CAP}",
+                             estimate=cells)
     e = np.arange(M, dtype=np.int64)
     t = F.tr_abs[F.exp[e]].astype(np.int64)
-    pos = (j * e) % M
-    hist = np.zeros((F.p, M), dtype=np.int64)
-    np.add.at(hist, (t, pos), 1)
-    return SumValue.from_hist(F.p, hist, m=M)
+    flat = (np.arange(len(js))[:, None] * p + t) * M + js * e % M
+    return np.bincount(flat.ravel(), minlength=cells).reshape(len(js), p, M)
+
+
+def gauss_sum(F: FieldTable, j: int) -> SumValue:
+    """Exact histogram of sum_{x != 0} zeta_{q-1}^(j dlog x) zeta_p^(tr x)."""
+    return SumValue.from_hist(F.p, _gauss_hists(F, [j])[0], m=F.q - 1)
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +368,7 @@ def _transform_sum(F: FieldTable, k: int, n: int, b: int) -> SumValue:
 # ----------------------------------------------------------------------
 
 def _toric_chunks(M: int, nvars: int, chunk: int):
+    """(length, exponent columns) of (Z/M)^nvars in chunks; one point if nvars = 0."""
     total = M ** nvars
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
@@ -359,7 +377,21 @@ def _toric_chunks(M: int, nvars: int, chunk: int):
         for _ in range(nvars):
             exps.append(idx % M)
             idx = idx // M
-        yield exps
+        yield stop - start, exps
+
+
+def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
+    """(L, a) digits mod p of sum c x^v over terms (dlog c, v) at the chunk."""
+    M = E.q - 1
+    acc = np.zeros((L, E.a), dtype=np.int32)
+    for dc, v in terms:
+        dl = np.full(L, dc, dtype=np.int64)
+        for vi, ei in zip(v, exps):
+            if vi:
+                dl += vi * ei
+        acc += E.digits[E.exp[dl % M]]
+    acc %= E.p
+    return acc
 
 
 def toric_sum(F: FieldTable, k: int, f: LaurentPoly,
@@ -368,54 +400,61 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly,
               chunk: int = 1 << 18) -> SumValue:
     """Twisted toric exponential sum of f over (F_{q^k}^*)^n, exactly.
 
-    sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)).
+    sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
+    histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i).
+
+    The first variable x_v whose exponents all lie in {0, 1} and whose
+    lifted character is trivial is summed out: with f = x_v A(x') + C(x')
+    and Q = q^k,
+
+        sum_{x_v != 0} psi(Tr f) = psi(Tr C) (Q [A = 0] - 1),
+
+    so only the other n - 1 coordinates are enumerated and priced.  The
+    histogram stays the point count: x' with A = 0 puts Q - 1 points in
+    bucket Tr C, x' with A != 0 puts Q/p - [s = 0] in bucket Tr C + s.
+    Without such a variable the whole torus is enumerated.
     """
     if chi is None:
         chi = CharacterTuple.trivial(f.n_vars)
     if len(chi) != f.n_vars:
         raise ValueError(f"need {f.n_vars} characters, got {len(chi)}")
+    Q, p = F.q ** k, F.p
+    M = Q - 1
+    lifted = chi.lifted(F.q, Q)
+    v = next((i for i in range(f.n_vars) if lifted[i] == 0
+              and all(e[i] in (0, 1) for e in f.exponents())), None)
+    rest = [i for i in range(f.n_vars) if i != v]
+    check_points(M ** len(rest), budget)
     maps = field_maps(F, k)
     E = maps.ext
-    p, M = E.p, E.q - 1
-    check_points(M ** f.n_vars, budget)
-    lifted = chi.lifted(F.q, E.q)
-    twisted = any(j != 0 for j in lifted)
 
-    coeff_dlogs = []
-    vmat = []
+    parts = ([], [])            # terms of C (x_v absent) and of A (x_v^1)
     for c, e in f.terms:
         if not 0 < c < F.q:
             raise ValueError(f"coefficient {c} is not a unit of the base field")
-        coeff_dlogs.append(int(E.dlog[maps.embed_tab[c]]))
-        vmat.append(e)
-
-    if twisted:
-        hist = np.zeros((p, M), dtype=np.int64)
-    else:
-        hist = np.zeros(p, dtype=np.int64)
-    for exps in _toric_chunks(M, f.n_vars, chunk):
-        L = exps[0].shape[0]
-        acc = np.zeros((L, E.a), dtype=np.int32)
-        for dc, v in zip(coeff_dlogs, vmat):
-            dl = np.full(L, dc, dtype=np.int64)
-            for i, vi in enumerate(v):
-                if vi:
-                    dl += vi * exps[i]
-            acc += E.digits[E.exp[dl % M]]
-        acc %= p
-        t = E.tr_abs[_pack(acc, p)]
-        if not twisted:
-            hist += np.bincount(t, minlength=p)
-        else:
+        parts[0 if v is None else e[v]].append(
+            (int(E.dlog[maps.embed_tab[c]]), [e[i] for i in rest]))
+    jrest = [lifted[i] for i in rest]
+    m = M if any(jrest) else 1
+    every = np.zeros(p * m, dtype=np.int64)     # x' by (Tr C, character)
+    a_zero = np.zeros(p * m, dtype=np.int64)    # the x' with A(x') = 0
+    for L, exps in _toric_chunks(M, len(rest), chunk):
+        key = E.tr_abs[_pack(_digit_sum(E, parts[0], exps, L), p)].astype(np.int64)
+        if m > 1:
             jv = np.zeros(L, dtype=np.int64)
-            for i, j in enumerate(lifted):
+            for j, ei in zip(jrest, exps):
                 if j:
-                    jv += j * exps[i]
-            flat = t.astype(np.int64) * M + (jv % M)
-            hist += np.bincount(flat, minlength=p * M).reshape(p, M)
-    if twisted:
-        return SumValue.from_hist(p, hist, m=M)
-    return SumValue.from_hist(p, hist)
+                    jv += j * ei
+            key = key * M + jv % M
+        every += np.bincount(key, minlength=p * m)
+        if v is not None:
+            zero = ~_digit_sum(E, parts[1], exps, L).any(axis=1)
+            a_zero += np.bincount(key[zero], minlength=p * m)
+    hist = every.reshape(p, m)
+    if v is not None:
+        z = a_zero.reshape(p, m)
+        hist = Q * z - hist + (Q // p) * (hist - z).sum(axis=0)
+    return SumValue.from_hist(p, hist, m=m)
 
 
 def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
@@ -465,61 +504,78 @@ def e_sum(F: FieldTable, n: int, b: int,
 # the Gauss-sum oracle
 # ----------------------------------------------------------------------
 
-def gauss_formula_parts(F: FieldTable, k: int, n: int, b: int,
+def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
                         chi: CharacterTuple | None = None, *,
                         budget: Budget | None = None
-                        ) -> tuple[SumValue, SumValue]:
-    """S_n(chi, b) over F_{q^k} as (main term, Gauss-product sum).
+                        ) -> list[tuple[SumValue, SumValue]]:
+    """S_n(chi, b) over F_{q^k} as (main term, Gauss-product sum), per b in bs.
 
     The main term is -(q^k-1)^n / q^k * chi_1(b) when all characters are
-    equal and 0 otherwise; the remainder is (1/(q^k (q^k-1))) times a sum
-    over all q^k - 1 characters of products of n+3 Gauss sums.  Both
-    parts are exact SumValues with denominators, so this is an oracle
-    for kloosterman_sum that shares no enumeration code with it.
+    equal and 0 otherwise; the remainder is 1/(q^k (q^k-1)) times
+
+        sum_c g(-xi_c)^2 g(c + j_1) ... g(c + j_{n+1}) zeta_M^(xi_c d_-1 - c d_b)
+
+    over the M = q^k - 1 characters c, where g(j) is the Gauss sum of
+    chi_j, xi_c = (n+1) c + j_1 + ... + j_{n+1} and d_x = dlog x.  Only
+    the last unit depends on b: the M Gauss sums and the M products of n+3
+    of them (int64 cyclic convolutions on Z/p x Z/M = Z/pM, refused when
+    their mass M^(n+4) reaches 2^63) are built once per call, and each b
+    costs one shift and add.  Both parts are exact SumValues with
+    denominators, so this is an oracle for kloosterman_sum that shares no
+    enumeration code with it.
     """
-    _validate_b(F, b)
+    for b in bs:
+        _validate_b(F, b)
     if chi is None:
         chi = CharacterTuple.trivial(n + 1)
+    Q = F.q ** k
+    M, p, N = Q - 1, F.p, F.p * (Q - 1)
+    check_points(Q * Q, budget)
+    if M ** (n + 4) >= 2 ** 63:
+        raise BudgetExceeded(f"Gauss-sum products over F_{Q}, n = {n}: mass "
+                             f"{M}^{n + 4} overflows int64", estimate=M ** (n + 4))
     maps = field_maps(F, k)
     E = maps.ext
-    p, Q = E.p, E.q
-    M = Q - 1
-    check_points(Q * Q, budget)
-    b_ext = int(maps.embed_tab[b])
-    db = int(E.dlog[b_ext])
-    lifted = chi.lifted(F.q, E.q)
-    jsum = sum(lifted) % M
+    lifted = chi.lifted(F.q, Q)
     d_neg1 = int(E.dlog[E.neg(1)])
+    # cell (t, u) of Z/p x Z/M as its CRT index in Z/pM
+    crt = (np.arange(p)[:, None] * (M * pow(M, -1, p))
+           + np.arange(M) * (p * pow(p, -1, M))) % N
+    G = np.zeros((M, N), dtype=np.int64)
+    G[:, crt.ravel()] = _gauss_hists(E, range(M)).reshape(M, N)
 
-    cache: dict[int, SumValue] = {}
+    def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        full = np.convolve(x, y)
+        full[:N - 1] += full[N:]
+        return full[:N]
 
-    def g(j: int) -> SumValue:
-        j %= M
-        if j not in cache:
-            cache[j] = gauss_sum(E, j)
-        return cache[j]
-
-    acc = SumValue.zero(p, M)
+    xi = ((n + 1) * np.arange(M) + sum(lifted)) % M
+    terms = []
     for c in range(M):
-        xi = ((n + 1) * c + jsum) % M
-        gbar = g(-xi)
-        term = gbar * gbar
+        term = times(G[-xi[c] % M], G[-xi[c] % M])
         for ji in lifted:
-            term = term * g(c + ji)
-        acc = acc + term.shift(0, (-c * db + xi * d_neg1) % M)
-    s2 = SumValue(p, M, acc.counts, denom=Q * M)
+            term = times(term, G[(c + ji) % M])
+        terms.append(term)
+    terms = np.array(terms)[:, crt]              # back to (c, t, u)
 
-    if chi.all_equal():
+    out = []
+    cs, ts = np.arange(M)[:, None, None], np.arange(p)[None, :, None]
+    for b in bs:
+        db = int(E.dlog[maps.embed_tab[b]])
+        shift = (xi * d_neg1 - np.arange(M) * db) % M
+        u = (np.arange(M)[None, :] - shift[:, None]) % M
+        s2 = SumValue.from_hist(p, terms[cs, ts, u[:, None, :]].sum(axis=0),
+                                m=M, denom=Q * M)
         s1 = SumValue(p, M, denom=Q)
-        s1.counts[0][(lifted[0] * db) % M] = -(Q - 1) ** n
-    else:
-        s1 = SumValue.zero(p, M)
-    return s1, s2
+        if chi.all_equal():
+            s1.counts[0][(lifted[0] * db) % M] = -(Q - 1) ** n
+        out.append((s1, s2))
+    return out
 
 
 def gauss_formula_sum(F: FieldTable, k: int, n: int, b: int,
                       chi: CharacterTuple | None = None, *,
                       budget: Budget | None = None) -> SumValue:
     """S_n(chi, b) over F_{q^k} through the Gauss-sum closed form."""
-    s1, s2 = gauss_formula_parts(F, k, n, b, chi, budget=budget)
+    (s1, s2), = gauss_formula_parts(F, k, n, (b,), chi, budget=budget)
     return s1 + s2

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .expsum import LaurentPoly
-from .gf import FieldTable
 
 DIM_CAP = 6
 POINT_CAP = 64
@@ -550,68 +549,3 @@ def facial_ordinary(f: LaurentPoly, p: int) -> FacialOrdinaryReport:
                                      diagonal_nondegenerate(m, p), stable,
                                      len(group.elements)))
     return FacialOrdinaryReport(tuple(verdicts), all(v.ordinary for v in verdicts))
-
-
-# ----------------------------------------------------------------------
-# bounded counterexample search for non-diagonal facets
-# ----------------------------------------------------------------------
-
-def nondegenerate_witness_search(f: LaurentPoly, F: FieldTable, *,
-                                 m_max: int = 3,
-                                 point_cap: int = 10 ** 6) -> dict:
-    """Semi-decision of facet non-degeneracy for arbitrary facets.
-
-    Diagonal facets are certified by the determinant gcd; for the rest a
-    bounded search for common toric zeros of the facet-restricted partials
-    runs over F_{q^m}, m <= m_max.  Three-valued per facet: 'degenerate'
-    (witness found), 'diagonal-certified', or 'no-witness-found'.
-    """
-    from .gf import field_maps
-
-    P = build_polytope(f)
-    n = P.dim
-    exps = {tuple(e): c for c, e in f.terms}
-    out = {}
-    for fac in P.gauge_facets:
-        on_face = [e for e in exps
-                   if sum(c * x for c, x in zip(fac.normal, e)) == fac.rhs]
-        face_verts = [P.vertices[i] for i in fac.vertex_idx]
-        if fac.simplicial(n) and sorted(on_face) == sorted(face_verts):
-            m = [[col[i] for col in on_face] for i in range(n)]
-            ok = diagonal_nondegenerate(m, F.p)
-            out[str(fac)] = "diagonal-certified" if ok else "degenerate"
-            continue
-        verdict = "no-witness-found"
-        for m in range(1, m_max + 1):
-            E = field_maps(F, m).ext
-            M = E.q - 1
-            if M ** n > point_cap:
-                break
-            emb = field_maps(F, m).embed_tab
-            found = False
-            for xs in product(range(1, E.q), repeat=n):
-                xs_ok = all(E.dlog[x] >= 0 for x in xs)
-                if not xs_ok:
-                    continue
-                zero_all = True
-                for i in range(n):
-                    acc = 0
-                    for e in on_face:
-                        if e[i] % F.p == 0:
-                            continue
-                        val = int(emb[exps[e]])
-                        for kk, ek in enumerate(e):
-                            val = E.mul(val, E.power(xs[kk], ek - (1 if kk == i else 0)))
-                        val = E.mul(val, e[i] % F.p)
-                        acc = E.add(acc, val)
-                    if acc != 0:
-                        zero_all = False
-                        break
-                if zero_all:
-                    found = True
-                    break
-            if found:
-                verdict = "degenerate"
-                break
-        out[str(fac)] = verdict
-    return out

@@ -460,11 +460,12 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
         for n in ns:
             t0 = time.perf_counter()
             worst = worst_s2 = 0.0
-            for b in range(1, q):
-                for chi in _char_tuples(q, n):
+            bs = range(1, q)
+            for chi in _char_tuples(q, n):
+                parts = gauss_formula_parts(F, 1, n, bs, chi, budget=budget)
+                for b, (s1, s2) in zip(bs, parts):
                     brute = embed_complex(kloosterman_sum(
                         F, 1, n, b, chi, budget=budget))
-                    s1, s2 = gauss_formula_parts(F, 1, n, b, chi, budget=budget)
                     worst = max(worst, abs(brute - embed_complex(s1 + s2)))
                     worst_s2 = max(worst_s2, abs(embed_complex(s2)))
             bound = oracle_tol * q ** ((n + 1) / 2)

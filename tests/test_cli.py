@@ -153,6 +153,22 @@ def test_cli_verify_deterministic_json(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("suite", ["prop31", "thm33"])
+@pytest.mark.parametrize("flag", [["--budget", "1"], ["--budget", "10000000000"],
+                                  ["--force"]])
+def test_cli_verify_rejects_budget_flags_where_nothing_enumerates(capsys, suite,
+                                                                   flag):
+    assert main(["verify", suite, "--n", "1", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget and --force do not apply" in captured.err
+    code, _ = run(capsys, "verify", suite, "--n", "1")
+    assert code == 0
+    code, _ = run(capsys, "verify", "thm0", "--p", "3", "--n", "1",
+                  "--budget", "1")
+    assert code == 3                                    # still read there
+
+
 def test_cli_field_and_gauss(capsys):
     code, out = run(capsys, "field", "--p", "3", "--a", "2")
     assert code == 0 and "x^2+1" in out
@@ -173,6 +189,8 @@ def test_cli_exit_codes(capsys):
     assert code == 3                                    # budget refusal
     code, _ = run(capsys, "toric", "--poly", "x1+x1", "--p", "2")
     assert code == 2                                    # parse error
+    code, _ = run(capsys, "gauss", "--p", "65537", "--j", "1")
+    assert code == 3                                    # over the table cap
     assert main(["nope"]) == 2                          # unknown command
 
 

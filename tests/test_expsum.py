@@ -1,4 +1,5 @@
 import cmath
+import time
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invkloos.cyclotomic import SumValue, embed_complex, reduce_mod_phi
+from invkloos import expsum
 from invkloos.errors import BudgetExceeded, VerificationError
 from invkloos.expsum import (Budget, CharacterTuple, LaurentPoly,
                              check_transform, e_sum, gauss_formula_parts,
@@ -40,6 +42,16 @@ def test_gauss_magnitude_sqrt_q(p, a):
     for j in range(1, F.q - 1):
         assert abs(abs(embed_complex(gauss_sum(F, j))) - F.q ** 0.5) < 1e-9
     assert gauss_sum(F, 0).mass() == F.q - 1
+
+
+def test_gauss_sum_refuses_over_the_table_cap_before_allocating():
+    # p (q-1) = 65537 * 65536 cells would be 32 GiB of int64
+    F = build_field(65537, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="table cap") as exc:
+        gauss_sum(F, 1)
+    assert time.perf_counter() - t0 < 0.05
+    assert exc.value.estimate == 65537 * 65536
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +177,93 @@ def test_toric_relation_to_inverted_sum():
         assert lhs == rhs
 
 
+def _torus_hist(F, k, f, chi=None):
+    """Point counts of the whole torus by (Tr f(x), sum_i j_i dlog x_i),
+    evaluated element by element with the field's scalar arithmetic."""
+    maps = field_maps(F, k)
+    E, M = maps.ext, maps.ext.q - 1
+    chi = chi or CharacterTuple.trivial(f.n_vars)
+    lifted = chi.lifted(F.q, E.q)
+    m = M if any(lifted) else 1
+    hist = [[0] * m for _ in range(E.p)]
+    for xs in product(range(1, E.q), repeat=f.n_vars):
+        val = 0
+        for c, e in f.terms:
+            term = int(maps.embed_tab[c])
+            for x, ei in zip(xs, e):
+                term = E.mul(term, E.power(x, ei))
+            val = E.add(val, term)
+        j = sum(jl * int(E.dlog[x]) for jl, x in zip(lifted, xs)) % m
+        hist[int(E.tr_abs[val])][j] += 1
+    return hist
+
+
+X_PLUS_2_OVER_X = LaurentPoly(1, ((1, (1,)), (2, (-1,))))
+X2_PLUS_X_INV = LaurentPoly(1, ((1, (2,)), (1, (-1,))))
+X = LaurentPoly(1, ((1, (1,)),))
+CONST_PLUS_X1X2 = LaurentPoly(2, ((2, (0, 0)), (1, (1, 1))))
+ONLY_CONST = LaurentPoly(2, ((2, (0, 0)),))
+# x_1 is the only variable with exponents in {0, 1}
+X1X2_PLUS_X2_INV = LaurentPoly(2, ((1, (1, 1)), (1, (0, -1))))
+
+
+@pytest.mark.parametrize("q,k,f,chi", [
+    (3, 1, "ik1", None), (3, 2, "ik1", None), (5, 1, "ik1", None),
+    (7, 1, "ik1", None), (3, 1, "ik2", None), (3, 2, "ik2", None),
+    (5, 1, "ik2", None),
+    (5, 1, X_PLUS_2_OVER_X, None), (3, 2, X_PLUS_2_OVER_X, None),
+    (5, 1, X2_PLUS_X_INV, (1,)), (3, 2, X2_PLUS_X_INV, None),
+    (5, 1, X, None), (3, 2, X, None), (5, 1, X, (1,)),
+    (5, 1, CONST_PLUS_X1X2, None), (3, 2, CONST_PLUS_X1X2, (1, 0)),
+    (5, 1, ONLY_CONST, None), (3, 2, ONLY_CONST, (0, 1)),
+    (5, 1, X1X2_PLUS_X2_INV, (1, 0)), (5, 1, X1X2_PLUS_X2_INV, (0, 3)),
+    (3, 2, X1X2_PLUS_X2_INV, (1, 1)), (3, 2, X1X2_PLUS_X2_INV, None),
+])
+def test_toric_matches_whole_torus_enumeration(q, k, f, chi):
+    F = build_field(q, 1)
+    if f in ("ik1", "ik2"):
+        f = ik_laurent(F, int(f[2]), q - 1)
+    chi = CharacterTuple(chi) if chi else None
+    assert toric_sum(F, k, f, chi).counts == _torus_hist(F, k, f, chi)
+
+
+@pytest.mark.parametrize("q,n", [(5, 1), (3, 2)])
+def test_e_sum_twists_match_whole_torus_enumeration(q, n):
+    F = build_field(q, 1)
+    for b in range(1, q):
+        f = ik_laurent(F, n, b)
+        for idx in product(range(q - 1), repeat=n + 1):
+            twist = CharacterTuple.reduced(
+                [idx[i] - idx[n] for i in range(n)] + [0, 0], q)
+            assert e_sum(F, n, b, CharacterTuple(idx)).counts == \
+                _torus_hist(F, 1, f, twist)
+
+
+def test_toric_budget_prices_the_enumerated_points(monkeypatch):
+    F = build_field(5, 1)
+    f = ik_laurent(F, 1, 2)          # x_2 summed out: 4^2 of 4^3 points
+    toric_sum(F, 1, f, budget=Budget(points=16))
+
+    def no_chunks(*args):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(expsum, "_toric_chunks", no_chunks)
+    with pytest.raises(BudgetExceeded) as exc:
+        toric_sum(F, 1, f, budget=Budget(points=15))
+    assert exc.value.estimate == 16
+    # a character on the only linear variable keeps it in the enumeration
+    with pytest.raises(BudgetExceeded) as exc:
+        toric_sum(F, 1, X1X2_PLUS_X2_INV, CharacterTuple((1, 0)),
+                  budget=Budget(points=15))
+    assert exc.value.estimate == 16
+    with pytest.raises(BudgetExceeded) as exc:
+        toric_sum(F, 1, X1X2_PLUS_X2_INV, budget=Budget(points=3))
+    assert exc.value.estimate == 4
+    # priced from (q, k) alone, before any table of F_{5^30} is built
+    with pytest.raises(BudgetExceeded):
+        toric_sum(F, 30, f)
+
+
 def test_toric_negative_exponents_classical_kloosterman():
     # f = x + b/x gives the classical sum; check the Weil bound numerically
     F = build_field(7, 1)
@@ -221,10 +320,27 @@ def test_oracle_agrees_with_enumeration(q, n):
 
 def test_oracle_error_term_bound():
     F = build_field(7, 1)
-    for b in (1, 3):
-        for idx in [(0, 0), (1, 1), (2, 4), (0, 5)]:
-            _, s2 = gauss_formula_parts(F, 1, 1, b, CharacterTuple(idx))
+    for idx in [(0, 0), (1, 1), (2, 4), (0, 5)]:
+        for _, s2 in gauss_formula_parts(F, 1, 1, (1, 3), CharacterTuple(idx)):
             assert abs(embed_complex(s2)) <= 7 + 1e-9
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 2, 1), (5, 1, 1), (5, 2, 1), (3, 1, 2)])
+def test_oracle_parts_equal_enumeration_exactly_for_every_b(q, n, k):
+    F = build_field(q, 1)
+    bs = range(1, q)
+    for idx in product(range(q - 1), repeat=n + 1):
+        chi = CharacterTuple(idx)
+        parts = gauss_formula_parts(F, k, n, bs, chi)
+        assert len(parts) == len(bs)
+        for b, (s1, s2) in zip(bs, parts):
+            assert s1 + s2 == kloosterman_sum(F, k, n, b, chi)
+
+
+def test_oracle_refuses_products_that_overflow_int64():
+    # (2^13 - 1)^5 >= 2^63, refused before any table of F_{2^13} is built
+    with pytest.raises(BudgetExceeded, match="overflows int64"):
+        gauss_formula_parts(build_field(2, 1), 13, 1, (1,))
 
 
 def test_oracle_over_extension():

@@ -11,8 +11,7 @@ from invkloos.gf import build_field
 from invkloos.polytope import (build_polytope, det_int, diagonal_nondegenerate,
                                facial_ordinary, hnf_diagonal, hodge_data,
                                ik_polytope, ik_vertices,
-                               nondegenerate_witness_search, ordinary_test,
-                               weight)
+                               ordinary_test, weight)
 
 
 # ----------------------------------------------------------------------
@@ -325,17 +324,3 @@ def test_facial_ordinary_rejects_nondiagonal():
     with pytest.raises(ValueError, match="diagonal"):
         facial_ordinary(f, 5)
 
-
-def test_witness_search_three_values():
-    # facet x1=1 carries 1 + x2 + x2^2 (times x1): degenerate over F_3
-    f = LaurentPoly(2, ((1, (1, 0)), (1, (1, 1)), (1, (1, 2))))
-    F3 = build_field(3, 1)
-    res3 = nondegenerate_witness_search(f, F3)
-    assert "degenerate" in res3.values()
-    F5 = build_field(5, 1)
-    res5 = nondegenerate_witness_search(f, F5)
-    assert set(res5.values()) <= {"no-witness-found", "diagonal-certified"}
-    # fully diagonal input certifies
-    g = LaurentPoly(1, ((1, (2,)),))
-    res = nondegenerate_witness_search(g, F5)
-    assert list(res.values()) == ["diagonal-certified"]
