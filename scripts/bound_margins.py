@@ -13,7 +13,7 @@ import sys
 from itertools import product
 
 from invkloos.cyclotomic import embed_complex
-from invkloos.expsum import CharacterTuple, kloosterman_sum
+from invkloos.expsum import CharacterTuple, kloosterman_sums
 from invkloos.gf import build_field, is_prime
 
 
@@ -43,14 +43,15 @@ def main() -> int:
         import cmath
         for n in (int(x) for x in args.n.split(",")):
             worst = {"equal": 0.0, "mixed": 0.0}
+            chis = [CharacterTuple(idx)
+                    for idx in product(range(q - 1), repeat=n + 1)]
             for b in range(1, q):
-                for idx in product(range(q - 1), repeat=n + 1):
-                    chi = CharacterTuple(idx)
-                    s = embed_complex(kloosterman_sum(F, 1, n, b, chi))
+                for chi, v in zip(chis, kloosterman_sums(F, 1, n, b, chis)):
+                    s = embed_complex(v)
                     if chi.all_equal():
                         M = q - 1
                         chib = cmath.exp(
-                            2j * cmath.pi * (idx[0] * int(F.dlog[b]) % M) / M)
+                            2j * cmath.pi * (chi.indices[0] * int(F.dlog[b]) % M) / M)
                         err = abs(s + (q - 1) ** n / q * chib)
                         worst["equal"] = max(worst["equal"], err)
                     else:

@@ -448,6 +448,15 @@ def cmd_polytope(args) -> int:
 def cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = {}
+    pair = args.suite in ("cor1", "thm1")           # read --p and --n as pairs
+    reads = {"thm1": "pnb", "prop31": "n", "thm33": "n"}.get(args.suite, "pn")
+    ints = {f: tuple(int(x) for x in getattr(args, f).split(","))
+            for f in "pnb" if getattr(args, f)}
+    unread = [f"--{f}" for f in ints if f not in reads]
+    if unread or (pair and len(ints.get("p", ())) != len(ints.get("n", ()))):
+        print(f"error: verify {args.suite} does not read "
+              f"{' '.join(unread) or '--p and --n of different lengths'}", file=sys.stderr)
+        return EXIT_USAGE
     if args.suite in ("prop31", "thm33"):          # the suites that enumerate nothing
         if args.budget is not None or args.force:
             print(f"error: verify {args.suite} enumerates nothing; --budget and "
@@ -456,28 +465,15 @@ def cmd_verify(args) -> int:
     else:
         kwargs["budget"] = Budget(force=args.force) if args.budget is None \
             else Budget(points=args.budget, force=args.force)
-    if args.suite in ("thm0", "thm2", "identities"):
-        if args.p:
-            kwargs["ps"] = tuple(int(x) for x in args.p.split(","))
-        if args.n:
-            kwargs["ns"] = tuple(int(x) for x in args.n.split(","))
-    elif args.suite == "cor1":
-        if args.p and args.n:
-            ns = [int(x) for x in args.n.split(",")]
-            ps = [int(x) for x in args.p.split(",")]
-            kwargs["grid"] = tuple(zip(ns, ps))
-    elif args.suite == "thm1":
-        if args.p and args.n:
-            ns = [int(x) for x in args.n.split(",")]
-            ps = [int(x) for x in args.p.split(",")]
-            kwargs["grid"] = tuple(zip(ns, ps))
+    if pair and args.p:
+        kwargs["grid"] = tuple(zip(ints["n"], ints["p"]))
+        if args.suite == "thm1":
             kwargs["nonordinary"] = ()          # honor the user's restriction
             kwargs["ordinary_table"] = False
-        if args.b:
-            kwargs["bs"] = tuple(int(x) for x in args.b.split(","))
-    elif args.suite in ("prop31", "thm33"):
-        if args.n:
-            kwargs["ns"] = tuple(int(x) for x in args.n.split(","))
+    elif not pair:
+        kwargs.update({f + "s": v for f, v in ints.items()})
+    if "b" in ints:
+        kwargs["bs"] = ints["b"]
     rep: VerifyReport = fn(**kwargs)
     if args.out == "json":
         print(json.dumps(rep.to_json_obj(), sort_keys=True))
@@ -569,9 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--p", help="comma list of primes")
+    sp.add_argument("--p", help="comma list of primes (not prop31, thm33; "
+                    "cor1 and thm1 pair it with --n)")
     sp.add_argument("--n", help="comma list of n values")
-    sp.add_argument("--b", help="comma list of b values (thm1)")
+    sp.add_argument("--b", help="comma list of b values (thm1 only)")
     _add_common(sp, "enumeration point budget (not for prop31, thm33)")
     sp.set_defaults(fn=cmd_verify, budget=None)      # tells an explicit --budget apart
     return ap

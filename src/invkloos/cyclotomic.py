@@ -28,11 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded
-
-#: refuse histogram products whose nonzero-entry product exceeds this
-MUL_GUARD = 1 << 26
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
@@ -170,27 +165,6 @@ class SumValue:
     def scale(self, c: int) -> "SumValue":
         return SumValue(self.p, self.m,
                         [[c * x for x in row] for row in self.counts], self.denom)
-
-    def __mul__(self, other) -> "SumValue":
-        if isinstance(other, int):
-            return self.scale(other)
-        m, _, a, _, b, _ = self._aligned(other)
-        p = self.p
-        ea = [(t, j, c) for t in range(p) for j, c in enumerate(a.counts[t]) if c]
-        eb = [(t, j, c) for t in range(p) for j, c in enumerate(b.counts[t]) if c]
-        cost = len(ea) * len(eb)
-        if cost > MUL_GUARD:
-            raise BudgetExceeded(
-                f"histogram product cost {cost} exceeds guard {MUL_GUARD}",
-                estimate=cost)
-        out = SumValue(p, m, denom=a.denom * b.denom)
-        rows = out.counts
-        for t1, j1, c1 in ea:
-            for t2, j2, c2 in eb:
-                rows[(t1 + t2) % p][(j1 + j2) % m] += c1 * c2
-        return out
-
-    __rmul__ = __mul__
 
     def shift(self, dt: int = 0, dj: int = 0) -> "SumValue":
         """Multiply by the unit zeta_p^dt zeta_m^dj (index rotation)."""

@@ -4,10 +4,11 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
 
 * gauss_sum        G(chi) = sum_{x != 0} chi(x) psi(x), refused when its
                    p x (q-1) histogram exceeds gf.TABLE_CAP cells
-* kloosterman_sum  the inverted n-variable Kloosterman sum S_n(chi, b)
-                   over any extension F_{q^k}: the sum over the torus of
-                   chi-products times psi(1/(x_1 + ... + x_{n+1})) on the
-                   locus x_1 ... x_{n+1} = b, zero denominators skipped
+* kloosterman_sums the inverted n-variable Kloosterman sums S_n(chi, b) over
+                   F_{q^k} for many chi at once (kloosterman_sum: one chi):
+                   the sum over the torus of chi-products times
+                   psi(1/(x_1 + ... + x_{n+1})) on x_1 ... x_{n+1} = b,
+                   zero denominators skipped
 * tn_transform     the companion sum with the product locus = 1 and b in
                    the numerator of psi; cross-checked exactly against
                    its reciprocal-parameter expression via S_n
@@ -22,16 +23,16 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    products do not depend on b and are built once per call
 * _transform_sum   untwisted S_n from two FFTs behind a rounding bound
 
-Enumeration kernels are numpy-vectorized over the last variable, run
-serially and accumulate exact integer histograms.
+The enumerating sums visit each point once however many character tuples
+they are given: a tuple only selects a point's bucket sum_i j_i dlog x_i,
+so all tuples fill one exact int64 bincount per chunk of points.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -110,6 +111,13 @@ class LaurentPoly:
 # Gauss sums
 # ----------------------------------------------------------------------
 
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse a histogram of more than gf.TABLE_CAP cells before allocating it."""
+    if cells > TABLE_CAP:
+        raise BudgetExceeded(f"{what} need {cells} histogram cells, over the "
+                             f"table cap {TABLE_CAP}", estimate=cells)
+
+
 def _gauss_hists(F: FieldTable, js) -> np.ndarray:
     """(len(js), p, q-1) histograms of the Gauss sums G(chi_j), j in js.
 
@@ -119,10 +127,7 @@ def _gauss_hists(F: FieldTable, js) -> np.ndarray:
     p, M = F.p, F.q - 1
     js = np.asarray(js, dtype=np.int64).reshape(-1, 1) % M
     cells = len(js) * p * M
-    if cells > TABLE_CAP:
-        raise BudgetExceeded(f"{len(js)} Gauss sums over F_{F.q} need {cells} "
-                             f"histogram cells, over the table cap {TABLE_CAP}",
-                             estimate=cells)
+    _check_cells(cells, f"{len(js)} Gauss sums over F_{F.q}")
     e = np.arange(M, dtype=np.int64)
     t = F.tr_abs[F.exp[e]].astype(np.int64)
     flat = (np.arange(len(js))[:, None] * p + t) * M + js * e % M
@@ -135,18 +140,81 @@ def gauss_sum(F: FieldTable, j: int) -> SumValue:
 
 
 # ----------------------------------------------------------------------
-# the inverted-sum enumeration kernel
+# batched enumeration: one pass over the points, one key row per character
 # ----------------------------------------------------------------------
 
-def _tq_table(E: FieldTable, w: int) -> np.ndarray:
-    """TQ[s] = tr_abs(w/s) for s != 0; sentinel value p at s = 0."""
-    M, p = E.q - 1, E.p
-    out = np.full(E.q, p, dtype=E.tr_abs.dtype)      # holds p
-    dw = int(E.dlog[w])
-    e = np.arange(M, dtype=np.int64)
-    out[E.exp[e]] = E.tr_abs[E.exp[(dw + M - e) % M]]
-    return out
+#: points per enumeration chunk; also caps (character rows x points) per key array
+_CHUNK = 1 << 18
 
+
+def _toric_chunks(M: int, nvars: int):
+    """(length, exponent columns) of (Z/M)^nvars in chunks; one point if nvars = 0."""
+    total = M ** nvars
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        exps = []
+        for _ in range(nvars - 1):
+            exps.append(idx % M)
+            idx = idx // M
+        yield stop - start, exps + [idx][:nvars]    # the last column is < M
+
+
+def _char_hists(J: np.ndarray, width: int, M: int, chunks, nmasks: int = 1):
+    """(rows, width, m) histograms summed over chunks, one per point mask.
+
+    chunks yields (buckets t < width, exponent columns, nmasks masks, None
+    meaning every point).  Row c, cell (t, u) counts the points with bucket
+    t and sum_i J[c, i] e_i = u mod M, exactly in int64.  m = M when some
+    row of J is twisted; otherwise m = 1 and one row serves every row (a
+    broadcast view).  The (rows x points) key array of one bincount stays
+    within _CHUNK by splitting the rows.
+    """
+    C, twisted = len(J), J.any()
+    m = M if twisted else 1
+    hists = [np.zeros((C if twisted else 1, width, m), dtype=np.int64)
+             for _ in range(nmasks)]
+    for t, cols, masks in chunks:
+        step = _CHUNK // len(t) if twisted else 1       # len(t) <= _CHUNK
+        for c0 in range(0, len(hists[0]), step):
+            Jg = J[c0:c0 + step]
+            key = t
+            if twisted:
+                u = np.zeros((len(Jg), len(t)), dtype=np.int64)
+                for j, e in zip(Jg.T, cols):
+                    if j.any():
+                        u += j[:, None] * e
+                        u %= M
+                key = (np.arange(len(Jg))[:, None] * width + t) * M + u
+            for h, mask in zip(hists, masks):
+                g = h[c0:c0 + step]
+                g += np.bincount((key if mask is None else key[..., mask]).ravel(),
+                                 minlength=g.size).reshape(g.shape)
+    return [np.broadcast_to(h, (C, width, m)) for h in hists]
+
+
+def _values(p: int, hist: np.ndarray, J: np.ndarray) -> Iterator[SumValue]:
+    """SumValues of the rows of a _char_hists histogram cut to p buckets (m = 1
+    for an all-trivial row), each made when reached: a list costs ~1 KiB a row."""
+    return (SumValue.from_hist(p, h[:p], m=h.shape[1]) if j.any()
+            else SumValue.from_hist(p, h[:p, 0]) for h, j in zip(hist, J))
+
+
+def _rows(chi, count: int, q: int, Q: int) -> tuple[np.ndarray, bool]:
+    """(len(chis), count) int64 indices of chis lifted to F_Q, and whether
+    chi was one tuple: one CharacterTuple, None (trivial) or a sequence."""
+    one = chi is None or isinstance(chi, CharacterTuple)
+    chis = [CharacterTuple.trivial(count) if chi is None else chi] if one else chi
+    for c in chis:
+        if len(c) != count:
+            raise ValueError(f"need {count} characters, got {len(c)}")
+    return np.array([c.lifted(q, Q) for c in chis],
+                    dtype=np.int64).reshape(len(chis), count), one
+
+
+# ----------------------------------------------------------------------
+# the inverted-sum enumeration kernel
+# ----------------------------------------------------------------------
 
 def _pack(sd: np.ndarray, p: int) -> np.ndarray:
     s = sd[:, -1].astype(np.int64)
@@ -156,78 +224,29 @@ def _pack(sd: np.ndarray, p: int) -> np.ndarray:
     return s
 
 
-def _inverted_hist(E: FieldTable, n: int, d_last: int, w: int,
-                   jidx: tuple[int, ...] | None) -> np.ndarray:
-    """Histogram of the inverted sum over the whole torus.
+def _inverted_hist(E: FieldTable, n: int, d_last: int, TQ: np.ndarray,
+                   J: np.ndarray):
+    """_char_hists of the inverted sum over the whole torus, one row per
+    row of lifted character indices J, buckets TQ[s] (p at s = 0).
 
-    Free variables x_1..x_n run over the torus by exponent; the dependent
-    variable is x_last = exp(d_last) / (x_1 ... x_n).  Points with
-    s = x_1 + ... + x_n + x_last = 0 are skipped (sentinel bucket, dropped
-    by the caller).  Buckets are tr_abs(w/s) in the untwisted case, else
-    (tr_abs(w/s), sum_i j_i dlog x_i + j_last dlog x_last mod q^k-1).
-    Digit rows of the n+1 variables are summed before one reduction mod p,
-    in a dtype that holds (n+1)(p-1).
+    Free variables x_1..x_n run over the torus by exponent, in flat chunks;
+    the dependent variable is x_last = exp(d_last) / (x_1 ... x_n) and
+    s = x_1 + ... + x_n + x_last.  Digit rows of the n+1 variables are
+    summed before one reduction mod p, in a dtype that holds (n+1)(p-1).
     """
     p, M = E.p, E.q - 1
     dt = digit_dtype((n + 1) * (p - 1))
     DIG, EXP = E.digits.astype(dt, copy=False), E.exp
-    TQ = _tq_table(E, w)
-    twisted = jidx is not None
-    if twisted:
-        hist = np.zeros((p + 1) * M, dtype=np.int64)
-        j_free, j_last = np.array(jidx[:n], dtype=np.int64), jidx[n]
-    else:
-        hist = np.zeros(p + 1, dtype=np.int64)
 
-    def inner(dig_pre, esum, jsum):
-        idx = ((d_last - esum) % M) + MN            # in [1, 2M)
-        v = EXP2[idx]
-        sd = DXN + DIG[v]
-        sd += dig_pre
-        sd %= p
-        t = TQ[_pack(sd, p)]
-        if not twisted:
-            return np.bincount(t, minlength=p + 1)
-        jv = (jsum + j_free[n - 1] * EN + j_last * idx) % M
-        flat = t.astype(np.int64) * M + jv
-        return np.bincount(flat, minlength=(p + 1) * M)
-
-    if n == 1:
-        # the single free variable is the vector
-        e = np.arange(M, dtype=np.int64)
-        idx = (d_last + M - e) % M
-        v = EXP[idx]
-        sd = DIG[EXP[e]] + DIG[v]
-        sd %= p
-        t = TQ[_pack(sd, p)]
-        if not twisted:
-            hist += np.bincount(t, minlength=p + 1)
-        else:
-            jv = (jidx[0] * e + jidx[1] * idx) % M
-            flat = t.astype(np.int64) * M + jv
-            hist += np.bincount(flat, minlength=(p + 1) * M)
-        return hist
-
-    EXP2 = np.concatenate([EXP, EXP])   # inner-variable tables, n >= 2 only
-    EN = np.arange(M, dtype=np.int64)
-    MN = M - EN
-    DXN = DIG[EXP]                      # digits of the inner variable
-    for pre in product(range(M), repeat=n - 1):
-        dig_pre = DIG[EXP[np.array(pre, dtype=np.int64)]].sum(axis=0, dtype=dt)
-        esum = sum(pre) % M
-        jsum = 0
-        if twisted:
-            jsum = int(sum(j * e for j, e in zip(jidx, pre)) % M)
-        hist += inner(dig_pre, esum, jsum)
-    return hist
-
-
-def _finish_hist(E: FieldTable, hist: np.ndarray,
-                 jidx: tuple[int, ...] | None) -> SumValue:
-    p, M = E.p, E.q - 1
-    if jidx is None:
-        return SumValue.from_hist(p, hist[:p])       # drop the s = 0 sentinel
-    return SumValue.from_hist(p, hist.reshape(p + 1, M)[:p], m=M)
+    def chunks():
+        for _, exps in _toric_chunks(M, n):
+            e_last = (d_last - sum(exps)) % M
+            sd = DIG[EXP[e_last]]
+            for e in exps:
+                sd += DIG[EXP[e]]
+            sd %= p
+            yield TQ[_pack(sd, p)], exps + [e_last], (None,)
+    return _char_hists(J, p + 1, M, chunks())[0]
 
 
 def _validate_b(F: FieldTable, b: int) -> None:
@@ -235,62 +254,73 @@ def _validate_b(F: FieldTable, b: int) -> None:
         raise ValueError(f"b = {b} is not a unit of the base field (need 0 < b < {F.q})")
 
 
-def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
-                    chi: CharacterTuple | None = None, *,
-                    budget: Budget | None = None) -> SumValue:
-    """Inverted n-variable Kloosterman sum over F_{q^k}, exactly.
+def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi,
+                   budget: Budget | None) -> tuple[np.ndarray, bool]:
+    """_rows of chi, after pricing the points and histogram cells."""
+    _validate_b(F, b)
+    Q = F.q ** k
+    J, one = _rows(chi, n + 1, F.q, Q)
+    check_points((Q - 1) ** n, budget)
+    if J.any():
+        _check_cells(len(J) * (F.p + 1) * (Q - 1), f"{len(J)} twisted sums over F_{Q}")
+    return J, one
+
+
+def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
+                     chis: Sequence[CharacterTuple], *,
+                     budget: Budget | None = None) -> Iterator[SumValue]:
+    """Inverted n-variable Kloosterman sums S_n(chi, b) over F_{q^k}, exactly,
+    for every chi in chis from one enumeration of the torus.
 
     Enumerates (x_1, ..., x_n) over the torus, sets
     s = x_1 + ... + x_n + b/(x_1 ... x_n), skips s = 0 and accumulates
-    psi(Tr(1/s)) together with the character indices.  All-trivial chi
-    takes the conductor-1 fast path (p counters).
+    psi(Tr(1/s)); each chi only picks the bucket sum_i j_i dlog x_i of a
+    point.  An all-trivial chi comes back with conductor 1 (p counters).
+    Priced (points, histogram cells) before any table is built; returns an
+    iterator, in the order of chis, that makes each SumValue when reached.
     """
-    _validate_b(F, b)
-    if chi is None:
-        chi = CharacterTuple.trivial(n + 1)
-    if len(chi) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} characters, got {len(chi)}")
+    J, _ = _plan_inverted(F, k, n, b, list(chis), budget)
     maps = field_maps(F, k)
     E = maps.ext
-    check_points((E.q - 1) ** n, budget)
-    b_ext = int(maps.embed_tab[b])
-    d_last = int(E.dlog[b_ext])
-    lifted = chi.lifted(F.q, E.q)
-    jidx = None if all(j == 0 for j in lifted) else lifted
-    hist = _inverted_hist(E, n, d_last, 1, jidx)
-    return _finish_hist(E, hist, jidx)
+    d_last = int(E.dlog[maps.embed_tab[b]])
+    return _values(E.p, _inverted_hist(E, n, d_last, maps.tr_inv, J), J)
 
 
-def tn_transform(F: FieldTable, n: int, b: int,
-                 chi: CharacterTuple | None = None, *,
-                 budget: Budget | None = None) -> SumValue:
+def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
+                    chi: CharacterTuple | None = None, *,
+                    budget: Budget | None = None) -> SumValue:
+    """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums' row."""
+    chis = [CharacterTuple.trivial(n + 1) if chi is None else chi]
+    return next(kloosterman_sums(F, k, n, b, chis, budget=budget))
+
+
+def tn_transform(F: FieldTable, n: int, b: int, chi=None, *,
+                 budget: Budget | None = None):
     """The product-locus-1 companion sum T_n(chi, b), computed two ways.
 
     Direct definition: product of the n+1 variables equals 1 and psi is
     evaluated at b/(x_1 + ... + x_{n+1}).  Also computed through
-    S_n(chi, b^-(n+1)) shifted by chi_1...chi_{n+1}(b); the two exact
-    values must agree or the call raises.
+    S_n(chi, b^-(n+1)) shifted by chi_1...chi_{n+1}(b): x = b y maps the
+    one point set onto the other bucket for bucket, so the two exact
+    histograms must be equal cell for cell or the call raises.  chi is one
+    CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
+    giving an iterator as kloosterman_sums does; each side is one pass.
     """
-    _validate_b(F, b)
-    if chi is None:
-        chi = CharacterTuple.trivial(n + 1)
+    J, one = _plan_inverted(F, 1, n, b, chi, budget)
     M = F.q - 1
-    check_points(M ** n, budget)
-    lifted = chi.lifted(F.q, F.q)
-    jidx = None if all(j == 0 for j in lifted) else lifted
-    hist = _inverted_hist(F, n, 0, b, jidx)
-    direct = _finish_hist(F, hist, jidx)
-
-    db = int(F.dlog[b])
+    direct = _inverted_hist(F, n, 0, F.tr_quotient(b), J)
     b_target = F.power(b, -(n + 1)) if M > 1 else 1
-    via_s = kloosterman_sum(F, 1, n, b_target, chi, budget=budget)
-    if jidx is not None:
-        via_s = via_s.shift(0, sum(lifted) * db % M)
-    if not (direct == via_s):
+    via_s = _inverted_hist(F, n, int(F.dlog[b_target]), field_maps(F, 1).tr_inv, J)
+    if J.any():                     # chi_1...chi_{n+1}(b) moves u up by this
+        shift = J.sum(axis=1) * int(F.dlog[b]) % M
+        u = (np.arange(M)[None, :] - shift[:, None]) % M
+        via_s = np.take_along_axis(via_s, u[:, None, :], axis=2)
+    if not np.array_equal(direct, via_s):
         raise VerificationError(
             "transform mismatch between the direct sum and its "
             "reciprocal-parameter expression (implementation bug)")
-    return direct
+    out = _values(F.p, direct, J)
+    return next(out) if one else out
 
 
 # ----------------------------------------------------------------------
@@ -367,19 +397,6 @@ def _transform_sum(F: FieldTable, k: int, n: int, b: int) -> SumValue:
 # toric sums
 # ----------------------------------------------------------------------
 
-def _toric_chunks(M: int, nvars: int, chunk: int):
-    """(length, exponent columns) of (Z/M)^nvars in chunks; one point if nvars = 0."""
-    total = M ** nvars
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        exps = []
-        for _ in range(nvars):
-            exps.append(idx % M)
-            idx = idx // M
-        yield stop - start, exps
-
-
 def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
     """(L, a) digits mod p of sum c x^v over terms (dlog c, v) at the chunk."""
     M = E.q - 1
@@ -394,18 +411,19 @@ def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
     return acc
 
 
-def toric_sum(F: FieldTable, k: int, f: LaurentPoly,
-              chi: CharacterTuple | None = None, *,
-              budget: Budget | None = None,
-              chunk: int = 1 << 18) -> SumValue:
+def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None, *,
+              budget: Budget | None = None):
     """Twisted toric exponential sum of f over (F_{q^k}^*)^n, exactly.
 
     sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
-    histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i).
+    histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i).  chi is
+    one CharacterTuple (None: untwisted), giving one SumValue, or a
+    sequence of them, giving an iterator as kloosterman_sums does, from
+    one enumeration in which each tuple is one more key row.
 
     The first variable x_v whose exponents all lie in {0, 1} and whose
-    lifted character is trivial is summed out: with f = x_v A(x') + C(x')
-    and Q = q^k,
+    lifted character is trivial in every tuple is summed out: with
+    f = x_v A(x') + C(x') and Q = q^k,
 
         sum_{x_v != 0} psi(Tr f) = psi(Tr C) (Q [A = 0] - 1),
 
@@ -414,17 +432,16 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly,
     bucket Tr C, x' with A != 0 puts Q/p - [s = 0] in bucket Tr C + s.
     Without such a variable the whole torus is enumerated.
     """
-    if chi is None:
-        chi = CharacterTuple.trivial(f.n_vars)
-    if len(chi) != f.n_vars:
-        raise ValueError(f"need {f.n_vars} characters, got {len(chi)}")
     Q, p = F.q ** k, F.p
     M = Q - 1
-    lifted = chi.lifted(F.q, Q)
-    v = next((i for i in range(f.n_vars) if lifted[i] == 0
+    J, one = _rows(chi, f.n_vars, F.q, Q)
+    v = next((i for i in range(f.n_vars) if not J[:, i].any()
               and all(e[i] in (0, 1) for e in f.exponents())), None)
     rest = [i for i in range(f.n_vars) if i != v]
+    J = J[:, rest]
     check_points(M ** len(rest), budget)
+    if J.any():
+        _check_cells(len(J) * p * M, f"{len(J)} twisted toric sums over F_{Q}")
     maps = field_maps(F, k)
     E = maps.ext
 
@@ -434,27 +451,17 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly,
             raise ValueError(f"coefficient {c} is not a unit of the base field")
         parts[0 if v is None else e[v]].append(
             (int(E.dlog[maps.embed_tab[c]]), [e[i] for i in rest]))
-    jrest = [lifted[i] for i in rest]
-    m = M if any(jrest) else 1
-    every = np.zeros(p * m, dtype=np.int64)     # x' by (Tr C, character)
-    a_zero = np.zeros(p * m, dtype=np.int64)    # the x' with A(x') = 0
-    for L, exps in _toric_chunks(M, len(rest), chunk):
-        key = E.tr_abs[_pack(_digit_sum(E, parts[0], exps, L), p)].astype(np.int64)
-        if m > 1:
-            jv = np.zeros(L, dtype=np.int64)
-            for j, ei in zip(jrest, exps):
-                if j:
-                    jv += j * ei
-            key = key * M + jv % M
-        every += np.bincount(key, minlength=p * m)
-        if v is not None:
-            zero = ~_digit_sum(E, parts[1], exps, L).any(axis=1)
-            a_zero += np.bincount(key[zero], minlength=p * m)
-    hist = every.reshape(p, m)
-    if v is not None:
-        z = a_zero.reshape(p, m)
-        hist = Q * z - hist + (Q // p) * (hist - z).sum(axis=0)
-    return SumValue.from_hist(p, hist, m=m)
+
+    def chunks():               # buckets Tr C; the x' with A(x') = 0
+        for L, exps in _toric_chunks(M, len(rest)):
+            t = E.tr_abs[_pack(_digit_sum(E, parts[0], exps, L), p)]
+            yield t, exps, (None,) if v is None else (
+                None, ~_digit_sum(E, parts[1], exps, L).any(axis=1))
+    hist, *z = _char_hists(J, p, M, chunks(), 1 if v is None else 2)
+    if z:
+        hist = Q * z[0] - hist + (Q // p) * (hist - z[0]).sum(axis=1, keepdims=True)
+    out = _values(p, hist, J)
+    return next(out) if one else out
 
 
 def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
@@ -482,22 +489,24 @@ def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
     return LaurentPoly(nv, tuple(terms))
 
 
-def e_sum(F: FieldTable, n: int, b: int,
-          chi: CharacterTuple | None = None, *,
-          budget: Budget | None = None) -> SumValue:
+def e_sum(F: FieldTable, n: int, b: int, chi=None, *,
+          budget: Budget | None = None):
     """The auxiliary (n+2)-variable toric sum E_n(chi, b).
 
     Twist (chi_1 conj(chi_{n+1}), ..., chi_n conj(chi_{n+1}), 1, 1); it
     satisfies q S_n = -(q-1)^n chi_1(b) + chi_1(b) E_n when all characters
-    agree and q S_n = chi_{n+1}(b) E_n otherwise.
+    agree and q S_n = chi_{n+1}(b) E_n otherwise.  chi is one
+    CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
+    giving an iterator: the distinct twists are the key rows of one
+    toric_sum, and x_{n+1}, trivial in every twist, is summed out.
     """
-    if chi is None:
-        chi = CharacterTuple.trivial(n + 1)
-    M = F.q - 1
-    j_last = chi.indices[n]
-    twist = CharacterTuple.reduced(
-        [chi.indices[i] - j_last for i in range(n)] + [0, 0], F.q)
-    return toric_sum(F, 1, ik_laurent(F, n, b), twist, budget=budget)
+    J, one = _rows(chi, n + 1, F.q, F.q)
+    twists = [CharacterTuple.reduced(list(j[:n] - j[n]) + [0, 0], F.q) for j in J]
+    distinct = list(dict.fromkeys(twists))
+    value = dict(zip(distinct, toric_sum(F, 1, ik_laurent(F, n, b), distinct,
+                                         budget=budget)))
+    out = (value[t] for t in twists)
+    return next(out) if one else out
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ caller in a process shares one copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -289,6 +290,15 @@ class FieldTable:
         np.copyto(out, self.exp[e], where=nz)
         return out
 
+    def tr_quotient(self, w: int) -> np.ndarray:
+        """T[s] = tr_abs(w/s) for s != 0; the sentinel p (tr_abs's dtype
+        holds it) at s = 0."""
+        M = self.q - 1
+        out = np.full(self.q, self.p, dtype=self.tr_abs.dtype)
+        e = np.arange(M, dtype=np.int64)
+        out[self.exp] = self.tr_abs[self.exp[(int(self.dlog[w]) - e) % M]]
+        return out
+
     def power(self, x: int, e: int) -> int:
         m = self.q - 1
         if x == 0:
@@ -363,6 +373,12 @@ class ExtensionMaps:
     ext: FieldTable
     k: int
     embed_tab: np.ndarray
+
+    @cached_property
+    def tr_inv(self) -> np.ndarray:
+        """ext.tr_quotient(1), the trace of 1/s that the inverted sums read;
+        built on first use and kept with the cached maps."""
+        return self.ext.tr_quotient(1)
 
 
 _MAPS: dict[tuple[int, int, int], ExtensionMaps] = {}

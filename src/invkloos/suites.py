@@ -18,7 +18,8 @@ from itertools import product
 
 from .cyclotomic import SumValue, embed_complex
 from .expsum import (Budget, CharacterTuple, e_sum, gauss_formula_parts,
-                     ik_laurent, kloosterman_sum, tn_transform, toric_sum)
+                     ik_laurent, kloosterman_sum, kloosterman_sums,
+                     tn_transform, toric_sum)
 from .gf import build_field
 from .lfun import alpha_hodge_slopes, lfunction_pipeline
 from .polytope import (diagonal_nondegenerate, facial_ordinary, hodge_data,
@@ -118,10 +119,10 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
             bound = q ** ((n + 1) / 2)
             worst = 0.0
             count = 0
+            chis = _char_tuples(q, n)
             for b in range(1, q):
-                for chi in _char_tuples(q, n):
-                    s = embed_complex(kloosterman_sum(F, 1, n, b, chi,
-                                                      budget=budget))
+                for chi, s in zip(chis, map(embed_complex, kloosterman_sums(
+                        F, 1, n, b, chis, budget=budget))):
                     if chi.all_equal():
                         lhs = abs(s + (q - 1) ** n / q * _chi_at(F, chi.indices[0], b))
                     else:
@@ -153,10 +154,10 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
             t0 = time.perf_counter()
             worst_eq = worst_ne = 0.0
             count = 0
+            chis = _char_tuples(q, n)
             for b in range(1, q):
-                for chi in _char_tuples(q, n):
-                    s = embed_complex(kloosterman_sum(F, 1, n, b, chi,
-                                                      budget=budget))
+                for chi, s in zip(chis, map(embed_complex, kloosterman_sums(
+                        F, 1, n, b, chis, budget=budget))):
                     if chi.all_equal():
                         main = ((q - 1) ** n - (-1) ** n) / q * _chi_at(
                             F, chi.indices[0], b)
@@ -397,12 +398,13 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
             t0 = time.perf_counter()
             ok = True
             count = 0
+            chis = _char_tuples(q, n)
             for b in range(1, q):
                 db = int(F.dlog[b])
-                for chi in _char_tuples(q, n):
-                    lhs = kloosterman_sum(F, 1, n, b, chi,
-                                          budget=budget).scale(q)
-                    en = e_sum(F, n, b, chi, budget=budget)
+                for chi, s, en in zip(chis,
+                                      kloosterman_sums(F, 1, n, b, chis, budget=budget),
+                                      e_sum(F, n, b, chis, budget=budget)):
+                    lhs = s.scale(q)
                     if chi.all_equal():
                         j1 = chi.indices[0]
                         rhs = en.promote(M).shift(0, j1 * db % M) - \
@@ -446,10 +448,10 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
         for n in ns:
             t0 = time.perf_counter()
             count = 0
+            chis = _char_tuples(p, n)
             for b in range(1, p):
-                for chi in _char_tuples(p, n):
-                    tn_transform(F, n, b, chi, budget=budget)
-                    count += 1
+                tn_transform(F, n, b, chis, budget=budget)   # raises on a mismatch
+                count += len(chis)
             _timed_case(rep.cases, f"(c) transform q={p} n={n}", t0, True,
                         "exact", "exact", f"{count} cases")
 
@@ -461,12 +463,13 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
             t0 = time.perf_counter()
             worst = worst_s2 = 0.0
             bs = range(1, q)
-            for chi in _char_tuples(q, n):
+            chis = _char_tuples(q, n)
+            brutes = [[embed_complex(v) for v in kloosterman_sums(
+                F, 1, n, b, chis, budget=budget)] for b in bs]
+            for i, chi in enumerate(chis):
                 parts = gauss_formula_parts(F, 1, n, bs, chi, budget=budget)
-                for b, (s1, s2) in zip(bs, parts):
-                    brute = embed_complex(kloosterman_sum(
-                        F, 1, n, b, chi, budget=budget))
-                    worst = max(worst, abs(brute - embed_complex(s1 + s2)))
+                for brute, (s1, s2) in zip(brutes, parts):
+                    worst = max(worst, abs(brute[i] - embed_complex(s1 + s2)))
                     worst_s2 = max(worst_s2, abs(embed_complex(s2)))
             bound = oracle_tol * q ** ((n + 1) / 2)
             ok = worst <= bound and worst_s2 <= q ** ((n + 1) / 2) + 1e-9

@@ -198,3 +198,31 @@ def test_cli_tn_flag(capsys):
     code, out = run(capsys, "sum", "--p", "3", "--n", "1", "--b", "2",
                     "--tn")
     assert code == 0 and "T_1" in out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["thm0", "--p", "3", "--n", "1", "--b", "2"], "--b"),
+    (["thm2", "--b", "1"], "--b"),
+    (["identities", "--p", "3", "--b", "2"], "--b"),
+    (["cor1", "--p", "3"], "different lengths"),
+    (["cor1", "--p", "3,5", "--n", "1"], "different lengths"),
+    (["cor1", "--p", "3", "--n", "1", "--b", "1"], "--b"),
+    (["thm1", "--n", "1"], "different lengths"),
+    (["prop31", "--n", "1", "--p", "3"], "--p"),
+    (["thm33", "--n", "1", "--b", "1"], "--b"),
+])
+def test_cli_verify_rejects_flags_the_suite_does_not_read(capsys, argv, flag):
+    assert main(["verify", *argv, "--out", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"verify {argv[0]} does not read" in captured.err
+    assert flag in captured.err
+
+
+def test_cli_verify_reads_the_flags_it_documents(capsys):
+    code, out = run(capsys, "verify", "cor1", "--p", "3", "--n", "1",
+                    "--out", "json")
+    assert code == 0 and json.loads(out)["grid"]["grid"] == [[1, 3]]
+    code, out = run(capsys, "verify", "thm1", "--p", "3", "--n", "1",
+                    "--b", "2", "--out", "json")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"

@@ -12,9 +12,9 @@ from invkloos.errors import BudgetExceeded, VerificationError
 from invkloos.expsum import (Budget, CharacterTuple, LaurentPoly,
                              check_transform, e_sum, gauss_formula_parts,
                              gauss_formula_sum, gauss_sum, ik_laurent,
-                             kloosterman_sum, tn_transform, toric_sum,
-                             _sum_one_counts, _transform_sum)
-from invkloos.gf import _FIELDS, build_field, field_maps
+                             kloosterman_sum, kloosterman_sums, tn_transform,
+                             toric_sum, _sum_one_counts, _transform_sum)
+from invkloos.gf import _FIELDS, FieldTable, build_field, field_maps
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +140,193 @@ def test_conjugation_symmetry_untwisted():
     v = kloosterman_sum(F, 1, 2, 4)
     assert abs(embed_complex(v.conjugate())
                - embed_complex(v).conjugate()) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# batched sums: one enumeration, one key row per character tuple
+# ----------------------------------------------------------------------
+
+def _field(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    return build_field(p, round(np.log(q) / np.log(p)))
+
+
+def _inverted_points(F, k, n, b, product_is_b=True):
+    """(trace bucket, dlogs) of every torus point of S_n(b) over F_{q^k}
+    (product of the n+1 variables = b, bucket Tr(1/s)), or, with
+    product_is_b False, of T_n(b) (product 1, bucket Tr(b/s)); s = 0
+    skipped.  Scalar field arithmetic, one element at a time."""
+    maps = field_maps(F, k)
+    E, bb = maps.ext, int(maps.embed_tab[b])
+    out = []
+    for xs in product(range(1, E.q), repeat=n):
+        prod = 1
+        for x in xs:
+            prod = E.mul(prod, x)
+        last = E.mul(bb if product_is_b else 1, E.power(prod, -1))
+        s = 0
+        for x in xs + (last,):
+            s = E.add(s, x)
+        if s:
+            w = E.power(s, -1) if product_is_b else E.mul(bb, E.power(s, -1))
+            out.append((int(E.tr_abs[w]),
+                        [int(E.dlog[x]) for x in xs + (last,)]))
+    return out
+
+
+def _points_hist(F, k, points, chi):
+    """Counts of the points by (bucket, sum_i j_i dlog x_i), m = 1 untwisted."""
+    M = F.q ** k - 1
+    lifted = chi.lifted(F.q, F.q ** k)
+    m = M if any(lifted) else 1
+    hist = [[0] * m for _ in range(F.p)]
+    for t, dl in points:
+        hist[t][sum(j * d for j, d in zip(lifted, dl)) % m] += 1
+    return hist
+
+
+def _all_chis(q, count):
+    return [CharacterTuple(t) for t in product(range(q - 1), repeat=count)]
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 1, 2), (5, 2, 1), (7, 2, 1), (4, 1, 1),
+                                   (9, 1, 1), (5, 3, 1)])
+def test_batched_kernel_matches_enumeration_and_oracle(q, n, k):
+    F = _field(q)
+    chis = _all_chis(q, n + 1)
+    bs = range(1, q)
+    oracle = {chi: gauss_formula_parts(F, k, n, bs, chi) for chi in chis}
+    for bi, b in enumerate(bs):
+        points = _inverted_points(F, k, n, b)
+        batch = list(kloosterman_sums(F, k, n, b, chis))
+        assert len(batch) == len(chis)
+        for chi, v in zip(chis, batch):
+            assert v.counts == _points_hist(F, k, points, chi), (b, chi)
+            assert v.m == (1 if not any(chi.indices) else q ** k - 1)
+            s1, s2 = oracle[chi][bi]
+            assert s1 + s2 == v
+
+
+@pytest.mark.parametrize("q,n,k", [(5, 2, 1), (3, 1, 2), (9, 1, 1)])
+def test_one_chi_wrapper_is_an_element_of_the_batch(q, n, k):
+    F = _field(q)
+    chis = _all_chis(q, n + 1)
+    for b in range(1, q):
+        batch = list(kloosterman_sums(F, k, n, b, chis))
+        for i in (0, 1, len(chis) // 2, len(chis) - 1):
+            one = kloosterman_sum(F, k, n, b, chis[i])
+            assert (one.m, one.counts) == (batch[i].m, batch[i].counts)
+        assert kloosterman_sum(F, k, n, b).counts == batch[0].counts
+
+
+@pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (7, 1), (4, 1)])
+def test_batched_tn_transform_matches_enumeration(q, n):
+    F = _field(q)
+    chis = _all_chis(q, n + 1)
+    for b in range(1, q):
+        points = _inverted_points(F, 1, n, b, product_is_b=False)
+        batch = list(tn_transform(F, n, b, chis))
+        for chi, v in zip(chis, batch):
+            assert v.counts == _points_hist(F, 1, points, chi), (b, chi)
+        assert tn_transform(F, n, b, chis[-1]).counts == batch[-1].counts
+
+
+def test_tn_transform_raises_when_the_two_sides_differ(monkeypatch):
+    F = build_field(5, 1)
+    real = FieldTable.tr_quotient
+    monkeypatch.setattr(FieldTable, "tr_quotient",
+                        lambda self, w: (real(self, w) + (w != 1)) % (self.p + 1))
+    with pytest.raises(VerificationError, match="transform mismatch"):
+        tn_transform(F, 1, 2, _all_chis(5, 2))
+
+
+@pytest.mark.parametrize("q,n", [(5, 1), (3, 2), (5, 2), (4, 1)])
+def test_batched_e_sum_matches_enumeration(q, n):
+    F = _field(q)
+    chis = _all_chis(q, n + 1)
+    for b in range(1, q):
+        f = ik_laurent(F, n, b)
+        batch = list(e_sum(F, n, b, chis))
+        want = {}
+        for chi, v in zip(chis, batch):
+            twist = CharacterTuple.reduced(
+                [chi.indices[i] - chi.indices[n] for i in range(n)] + [0, 0], q)
+            if twist not in want:
+                want[twist] = _torus_hist(F, 1, f, twist)
+            assert v.counts == want[twist], (b, chi)
+        assert e_sum(F, n, b, chis[-1]).counts == batch[-1].counts
+
+
+def test_batched_toric_rows_match_single_calls():
+    F = build_field(5, 1)
+    chis = _all_chis(5, 2)
+    for f in (X1X2_PLUS_X2_INV, CONST_PLUS_X1X2, ik_laurent(F, 1, 3)):
+        rows = chis if f.n_vars == 2 else [CharacterTuple(c.indices + (0,))
+                                            for c in chis]
+        for chi, v in zip(rows, toric_sum(F, 1, f, rows)):
+            assert v.counts == _torus_hist(F, 1, f, chi), (f, chi)
+
+
+def test_cell_cap_refused_before_any_enumeration(monkeypatch):
+    # 4 twisted rows x (4099 + 1) buckets x 4098 = 67.2e6 cells > 2^26
+    F = build_field(4099, 1)
+
+    def no_chunks(*args):
+        raise AssertionError("enumerated before the cell check")
+
+    monkeypatch.setattr(expsum, "_toric_chunks", no_chunks)
+    chis = [CharacterTuple((j, 0)) for j in range(1, 5)]
+    with pytest.raises(BudgetExceeded, match="table cap") as exc:
+        kloosterman_sums(F, 1, 1, 1, chis)
+    assert exc.value.estimate == 4 * 4100 * 4098
+    with pytest.raises(BudgetExceeded, match="table cap"):
+        tn_transform(F, 1, 1, chis)
+    with pytest.raises(BudgetExceeded, match="table cap"):
+        toric_sum(F, 1, X, [CharacterTuple((j,)) for j in range(1, 5)])
+    # all-trivial rows share one (p + 1)-cell histogram and are admitted
+    with pytest.raises(AssertionError, match="before the cell check"):
+        kloosterman_sums(F, 1, 1, 1, [CharacterTuple((0, 0))] * 4)
+
+
+def test_key_arrays_stay_within_the_chunk(monkeypatch):
+    F = build_field(5, 1)
+    chis = _all_chis(5, 3)                           # 64 rows, 16 points
+    want = [v.counts for v in kloosterman_sums(F, 1, 2, 3, chis)]
+    want_e = [v.counts for v in e_sum(F, 2, 3, chis)]
+    sizes = []
+    real = np.bincount
+    monkeypatch.setattr(expsum.np, "bincount",
+                        lambda x, **kw: sizes.append(x.size) or real(x, **kw))
+    monkeypatch.setattr(expsum, "_CHUNK", 10)
+    got = [v.counts for v in kloosterman_sums(F, 1, 2, 3, chis)]
+    assert got == want
+    # chunks of 10 and 6 points; one row per key array at 10, one at 6
+    assert len(sizes) == 64 + 64 and max(sizes) <= 10
+    sizes.clear()
+    monkeypatch.setattr(expsum, "_CHUNK", 40)
+    assert [v.counts for v in kloosterman_sums(F, 1, 2, 3, chis)] == want
+    assert len(sizes) == 64 // 2 and max(sizes) == 32      # 2 rows x 16 points
+    sizes.clear()
+    assert [v.counts for v in e_sum(F, 2, 3, chis)] == want_e
+    # 16 distinct twists over the 64 points of (x_1, x_2, x_4), in chunks
+    # of 40 and 24: one row per key array, and per row one bincount for
+    # every point and one for the points with A = 0
+    assert len(sizes) == 2 * 16 * 2 and max(sizes) <= 40
+
+
+def test_reciprocal_trace_table_is_built_once_per_field(monkeypatch):
+    F = build_field(11, 1)
+    maps = field_maps(F, 2)
+    vars(maps).pop("tr_inv", None)
+    builds = []
+    real = FieldTable.tr_quotient
+    monkeypatch.setattr(FieldTable, "tr_quotient",
+                        lambda self, w: builds.append(w) or real(self, w))
+    first = kloosterman_sum(F, 2, 1, 3)
+    second = kloosterman_sum(F, 2, 1, 3)
+    assert builds == [1]
+    assert first.counts == second.counts == \
+        _points_hist(F, 2, _inverted_points(F, 2, 1, 3), CharacterTuple((0, 0)))
 
 
 # ----------------------------------------------------------------------
