@@ -356,6 +356,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sum(args) -> int:
+    if args.tn and args.k != 1:
+        raise ValueError("sum --tn works over F_q only; --k does not apply")
     F = build_field(args.p, args.a)
     chi = _parse_chi(args.chi, F.q, args.n + 1) if args.chi else None
     budget = Budget(points=args.budget, force=args.force)
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--chi", help="comma list of n+1 character indices")
     sp.add_argument("--tn", action="store_true",
-                    help="compute the product-locus-1 transform instead")
+                    help="compute the product-locus-1 transform (k=1) instead")
     _add_common(sp)
     sp.set_defaults(fn=cmd_sum)
 

@@ -6,7 +6,8 @@ Stickelberger-style ordinariness test on solution groups.
 All functionals and weights are exact rationals; no floating point
 enters this module.  Facets are enumerated by exhaustive hyperplane
 search over dim-subsets of the candidate points (acceptable at the
-supported sizes: dimension <= 6, at most 64 points).
+supported sizes: dimension <= 6, at most 64 points); the same search
+gives the coordinate projections that the weight counts walk through.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .expsum import LaurentPoly
 DIM_CAP = 6
 POINT_CAP = 64
 BOX_CAP = 10 ** 8
+WEIGHT_CAP = 10 ** 6
+_CHUNK = 1 << 18
 DET_CAP = 10 ** 6
 
 
@@ -175,9 +178,7 @@ def _hyperplane_from(points: list[tuple[int, ...]], subset) -> tuple | None:
     if all(v == 0 for v in vec):
         return None
     normal, rhs = vec[:n], -vec[n]
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
+    g = math.gcd(*vec)
     return tuple(v // g for v in normal), rhs // g
 
 
@@ -248,10 +249,7 @@ def build_polytope(src: LaurentPoly | list | tuple, *,
                     tuple(reindex[i] for i in on if i in reindex))
         (gauge if rhs > 0 else through).append(fac)
 
-    D = 1
-    for fac in gauge:
-        for c in fac.functional():
-            D = D * c.denominator // math.gcd(D, c.denominator)
+    D = math.lcm(*(c.denominator for fac in gauge for c in fac.functional()))
     return PolytopeData(n, vertices, tuple(gauge), tuple(through), D,
                         contains_origin)
 
@@ -358,83 +356,96 @@ class HodgeData:
     normalized_volume: int | None            # dim! Vol = sum of Hodge numbers
 
 
-def hodge_data(P: PolytopeData, k_max: int | None = None, *,
-               box_cap: int = BOX_CAP, chunk: int = 1 << 18) -> HodgeData:
-    """Lattice-point weights up to k_max/D and the derived Hodge data.
+def _expand(X, lo, cnt):
+    """Rows (x, t), t in [lo, lo + cnt) per prefix x, _CHUNK rows at most."""
+    ends = np.cumsum(cnt)
+    for start in range(0, ends[-1], _CHUNK):
+        r = np.arange(start, min(start + _CHUNK, ends[-1]), dtype=np.int64)
+        idx = np.searchsorted(ends, r, side="right")
+        yield np.column_stack([X[idx], lo[idx] + r - (ends[idx] - cnt[idx])])
 
-    Enumerates the integer points of the bounding box of (k_max/D) times
-    the polytope (points of weight <= k_max/D all live there), computes
-    D * weight as an integer max of cleared facet functionals, and tallies.
-    Hodge numbers are the alternating-binomial transform of the weight
-    counts; their total over k <= dim*D is the normalized volume.
+
+def hodge_data(P: PolytopeData, k_max: int | None = None, *,
+               box_cap: int = BOX_CAP) -> HodgeData:
+    """Lattice-point weights up to c = k_max/D and the derived Hodge data.
+
+    The points of weight <= c are the lattice points of c * polytope, as
+    the origin is in it.  Level j of the walk holds those of its projection
+    onto the first j coordinates; a prefix's fibre in the next coordinate
+    is one integer interval.  The k_max + 1 counts and the bounding box,
+    which bounds every level, are priced first.  Hodge numbers are the
+    alternating-binomial transform of W; their total over k <= dim*D is
+    the normalized volume.
     """
     if not P.contains_origin:
         raise ValueError("weights need the origin inside the polytope")
     if not P.gauge_facets:
         raise ValueError("polytope has no origin-missing facet")
     n, D = P.dim, P.D
-    if k_max is None:
-        k_max = n * D
+    k_max = n * D if k_max is None else k_max
+    if k_max < 0:
+        raise ValueError(f"k_max = {k_max} is negative")
+    if k_max + 1 > WEIGHT_CAP:
+        raise BudgetExceeded(f"{k_max + 1} weight counts, over the cap "
+                             f"{WEIGHT_CAP}", estimate=k_max + 1)
     scale = Fraction(k_max, D)
     lo = [math.floor(min(scale * v[i] for v in P.vertices)) for i in range(n)]
     hi = [math.ceil(max(scale * v[i] for v in P.vertices)) for i in range(n)]
-    widths = [h - l + 1 for l, h in zip(lo, hi)]
-    total = math.prod(widths)
+    total = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if total > box_cap:
         raise BudgetExceeded(
             f"bounding box has {total} lattice points, over the cap {box_cap}",
             estimate=total)
 
+    # c * projection_j = {x : D * normal . x <= k_max * rhs} over its facets
+    hulls = [build_polytope([v[:j] for v in P.vertices] + [(0,) * j],
+                            dim_cap=n, point_cap=len(P.vertices) + 1)
+             for j in range(1, n)]
+    levels = [Q.gauge_facets + Q.origin_facets for Q in hulls + [P]]
+    big = max(map(abs, lo + hi))
+    if max(D * sum(map(abs, f.normal)) * big + k_max * f.rhs
+           for fs in levels for f in fs) >= 1 << 62:
+        raise BudgetExceeded("facet values would overflow int64")
+    levels = [(D * np.array([f.normal for f in fs], dtype=np.int64),
+               k_max * np.array([f.rhs for f in fs], dtype=np.int64))
+              for fs in levels]
     # D clears every functional denominator, so D * functional is integral
-    gauge_rows = []
-    for fac in P.gauge_facets:
-        row = [D * c for c in fac.functional()]
-        assert all(x.denominator == 1 for x in row)
-        gauge_rows.append([int(x) for x in row])
-    gauge = np.array(gauge_rows, dtype=np.int64)
-    origin_rows = np.array([fac.normal for fac in P.origin_facets],
-                           dtype=np.int64).reshape(len(P.origin_facets), n)
-
+    gauge = [[D * c for c in fac.functional()] for fac in P.gauge_facets]
+    assert all(x.denominator == 1 for row in gauge for x in row)
+    gauge = np.array(gauge, dtype=np.int64)
     W = np.zeros(k_max + 1, dtype=np.int64)
-    lo_a = np.array(lo, dtype=np.int64)
-    widths_a = np.array(widths, dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((n, stop - start), dtype=np.int64)
-        rem = idx
-        for i in range(n):
-            coords[i] = lo_a[i] + rem % widths_a[i]
-            rem = rem // widths_a[i]
-        vals = gauge @ coords
-        wD = np.maximum(vals.max(axis=0), 0)
-        ok = wD <= k_max
-        if len(P.origin_facets):
-            ok &= (origin_rows @ coords <= 0).all(axis=0)
-        W += np.bincount(wD[ok], minlength=k_max + 1)
+
+    def walk(X):
+        if X.shape[1] == n:
+            W[:] += np.bincount(np.maximum((X @ gauge.T).max(axis=1), 0),
+                                minlength=k_max + 1)
+            return
+        A, b = levels[X.shape[1]]
+        num, a = b - X @ A[:, :-1].T, A[:, -1]    # a * t <= num, per facet
+        t_lo = (-(-num[:, a < 0] // a[a < 0])).max(axis=1)
+        t_hi = (num[:, a > 0] // a[a > 0]).min(axis=1)
+        for piece in _expand(X, t_lo, np.maximum(t_hi - t_lo + 1, 0)):
+            walk(piece)
+
+    walk(np.zeros((1, 0), dtype=np.int64))
     assert W[0] == 1, "weight-0 set must be exactly the origin"
 
-    Wl = [int(x) for x in W]
-    H = []
-    for k in range(k_max + 1):
-        h = 0
-        for i in range(n + 1):
-            kk = k - i * D
-            if kk >= 0:
-                h += (-1) ** i * math.comb(n, i) * Wl[kk]
-        H.append(h)
+    H = np.zeros_like(W)
+    for i in range(min(n, k_max // D) + 1):
+        H[i * D:] += (-1) ** i * math.comb(n, i) * W[: k_max + 1 - i * D]
+    H = H.tolist()
     assert all(h >= 0 for h in H), \
         "negative Hodge number (enumeration bug: the weight semigroup " \
         "ring is Cohen-Macaulay, so the numerator must be nonnegative)"
 
     polygon = [(0, Fraction(0))]
-    for k in range(k_max + 1):
-        x = sum(H[: k + 1])
-        y = Fraction(sum(m * H[m] for m in range(k + 1)), D)
-        if (x, y) != polygon[-1]:
-            polygon.append((x, y))
+    x = y = 0
+    for m, h in enumerate(H):
+        if h:
+            x, y = x + h, y + m * h
+            polygon.append((x, Fraction(y, D)))
     nvol = sum(H[: n * D + 1]) if k_max >= n * D else None
-    return HodgeData(D, tuple(Wl), tuple(H), tuple(polygon), nvol)
+    return HodgeData(D, tuple(W.tolist()), tuple(H), tuple(polygon), nvol)
 
 
 # ----------------------------------------------------------------------
@@ -493,10 +504,7 @@ def ordinary_test(M, p: int, *, det_cap: int = DET_CAP
     assert len(elements) == abs(d), "solution group order != |det|"
 
     def order(r) -> int:
-        o = 1
-        for x in r:
-            o = o * x.denominator // math.gcd(o, x.denominator)
-        return o
+        return math.lcm(*(x.denominator for x in r))
 
     prime_part = tuple(r for r in elements if math.gcd(order(r), p) == 1)
     stable = all(

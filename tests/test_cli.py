@@ -181,7 +181,7 @@ def test_cli_toric_text_poly(capsys):
     assert code == 0 and "-1.000000" in out
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     code, _ = run(capsys, "field", "--p", "4")
     assert code == 2                                    # usage error
     code, _ = run(capsys, "sum", "--p", "3", "--n", "3", "--b", "1",
@@ -191,6 +191,13 @@ def test_cli_exit_codes(capsys):
     assert code == 2                                    # parse error
     code, _ = run(capsys, "gauss", "--p", "65537", "--j", "1")
     assert code == 3                                    # over the table cap
+    huge = tmp_path / "huge.json"                       # D = 226759569
+    huge.write_text(json.dumps({"vertices": [
+        [-2, -3, -1, 0], [-1, 2, -1, 3], [0, 0, 0, 0], [1, -3, 3, 0],
+        [2, 3, 2, 2], [3, -2, 0, 1], [3, -2, 2, -3]]}))
+    assert main(["polytope", "--vertices", str(huge)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weight counts" in captured.err
     assert main(["nope"]) == 2                          # unknown command
 
 
@@ -198,6 +205,11 @@ def test_cli_tn_flag(capsys):
     code, out = run(capsys, "sum", "--p", "3", "--n", "1", "--b", "2",
                     "--tn")
     assert code == 0 and "T_1" in out
+    # the transform is over F_q only; --k is refused, not ignored
+    assert main(["sum", "--p", "5", "--n", "1", "--b", "2", "--tn", "--k", "2",
+                 "--out", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--k does not apply" in captured.err
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from invkloos import polytope
 from invkloos.errors import BudgetExceeded
 from invkloos.expsum import LaurentPoly, ik_laurent
 from invkloos.gf import build_field
 from invkloos.polytope import (build_polytope, det_int, diagonal_nondegenerate,
                                facial_ordinary, hnf_diagonal, hodge_data,
-                               ik_polytope, ik_vertices,
+                               ik_polytope, ik_vertices, invert_matrix,
                                ordinary_test, weight)
 
 
@@ -170,50 +172,129 @@ def test_hodge_polygon_vertices():
     assert (4, Fraction(4)) in hd.hodge_polygon
 
 
-def test_box_cap_refusal():
-    ik = ik_polytope(3)
-    with pytest.raises(BudgetExceeded):
-        hodge_data(ik.polytope, 40, box_cap=10 ** 4)
+def _box_oracle(P, k_max):
+    """W, H and the Hodge polygon from every point of the bounding box of
+    (k_max/D) * P: D * weight as the cleared max of the gauge functionals,
+    kept when the point is in the cone and D * weight <= k_max."""
+    n, D = P.dim, P.D
+    lo = [math.floor(min(Fraction(k_max * v[i], D) for v in P.vertices))
+          for i in range(n)]
+    hi = [math.ceil(max(Fraction(k_max * v[i], D) for v in P.vertices))
+          for i in range(n)]
+    gauge = np.array([[int(D * c) for c in f.functional()]
+                      for f in P.gauge_facets], dtype=np.int64)
+    cone = np.array([f.normal for f in P.origin_facets],
+                    dtype=np.int64).reshape(-1, n)
+    W = np.zeros(k_max + 1, dtype=np.int64)
+    for x0 in range(lo[0], hi[0] + 1):          # one slab at a time
+        axes = [[x0]] + [range(l, h + 1) for l, h in zip(lo[1:], hi[1:])]
+        u = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+        wD = np.maximum((u @ gauge.T).max(axis=1), 0)
+        ok = (wD <= k_max) & (u @ cone.T <= 0).all(axis=1)
+        W += np.bincount(wD[ok], minlength=k_max + 1)
+    W = W.tolist()
+    H = [sum((-1) ** i * math.comb(n, i) * W[k - i * D]
+             for i in range(n + 1) if k >= i * D) for k in range(k_max + 1)]
+    polygon = [(0, Fraction(0))]
+    for x, y in zip(accumulate(H), accumulate(m * h for m, h in enumerate(H))):
+        if (x, Fraction(y, D)) != polygon[-1]:
+            polygon.append((x, Fraction(y, D)))
+    return tuple(W), tuple(H), tuple(polygon)
 
 
-def _exact_face_weight(vcols, u):
-    """Gauge of u for the simplex spanned by the origin and vcols (the
-    columns may live in a higher-dimensional space): solve u = V lambda
-    exactly; weight = sum lambda if lambda >= 0, else inf."""
-    rows = len(u)
-    cols = len(vcols)
-    m = [[Fraction(vcols[j][i]) for j in range(cols)] + [Fraction(u[i])]
-         for i in range(rows)]
-    rank = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
-    lam = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        lam[c] = m[r][cols]
-    for r in range(rank, rows):
-        if m[r][cols] != 0:
-            return math.inf                 # u outside the span
-    if any(x < 0 for x in lam):
-        return math.inf
-    return sum(lam)
+# (vertices, origin on the boundary); D > 1 throughout, dims 2-4
+_NON_IK = [
+    ([(0, 0), (2, 0), (0, 3)], True),
+    ([(-3, -1), (-3, 0), (0, -2), (2, 0)], True),
+    ([(-3, -3, 3), (-2, -3, 0), (0, -3, 1), (0, 2, 0), (2, -3, -2)], False),
+    ([(-3, 0, 0), (-1, -2, 3), (0, 0, 0), (0, 0, 2), (1, 0, 2)], True),
+    ([(-1, -1, 3, -2), (0, 0, 0, 0), (0, 2, -1, 0), (1, -1, -3, -3),
+      (1, 3, -3, 0), (1, 3, -3, 2)], True),
+    # D = 97240, so the default k_max is 291720 entries long
+    ([(0, 0, 0), (2, 1, 0), (-1, 3, 1), (0, -1, 2), (1, 1, -3), (-2, -1, -1)],
+     False),
+]
+_HUGE_D = [(-2, -3, -1, 0), (-1, 2, -1, 3), (0, 0, 0, 0), (1, -3, 3, 0),
+           (2, 3, 2, 2), (3, -2, 0, 1), (3, -2, 2, -3)]
+_OVERFLOW = [(-51, -55, -50, 35), (-42, 15, -47, -19), (-19, -45, 42, 51),
+             (0, 0, 0, 0), (4, 3, -44, 33), (15, 39, 2, 14), (49, 57, 56, 49)]
+
+
+# D = 1, so k_max = n*D (the default) and (n+2)*D + 2 (thm33)
+@pytest.mark.parametrize("n,k_max", [(n, k) for n in (1, 2, 3, 4)
+                                     for k in (n, n + 4)])
+def test_walk_matches_the_box_scan_on_ik(n, k_max):
+    P = ik_polytope(n).polytope
+    hd = hodge_data(P, k_max)
+    assert (hd.W, hd.H, hd.hodge_polygon) == _box_oracle(P, k_max)
+
+
+@pytest.mark.parametrize("verts,on_boundary", _NON_IK)
+def test_walk_matches_the_box_scan_off_ik(verts, on_boundary):
+    P = build_polytope(verts)
+    assert P.D > 1 and P.contains_origin
+    assert bool(P.origin_facets) == on_boundary
+    for k_max in (None, P.D + 1):
+        hd = hodge_data(P, k_max)
+        assert (hd.W, hd.H, hd.hodge_polygon) == \
+            _box_oracle(P, P.dim * P.D if k_max is None else k_max)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_walk_pieces_stay_within_the_chunk(monkeypatch, chunk):
+    cases = [(ik_polytope(2).polytope, 6), (build_polytope(_NON_IK[4][0]), 9)]
+    want = [hodge_data(P, k) for P, k in cases]
+    sizes = []
+    expand = polytope._expand
+
+    def spy(*args):
+        for piece in expand(*args):
+            sizes.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(polytope, "_CHUNK", chunk)
+    monkeypatch.setattr(polytope, "_expand", spy)
+    assert [hodge_data(P, k) for P, k in cases] == want
+    assert max(sizes) == chunk
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the refusal")
+
+
+def test_box_cap_refusal(monkeypatch):
+    # every refusal comes before any array exists
+    ik = ik_polytope(3).polytope
+    huge, wide = build_polytope(_HUGE_D), build_polytope(_OVERFLOW)
+    assert huge.D == 226759569
+    monkeypatch.setattr(polytope, "np", _NoNumpy())
+    with pytest.raises(BudgetExceeded, match="bounding box"):
+        hodge_data(ik, 40, box_cap=10 ** 4)
+    with pytest.raises(BudgetExceeded, match="weight counts"):
+        hodge_data(huge)                        # k_max = 4 * D
+    with pytest.raises(BudgetExceeded, match="overflow int64"):
+        hodge_data(wide, 1)
+    with pytest.raises(ValueError, match="negative"):
+        hodge_data(ik, -1)
+
+
+def _left_inverse(cols):
+    """Integer A and d > 0 with A V = d I, V the matrix whose columns are
+    cols (linearly independent): d times (V^T V)^-1 V^T, solved exactly."""
+    gram = [[sum(a * b for a, b in zip(c1, c2)) for c2 in cols] for c1 in cols]
+    inv = invert_matrix(gram)
+    left = [[sum(inv[r][j] * cols[j][i] for j in range(len(cols)))
+             for i in range(len(cols[0]))] for r in range(len(cols))]
+    d = math.lcm(*(x.denominator for row in left for x in row))
+    return np.array([[int(x * d) for x in row] for row in left],
+                    dtype=np.int64), d
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_facial_inclusion_exclusion_of_weight_counts(n):
     # W_Delta = W_Delta1 + W_Delta2 - W_intersection, all four enumerated
-    # independently (the intersection simplex via exact solves)
+    # independently (the intersection simplex by its exact left inverse)
     ik = ik_polytope(n)
     verts = ik.vertices
     kmax = n + 2
@@ -224,13 +305,15 @@ def test_facial_inclusion_exclusion_of_weight_counts(n):
     inter_cols = list(verts[1: n + 2])
     lo = [min(0, *(v[i] for v in inter_cols)) * kmax for i in range(n + 2)]
     hi = [max(0, *(v[i] for v in inter_cols)) * kmax for i in range(n + 2)]
-    w3 = [0] * (kmax + 1)
-    for u in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        w = _exact_face_weight(inter_cols, u)
-        if w is not math.inf and w * ik.polytope.D <= kmax:
-            wd = w * ik.polytope.D
-            assert wd.denominator == 1
-            w3[int(wd)] += 1
+    axes = [range(l, h + 1) for l, h in zip(lo, hi)]
+    u = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n + 2)
+    A, d = _left_inverse(inter_cols)
+    lam = u @ A.T                               # d * lambda, u = V lambda
+    in_span = (lam @ np.array(inter_cols) == d * u).all(axis=1)
+    wd = lam.sum(axis=1) * ik.polytope.D        # d * D * weight
+    ok = in_span & (lam >= 0).all(axis=1) & (wd <= kmax * d)
+    assert (wd[ok] % d == 0).all()
+    w3 = np.bincount(wd[ok] // d, minlength=kmax + 1)
     for k in range(kmax + 1):
         assert hd.W[k] == d1.W[k] + d2.W[k] - w3[k]
 
