@@ -168,8 +168,7 @@ def sumvalue_to_json(v: SumValue) -> dict:
     z = embed_complex(v)
     return {
         "p": v.p, "m": v.m, "denom": v.denom,
-        "entries": [[t, j, c] for t in range(v.p)
-                    for j, c in enumerate(v.counts[t]) if c],
+        "entries": [list(e) for e in v.entries()],
         "complex": [z.real, z.imag],
     }
 

@@ -2,12 +2,13 @@
 
 Two representations:
 
-* SumValue: an element of (1/d) Z[zeta_p, zeta_m] stored as a p x m
-  integer histogram; entry (t, j) counts zeta_p^t zeta_m^j.  This is the
-  natural output of an enumeration kernel (d = 1) and of the Gauss-sum
-  closed form (d = q(q-1)).  Equality is decided canonically by reducing
-  the group-ring representative modulo Phi_p on the additive axis and
-  Phi_m on the multiplicative axis; since gcd(p, m) = 1 the reduced grid
+* SumValue: an element of (1/d) Z[zeta_p, zeta_m] stored as one (p, m)
+  int64 array that the value owns; entry (t, j) counts zeta_p^t zeta_m^j.
+  This is the natural output of an enumeration kernel (d = 1) and of the
+  Gauss-sum closed form (d = q(q-1)).  A step that could leave int64
+  checks its bound in Python ints and raises OverflowError.  Equality
+  reduces mod Phi_p (minus the last row) and mod Phi_m (times R_m, whose
+  row j is y^j mod Phi_m(y)); since gcd(p, m) = 1 the reduced grid
   is a Z-basis representation of Z[zeta_p] (x) Z[zeta_m].
 
 * CycloRational: an element of Q(zeta_p) as a rational vector on the
@@ -66,6 +67,35 @@ def _vp(n: int, p: int) -> int:
 # SumValue
 # ----------------------------------------------------------------------
 
+def _amax(C: np.ndarray) -> int:
+    """max |C| as a Python int (exact at -2^63)."""
+    return max(int(C.max()), -int(C.min()))
+
+
+def _fits(bound: int, what: str) -> None:
+    if bound >= 2 ** 63:
+        raise OverflowError(f"{what}: entries up to {bound} overflow int64")
+
+
+@lru_cache(maxsize=None)
+def _phi_powers(m: int) -> tuple[np.ndarray, int]:
+    """R_m, whose row j holds y^j mod Phi_m(y) on 1, y, ..., y^(phi(m)-1),
+    and max_k sum_j |R_m[j, k]|, the most a product C @ R_m can grow."""
+    phi = cyclotomic_poly(m)
+    rows, r = [], [1] + [0] * (len(phi) - 2)
+    for _ in range(m):
+        rows.append(r)
+        r = [x - r[-1] * c for x, c in zip([0] + r[:-1], phi)]   # y r mod Phi_m
+    R = np.array(rows, dtype=np.int64)
+    R.setflags(write=False)
+    return R, int(np.abs(R).sum(axis=0).max())
+
+
+@lru_cache(maxsize=None)
+def _roots(m: int) -> tuple[complex, ...]:
+    return tuple(cmath.exp(2j * cmath.pi * j / m) for j in range(m))
+
+
 class SumValue:
     """Histogram representation of an element of (1/denom) Z[zeta_p, zeta_m]."""
 
@@ -78,7 +108,10 @@ class SumValue:
             raise ValueError("denominator must be positive")
         self.p = p
         self.m = m
-        self.counts = counts if counts is not None else [[0] * m for _ in range(p)]
+        self.counts = (np.zeros((p, m), dtype=np.int64) if counts is None
+                       else np.array(counts, dtype=np.int64))
+        if self.counts.shape != (p, m):
+            raise ValueError(f"counts of shape {self.counts.shape}, expected {(p, m)}")
         self.denom = denom
 
     # -- constructors ----------------------------------------------------
@@ -89,31 +122,30 @@ class SumValue:
 
     @classmethod
     def integer(cls, p: int, n: int, m: int = 1) -> "SumValue":
-        v = cls(p, m)
-        v.counts[0][0] = n
-        return v
+        return cls.unit(p, m, coeff=n)
 
     @classmethod
     def unit(cls, p: int, m: int, t: int = 0, j: int = 0, coeff: int = 1) -> "SumValue":
+        _fits(abs(coeff), "coefficient")
         v = cls(p, m)
-        v.counts[t % p][j % m] = coeff
+        v.counts[t % p, j % m] = coeff
         return v
 
     @classmethod
     def from_hist(cls, p: int, hist, m: int = 1, denom: int = 1) -> "SumValue":
+        """From a (p, m) histogram, or a length-p one when m = 1 (copied)."""
         arr = np.asarray(hist)
-        if arr.ndim == 1:
-            assert m == 1 and arr.shape == (p,)
-            counts = [[int(c)] for c in arr]
-        else:
-            assert arr.shape == (p, m)
-            counts = [[int(c) for c in row] for row in arr]
-        return cls(p, m, counts, denom)
+        return cls(p, m, arr[:, None] if arr.ndim == 1 else arr, denom)
 
     # -- structure -------------------------------------------------------
 
     def mass(self) -> int:
-        return sum(abs(c) for row in self.counts for c in row)
+        return sum(map(abs, self.counts.ravel().tolist()))
+
+    def entries(self) -> list[tuple[int, int, int]]:
+        """The nonzero cells (t, j, count), row-major, as Python ints."""
+        ts, js = np.nonzero(self.counts)
+        return list(zip(ts.tolist(), js.tolist(), self.counts[ts, js].tolist()))
 
     def promote(self, new_m: int) -> "SumValue":
         """Reinterpret with conductor new_m (requires m | new_m)."""
@@ -121,98 +153,61 @@ class SumValue:
             raise ValueError(f"cannot promote conductor {self.m} to {new_m}")
         if new_m == self.m:
             return self
-        step = new_m // self.m
-        out = SumValue(self.p, new_m, denom=self.denom)
-        for t in range(self.p):
-            row, orow = self.counts[t], out.counts[t]
-            for j, c in enumerate(row):
-                if c:
-                    orow[j * step] = c
-        return out
-
-    def _aligned(self, other: "SumValue"):
-        if self.p != other.p:
-            raise ValueError("additive conductor mismatch")
-        m = self.m * other.m // math.gcd(self.m, other.m)
-        a, b = self.promote(m), other.promote(m)
-        d = a.denom * b.denom // math.gcd(a.denom, b.denom)
-        return m, d, a, d // a.denom, b, d // b.denom
+        out = np.zeros((self.p, new_m), dtype=np.int64)
+        out[:, ::new_m // self.m] = self.counts
+        return SumValue(self.p, new_m, out, self.denom)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "SumValue":
         if isinstance(other, int):
-            other = SumValue.integer(self.p, other, 1)
-        m, d, a, sa, b, sb = self._aligned(other)
-        counts = [[a.counts[t][j] * sa + b.counts[t][j] * sb for j in range(m)]
-                  for t in range(self.p)]
-        return SumValue(self.p, m, counts, d)
+            other = SumValue.integer(self.p, other)
+        if self.p != other.p:
+            raise ValueError("additive conductor mismatch")
+        m = math.lcm(self.m, other.m)
+        d = math.lcm(self.denom, other.denom)
+        sa, sb = d // self.denom, d // other.denom
+        _fits(_amax(self.counts) * sa + _amax(other.counts) * sb, "sum")
+        return SumValue(self.p, m, self.promote(m).counts * sa
+                        + other.promote(m).counts * sb, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SumValue":
-        return SumValue(self.p, self.m,
-                        [[-c for c in row] for row in self.counts], self.denom)
+        return self.scale(-1)
 
     def __sub__(self, other) -> "SumValue":
-        if isinstance(other, int):
-            other = SumValue.integer(self.p, other, 1)
         return self + (-other)
 
     def __rsub__(self, other) -> "SumValue":
         return (-self) + other
 
     def scale(self, c: int) -> "SumValue":
-        return SumValue(self.p, self.m,
-                        [[c * x for x in row] for row in self.counts], self.denom)
+        _fits(_amax(self.counts) * abs(c), "scale")
+        return SumValue(self.p, self.m, self.counts * c, self.denom)
 
     def shift(self, dt: int = 0, dj: int = 0) -> "SumValue":
         """Multiply by the unit zeta_p^dt zeta_m^dj (index rotation)."""
-        p, m = self.p, self.m
-        out = SumValue(p, m, denom=self.denom)
-        for t in range(p):
-            row = self.counts[t]
-            orow = out.counts[(t + dt) % p]
-            for j, c in enumerate(row):
-                if c:
-                    orow[(j + dj) % m] += c
-        return out
+        return SumValue(self.p, self.m, np.roll(self.counts, (dt, dj), axis=(0, 1)),
+                        self.denom)
 
     def conjugate(self) -> "SumValue":
         """Complex conjugation: negate both root-of-unity axes."""
-        out = SumValue(self.p, self.m, denom=self.denom)
-        for t in range(self.p):
-            row = self.counts[t]
-            orow = out.counts[(-t) % self.p]
-            for j, c in enumerate(row):
-                if c:
-                    orow[(-j) % self.m] = c
-        return out
+        return SumValue(self.p, self.m,
+                        np.roll(self.counts[::-1, ::-1], (1, 1), axis=(0, 1)),
+                        self.denom)
 
     # -- canonical form and equality --------------------------------------
 
-    def _reduced(self) -> list[list[int]]:
-        p, m = self.p, self.m
-        phi = cyclotomic_poly(m)
-        d = len(phi) - 1
-        rows = [row[:] for row in self.counts]
-        for r in rows:
-            for j in range(m - 1, d - 1, -1):
-                c = r[j]
-                if c:
-                    r[j] = 0
-                    for i in range(d):
-                        r[j - d + i] -= c * phi[i]
-        return [[rows[t][j] - rows[p - 1][j] for j in range(d)]
-                for t in range(p - 1)]
-
     def is_zero(self) -> bool:
-        return not any(c for row in self._reduced() for c in row)
+        """Reduce mod Phi_p (minus the last row), then mod Phi_m (@ R_m)."""
+        R, grow = _phi_powers(self.m)
+        C = self.counts
+        _fits(2 * _amax(C) * grow, "reduction")
+        return not ((C[:-1] - C[-1]) @ R).any()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = SumValue.integer(self.p, other, 1)
-        if not isinstance(other, SumValue):
+        if not isinstance(other, (int, SumValue)):
             return NotImplemented
         return (self - other).is_zero()
 
@@ -225,19 +220,14 @@ class SumValue:
 
         Double precision; absolute error is at most mass() * 1e-14.
         """
-        zp = [cmath.exp(2j * cmath.pi * t / self.p) for t in range(self.p)]
-        zm = [cmath.exp(2j * cmath.pi * j / self.m) for j in range(self.m)]
+        zp, zm = _roots(self.p), _roots(self.m)
         acc = 0j
-        for t in range(self.p):
-            row = self.counts[t]
-            for j, c in enumerate(row):
-                if c:
-                    acc += c * zp[t] * zm[j]
+        for t, j, c in self.entries():
+            acc += c * zp[t] * zm[j]
         return acc / self.denom
 
     def __repr__(self):
-        nz = [(t, j, c) for t in range(self.p)
-              for j, c in enumerate(self.counts[t]) if c]
+        nz = self.entries()
         body = " + ".join(f"{c}*z{self.p}^{t}*w{self.m}^{j}" for t, j, c in nz[:6])
         if len(nz) > 6:
             body += " + ..."
@@ -450,10 +440,8 @@ def reduce_mod_phi(v: SumValue) -> CycloRational:
     """
     if v.m != 1:
         raise ValueError(f"value has multiplicative conductor {v.m}, expected 1")
-    p = v.p
-    top = v.counts[p - 1][0]
-    return CycloRational(
-        p, [Fraction(v.counts[t][0] - top, v.denom) for t in range(p - 1)])
+    col = v.counts[:, 0].tolist()
+    return CycloRational(v.p, [Fraction(c - col[-1], v.denom) for c in col[:-1]])
 
 
 def embed_complex(v) -> complex:

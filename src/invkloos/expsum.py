@@ -575,10 +575,10 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
         u = (np.arange(M)[None, :] - shift[:, None]) % M
         s2 = SumValue.from_hist(p, terms[cs, ts, u[:, None, :]].sum(axis=0),
                                 m=M, denom=Q * M)
-        s1 = SumValue(p, M, denom=Q)
+        s1 = np.zeros((p, M), dtype=np.int64)
         if chi.all_equal():
-            s1.counts[0][(lifted[0] * db) % M] = -(Q - 1) ** n
-        out.append((s1, s2))
+            s1[0, (lifted[0] * db) % M] = -(Q - 1) ** n
+        out.append((SumValue(p, M, s1, denom=Q), s2))
     return out
 
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import product
 
 from .cyclotomic import SumValue, embed_complex
-from .expsum import (Budget, CharacterTuple, e_sum, gauss_formula_parts,
-                     ik_laurent, kloosterman_sum, kloosterman_sums,
-                     tn_transform, toric_sum)
+from .expsum import (Budget, CharacterTuple, _transform_sum, e_sum,
+                     gauss_formula_parts, ik_laurent, kloosterman_sum,
+                     kloosterman_sums, tn_transform, toric_sum)
 from .gf import build_field
 from .lfun import alpha_hodge_slopes, lfunction_pipeline
 from .polytope import (diagonal_nondegenerate, facial_ordinary, hodge_data,
@@ -188,7 +188,8 @@ def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *, tol: float = 1e-6,
             t0 = time.perf_counter()
             worst = 0.0
             for b in range(1, q):
-                s = embed_complex(kloosterman_sum(F, k, n, b, budget=budget))
+                s = embed_complex(kloosterman_sum(F, k, n, b, budget=budget)
+                                  if n == 1 else _transform_sum(F, k, n, b))
                 main = ((q ** k - 1) ** n - (-1) ** n * (q ** k + 1)) / q ** k
                 worst = max(worst, abs(s + main))
             bound = 2 * n * q ** (n * k / 2)

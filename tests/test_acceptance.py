@@ -1,9 +1,6 @@
 """Acceptance criteria, one test per criterion, each at its stated
 tolerance.  Run with -v for one pass/fail line per criterion (add -s to
 see the summary prints as they complete).
-
-The (2,13) grid work (criteria 3/4 and the identities that reuse it) is
-marked slow; everything else finishes in well under two minutes.
 """
 
 import math
@@ -74,7 +71,6 @@ def test_criterion_02_toric_bound_exhaustive():
 GRID3 = ((1, 3), (1, 5), (2, 7), (2, 13))
 
 
-@pytest.mark.slow
 def test_criterion_03_ordinary_slopes_every_b():
     ok = True
     for n, p in GRID3:
@@ -94,7 +90,6 @@ def test_criterion_03_ordinary_slopes_every_b():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_04_complex_weights_every_b():
     worst = 0.0
     for n, p in GRID3:
@@ -136,7 +131,6 @@ def test_criterion_06_tower_bound():
     _assert_suite(rep, "6")
 
 
-@pytest.mark.slow
 def test_criterion_07_exact_identities():
     rep = suite_identities(ps=(3, 5, 7), ns=(1, 2), grid3=GRID3)
     skipped = [c.name for c in rep.cases if c.status == "skip"]
@@ -148,7 +142,6 @@ def test_criterion_07_exact_identities():
     _assert_suite(rep, "7")
 
 
-@pytest.mark.slow
 def test_criterion_08_heldout_power_sums():
     t0 = time.perf_counter()
     spec = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5]}

@@ -3,11 +3,13 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from invkloos.cyclotomic import (CycloRational, SumValue, cyclotomic_poly,
-                                 embed_complex, reduce_mod_phi)
+from invkloos.cyclotomic import (CycloRational, SumValue, _phi_powers,
+                                 cyclotomic_poly, embed_complex,
+                                 reduce_mod_phi)
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +175,76 @@ def test_conjugation_and_shift():
     assert abs(embed_complex(s)
                - embed_complex(v) * cmath.exp(2j * cmath.pi / 5)
                * cmath.exp(2j * cmath.pi * 2 / 4)) < 1e-12
+
+
+def _reduced_reference(v):
+    """The canonical (p-1) x phi(m) grid of v, cell by cell on Python ints:
+    each row mod Phi_m, then the last row subtracted (mod Phi_p)."""
+    p, m = v.p, v.m
+    phi = cyclotomic_poly(m)
+    d = len(phi) - 1
+    rows = v.counts.tolist()
+    for r in rows:
+        for j in range(m - 1, d - 1, -1):
+            c = r[j]
+            if c:
+                r[j] = 0
+                for i in range(d):
+                    r[j - d + i] -= c * phi[i]
+    return [[rows[t][j] - rows[p - 1][j] for j in range(d)]
+            for t in range(p - 1)]
+
+
+_CONDUCTORS = [(p, m) for p in (3, 5, 7) for m in (1, 2, 3, 4, 6, 12, 30)
+               if math.gcd(p, m) == 1]
+
+
+@given(st.sampled_from(_CONDUCTORS), st.data())
+def test_is_zero_matches_the_cell_loop(pm, data):
+    p, m = pm
+    ints = st.integers(-2 ** 20, 2 ** 20)
+    # vanishing: every row the same (sum_t zeta_p^t = 0), plus in each row
+    # c_t zeta_m^(s_t) Phi_m(zeta_m), its coefficients folded by y^m = 1
+    fold = [0] * m
+    for i, c in enumerate(cyclotomic_poly(m)):
+        fold[i % m] += c
+    const = [data.draw(ints) for _ in range(m)]
+    rows = [(data.draw(ints), data.draw(st.integers(0, m - 1)))
+            for _ in range(p)]
+    z = [[const[j] + c * fold[(j - s) % m] for j in range(m)] for c, s in rows]
+    r = SumValue(p, m, [[data.draw(ints) for _ in range(m)] for _ in range(p)])
+    R, _ = _phi_powers(m)
+    for v in (SumValue(p, m, z), r, r + SumValue(p, m, z)):
+        ref = _reduced_reference(v)
+        assert ((v.counts[:-1] - v.counts[-1]) @ R).tolist() == ref
+        assert v.is_zero() == (not any(map(any, ref)))
+    assert SumValue(p, m, z).is_zero()
+    assert r + SumValue(p, m, z) == r
+    assert (r == r.shift(1)) == (not any(map(any, _reduced_reference(
+        r - r.shift(1)))))
+
+
+def test_growth_past_int64_is_refused():
+    with pytest.raises(OverflowError):
+        SumValue.integer(3, 2 ** 62).scale(2)
+    with pytest.raises(OverflowError):      # common denominator 2^30 3^20
+        SumValue(3, 1, [[2 ** 40], [0], [0]], 2 ** 30) + \
+            SumValue(3, 1, [[1], [0], [0]], 3 ** 20)
+    with pytest.raises(OverflowError):
+        SumValue.unit(3, 1, coeff=2 ** 63)
+    with pytest.raises(OverflowError):      # 2^62 - (-2^62) in the reduction
+        SumValue(3, 1, [[2 ** 62], [0], [-2 ** 62]]).is_zero()
+
+
+def test_construction_copies_and_checks_shape():
+    with pytest.raises(ValueError):
+        SumValue(3, 2, [[1, 2, 3]])
+    with pytest.raises(ValueError):
+        SumValue.from_hist(5, np.zeros(4))
+    hist = np.array([1, 2, 3])
+    v = SumValue.from_hist(3, hist)
+    hist[0] = 9
+    assert v.counts.tolist() == [[1], [2], [3]]
 
 
 def test_mass_of_unit_sums():

@@ -62,7 +62,7 @@ def test_f3_n1_b1_by_hand():
     # x=1: s=2, 1/s=2, tr=2; x=2: s=1, 1/s=1, tr=1; no excluded points
     F = build_field(3, 1)
     v = kloosterman_sum(F, 1, 1, 1)
-    assert v.counts == [[0], [1], [1]]
+    assert v.counts.tolist() == [[0], [1], [1]]
     assert v == SumValue.integer(3, -1)
     assert v.mass() == 2  # the excluded locus s=0 is empty here
 
@@ -130,7 +130,7 @@ def test_extension_matches_direct_enumeration():
             continue
         acc[E.tr_abs[E.power(s, -1)]] += 1
     v = kloosterman_sum(F, 2, 1, 1)
-    assert v.counts == [[int(c)] for c in acc]
+    assert v.counts.tolist() == [[int(c)] for c in acc]
 
 
 def test_conjugation_symmetry_untwisted():
@@ -201,7 +201,7 @@ def test_batched_kernel_matches_enumeration_and_oracle(q, n, k):
         batch = list(kloosterman_sums(F, k, n, b, chis))
         assert len(batch) == len(chis)
         for chi, v in zip(chis, batch):
-            assert v.counts == _points_hist(F, k, points, chi), (b, chi)
+            assert v.counts.tolist() == _points_hist(F, k, points, chi), (b, chi)
             assert v.m == (1 if not any(chi.indices) else q ** k - 1)
             s1, s2 = oracle[chi][bi]
             assert s1 + s2 == v
@@ -215,8 +215,9 @@ def test_one_chi_wrapper_is_an_element_of_the_batch(q, n, k):
         batch = list(kloosterman_sums(F, k, n, b, chis))
         for i in (0, 1, len(chis) // 2, len(chis) - 1):
             one = kloosterman_sum(F, k, n, b, chis[i])
-            assert (one.m, one.counts) == (batch[i].m, batch[i].counts)
-        assert kloosterman_sum(F, k, n, b).counts == batch[0].counts
+            assert (one.m, one.counts.tolist()) == \
+                (batch[i].m, batch[i].counts.tolist())
+        assert kloosterman_sum(F, k, n, b).counts.tolist() == batch[0].counts.tolist()
 
 
 @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (7, 1), (4, 1)])
@@ -227,8 +228,9 @@ def test_batched_tn_transform_matches_enumeration(q, n):
         points = _inverted_points(F, 1, n, b, product_is_b=False)
         batch = list(tn_transform(F, n, b, chis))
         for chi, v in zip(chis, batch):
-            assert v.counts == _points_hist(F, 1, points, chi), (b, chi)
-        assert tn_transform(F, n, b, chis[-1]).counts == batch[-1].counts
+            assert v.counts.tolist() == _points_hist(F, 1, points, chi), (b, chi)
+        assert tn_transform(F, n, b, chis[-1]).counts.tolist() == \
+            batch[-1].counts.tolist()
 
 
 def test_tn_transform_raises_when_the_two_sides_differ(monkeypatch):
@@ -253,8 +255,8 @@ def test_batched_e_sum_matches_enumeration(q, n):
                 [chi.indices[i] - chi.indices[n] for i in range(n)] + [0, 0], q)
             if twist not in want:
                 want[twist] = _torus_hist(F, 1, f, twist)
-            assert v.counts == want[twist], (b, chi)
-        assert e_sum(F, n, b, chis[-1]).counts == batch[-1].counts
+            assert v.counts.tolist() == want[twist], (b, chi)
+        assert e_sum(F, n, b, chis[-1]).counts.tolist() == batch[-1].counts.tolist()
 
 
 def test_batched_toric_rows_match_single_calls():
@@ -264,7 +266,7 @@ def test_batched_toric_rows_match_single_calls():
         rows = chis if f.n_vars == 2 else [CharacterTuple(c.indices + (0,))
                                             for c in chis]
         for chi, v in zip(rows, toric_sum(F, 1, f, rows)):
-            assert v.counts == _torus_hist(F, 1, f, chi), (f, chi)
+            assert v.counts.tolist() == _torus_hist(F, 1, f, chi), (f, chi)
 
 
 def test_cell_cap_refused_before_any_enumeration(monkeypatch):
@@ -291,23 +293,23 @@ def test_cell_cap_refused_before_any_enumeration(monkeypatch):
 def test_key_arrays_stay_within_the_chunk(monkeypatch):
     F = build_field(5, 1)
     chis = _all_chis(5, 3)                           # 64 rows, 16 points
-    want = [v.counts for v in kloosterman_sums(F, 1, 2, 3, chis)]
-    want_e = [v.counts for v in e_sum(F, 2, 3, chis)]
+    want = [v.counts.tolist() for v in kloosterman_sums(F, 1, 2, 3, chis)]
+    want_e = [v.counts.tolist() for v in e_sum(F, 2, 3, chis)]
     sizes = []
     real = np.bincount
     monkeypatch.setattr(expsum.np, "bincount",
                         lambda x, **kw: sizes.append(x.size) or real(x, **kw))
     monkeypatch.setattr(expsum, "_CHUNK", 10)
-    got = [v.counts for v in kloosterman_sums(F, 1, 2, 3, chis)]
+    got = [v.counts.tolist() for v in kloosterman_sums(F, 1, 2, 3, chis)]
     assert got == want
     # chunks of 10 and 6 points; one row per key array at 10, one at 6
     assert len(sizes) == 64 + 64 and max(sizes) <= 10
     sizes.clear()
     monkeypatch.setattr(expsum, "_CHUNK", 40)
-    assert [v.counts for v in kloosterman_sums(F, 1, 2, 3, chis)] == want
+    assert [v.counts.tolist() for v in kloosterman_sums(F, 1, 2, 3, chis)] == want
     assert len(sizes) == 64 // 2 and max(sizes) == 32      # 2 rows x 16 points
     sizes.clear()
-    assert [v.counts for v in e_sum(F, 2, 3, chis)] == want_e
+    assert [v.counts.tolist() for v in e_sum(F, 2, 3, chis)] == want_e
     # 16 distinct twists over the 64 points of (x_1, x_2, x_4), in chunks
     # of 40 and 24: one row per key array, and per row one bincount for
     # every point and one for the points with A = 0
@@ -325,7 +327,7 @@ def test_reciprocal_trace_table_is_built_once_per_field(monkeypatch):
     first = kloosterman_sum(F, 2, 1, 3)
     second = kloosterman_sum(F, 2, 1, 3)
     assert builds == [1]
-    assert first.counts == second.counts == \
+    assert first.counts.tolist() == second.counts.tolist() == \
         _points_hist(F, 2, _inverted_points(F, 2, 1, 3), CharacterTuple((0, 0)))
 
 
@@ -411,7 +413,7 @@ def test_toric_matches_whole_torus_enumeration(q, k, f, chi):
     if f in ("ik1", "ik2"):
         f = ik_laurent(F, int(f[2]), q - 1)
     chi = CharacterTuple(chi) if chi else None
-    assert toric_sum(F, k, f, chi).counts == _torus_hist(F, k, f, chi)
+    assert toric_sum(F, k, f, chi).counts.tolist() == _torus_hist(F, k, f, chi)
 
 
 @pytest.mark.parametrize("q,n", [(5, 1), (3, 2)])
@@ -422,7 +424,7 @@ def test_e_sum_twists_match_whole_torus_enumeration(q, n):
         for idx in product(range(q - 1), repeat=n + 1):
             twist = CharacterTuple.reduced(
                 [idx[i] - idx[n] for i in range(n)] + [0, 0], q)
-            assert e_sum(F, n, b, CharacterTuple(idx)).counts == \
+            assert e_sum(F, n, b, CharacterTuple(idx)).counts.tolist() == \
                 _torus_hist(F, 1, f, twist)
 
 
@@ -642,8 +644,8 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
     F = build_field(p, a)
     for k in range(1, kmax + 1):
         for b in range(1, F.q):
-            assert _transform_sum(F, k, n, b).counts == \
-                kloosterman_sum(F, k, n, b).counts, (k, b)
+            assert _transform_sum(F, k, n, b).counts.tolist() == \
+                kloosterman_sum(F, k, n, b).counts.tolist(), (k, b)
 
 
 # n = 1 sums two digit rows, which pass int16 once 2(p-1) > 32767; at
@@ -652,8 +654,8 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
 def test_kernel_matches_transform_past_int16(p):
     F = build_field(p, 1)
     for b in (1, 2, 3, p - 1):
-        assert kloosterman_sum(F, 1, 1, b).counts == \
-            _transform_sum(F, 1, 1, b).counts, b
+        assert kloosterman_sum(F, 1, 1, b).counts.tolist() == \
+            _transform_sum(F, 1, 1, b).counts.tolist(), b
 
 
 # the largest n >= 2 fields of the tier-1 run (criteria 3 and 8, the n=3,
