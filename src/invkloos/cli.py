@@ -289,19 +289,6 @@ SCHEMAS = {
 }
 
 
-def _emit(obj, kind: str, args) -> None:
-    if args.out == "json":
-        print(json.dumps(obj, sort_keys=True))
-    elif args.out == "csv" and kind == "polytope":
-        print("x,y_num,y_den")
-        for x, ynum, yden in obj["polygon"]:
-            print(f"{x},{ynum},{yden}")
-    elif args.out == "csv" and kind == "verify":
-        print(obj)     # suites render their own csv
-    else:
-        print(obj)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -434,7 +421,8 @@ def cmd_polytope(args) -> int:
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
     elif args.out == "csv":
-        _emit(obj, "polytope", args)
+        print("\n".join(["x,y_num,y_den"] + [f"{x},{yn},{yd}"
+                                             for x, yn, yd in obj["polygon"]]))
     else:
         print(f"dim {P.dim}, {len(P.vertices)} vertices, "
               f"{len(P.gauge_facets)} origin-missing facets, D={P.D}")

@@ -11,13 +11,13 @@ Two representations:
   row j is y^j mod Phi_m(y)); since gcd(p, m) = 1 the reduced grid
   is a Z-basis representation of Z[zeta_p] (x) Z[zeta_m].
 
-* CycloRational: an element of Q(zeta_p) as a rational vector on the
-  basis 1, zeta, ..., zeta^(p-2).  Carries pi-adic and q-adic valuations
-  computed on the pi-adic basis: Z[zeta_p] = Z[pi] with pi = zeta_p - 1
-  Eisenstein, so ord_pi(sum_j c_j pi^j) = min_j ((p-1) v_p(c_j) + j) over
-  j < p-1, in O(p^2) integer operations.  The field norm (the product of
-  the Galois conjugates, ord_pi(x) = v_p(Norm(x))) is the independent
-  check.  No floating point enters any valuation.
+* CycloRational: an element of Q(zeta_p) as p-1 integer numerators on
+  1, zeta, ..., zeta^(p-2) over one denominator, in lowest terms; a
+  product is one big-int product (Kronecker substitution).  ord_pi uses
+  Z[zeta_p] = Z[pi], pi = zeta_p - 1 Eisenstein: ord_pi(sum_j c_j pi^j) =
+  min_j ((p-1) v_p(c_j) + j) over j < p-1, in O(p^2) integer operations.
+  The field norm (ord_pi(x) = v_p(Norm(x))) is the independent check.
+  No floating point enters any valuation.
 """
 
 from __future__ import annotations
@@ -241,21 +241,53 @@ class SumValue:
 # CycloRational
 # ----------------------------------------------------------------------
 
-class CycloRational:
-    """Element of Q(zeta_p) on the basis 1, zeta, ..., zeta^(p-2)."""
+def _pack(v, sb: int) -> int:
+    """sum_i v_i 2^(8 sb i) for signed ints v_i, |v_i| < 2^(8 sb)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(sb, "little") for c in v)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(sb, "little") for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    __slots__ = ("p", "coeffs")
+
+def _unpack(x: int, sb: int, n: int) -> list[int]:
+    """The n digits d_i in [-2^(8 sb - 1), 2^(8 sb - 1)) of x = sum_i d_i 2^(8 sb i):
+    plus 2^(8 sb - 1) each digit is a plain sb-byte field, with no carries."""
+    half = 1 << (8 * sb - 1)
+    buf = (x + int.from_bytes((bytes(sb - 1) + b"\x80") * n, "little")
+           ).to_bytes(n * sb, "little")
+    return [int.from_bytes(buf[i:i + sb], "little") - half
+            for i in range(0, n * sb, sb)]
+
+
+class CycloRational:
+    """Element of Q(zeta_p): numerators num on 1, zeta, ..., zeta^(p-2) over
+    den > 0, in lowest terms, so equal elements have equal (num, den)."""
+
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coeffs):
-        self.p = p
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients, got {len(cs)}")
-        self.coeffs = cs
+        den = math.lcm(*(c.denominator for c in cs))
+        x = self._raw(p, [c.numerator * (den // c.denominator) for c in cs], den)
+        self.p, self.num, self.den = p, x.num, x.den
+
+    @classmethod
+    def _raw(cls, p: int, num, den: int) -> "CycloRational":
+        """From p-1 integer numerators over a nonzero integer denominator."""
+        g = math.gcd(den, *num) * (1 if den > 0 else -1)
+        x = cls.__new__(cls)
+        x.p, x.num, x.den = p, tuple(a // g for a in num), den // g
+        return x
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @classmethod
     def from_int(cls, p: int, n) -> "CycloRational":
-        return cls(p, (Fraction(n),) + (Fraction(0),) * (p - 2))
+        n = Fraction(n)
+        return cls._raw(p, (n.numerator,) + (0,) * (p - 2), n.denominator)
 
     @classmethod
     def zero(cls, p: int) -> "CycloRational":
@@ -267,13 +299,12 @@ class CycloRational:
 
     @classmethod
     def zeta(cls, p: int, t: int = 1) -> "CycloRational":
-        v = [Fraction(0)] * p
-        v[t % p] += 1
-        return cls._from_length_p(p, v)
+        return cls._from_length_p(p, [int(i == t % p) for i in range(p)])
 
     @classmethod
-    def _from_length_p(cls, p: int, v) -> "CycloRational":
-        return cls(p, [v[t] - v[p - 1] for t in range(p - 1)])
+    def _from_length_p(cls, p: int, v, den: int = 1) -> "CycloRational":
+        """From coefficients of 1, ..., zeta^(p-1), folded by Phi_p(zeta) = 0."""
+        return cls._raw(p, [c - v[p - 1] for c in v[:p - 1]], den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -284,82 +315,74 @@ class CycloRational:
             return other
         if isinstance(other, (int, Fraction)):
             return CycloRational.from_int(self.p, other)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloRational(self.p, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d = math.lcm(self.den, o.den)
+        sa, sb = d // self.den, d // o.den
+        return CycloRational._raw(self.p, [a * sa + b * sb for a, b
+                                           in zip(self.num, o.num)], d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloRational(self.p, [-a for a in self.coeffs])
+        return CycloRational._raw(self.p, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloRational(self.p, [a * other for a in self.coeffs])
+            c = Fraction(other)
+            return CycloRational._raw(self.p, [a * c.numerator for a in self.num],
+                                      self.den * c.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        v = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        v[(i + j) % p] += a * b
-        return CycloRational._from_length_p(p, v)
+        p, a, b = self.p, self.num, o.num
+        bound = max(map(abs, a)) * max(map(abs, b)) * (p - 1)
+        if not bound:
+            return CycloRational.zero(p)
+        # Kronecker substitution: no coefficient of the acyclic product
+        # exceeds bound, so signed digits of bit_length(bound) + 2 bits hold it
+        sb = (bound.bit_length() + 9) // 8
+        c = _unpack(_pack(a, sb) * _pack(b, sb), sb, 2 * p)
+        # fold zeta^(p+t) = zeta^t; digits 2p-3 and on are zero
+        v = [x + y for x, y in zip(c[:p], c[p:])]
+        return CycloRational._from_length_p(p, v, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloRational(self.p, [a / Fraction(other) for a in self.coeffs])
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        out = CycloRational.one(self.p)
-        base = self
-        assert e >= 0
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return (self * (1 / Fraction(other)) if isinstance(other, (int, Fraction))
+                else NotImplemented)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- Galois action, norm, valuations ------------------------------------
 
@@ -368,59 +391,49 @@ class CycloRational:
         p = self.p
         if math.gcd(j, p) != 1:
             raise ValueError("Galois index must be prime to p")
-        v = [Fraction(0)] * p
-        for t, c in enumerate(self.coeffs):
-            if c:
-                v[(t * j) % p] += c
-        return CycloRational._from_length_p(p, v)
+        v = [0] * p
+        for t, c in enumerate(self.num):
+            v[(t * j) % p] = c
+        return CycloRational._from_length_p(p, v, self.den)
 
     def norm(self) -> Fraction:
         """Field norm to Q: the resultant Res(Phi_p, X) of any integer
         polynomial representative X, computed as the product of the p-1
-        Galois conjugates."""
-        out = CycloRational.one(self.p)
-        for j in range(1, self.p):
-            out = out * self.galois(j)
-        if not out.is_rational():
-            raise AssertionError("norm escaped Q (bug)")
-        return out.rational_value()
+        Galois conjugates, multiplied in a balanced tree."""
+        xs = [self.galois(j) for j in range(1, self.p)]
+        while len(xs) > 1:
+            xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+        return xs[0].rational_value()        # raises if the norm escaped Q
 
     def ord_pi(self):
         """Valuation at the unique prime above p, normalized ord_pi(pi) = 1
         for pi = zeta_p - 1.  Returns math.inf for 0.  A Taylor shift
-        (zeta^i = (1 + pi)^i) writes d*x, d the lcm of the denominators, as
+        (zeta^i = (1 + pi)^i) writes the numerator vector as
         sum_j d_j pi^j, j < p-1, whose terms have valuations
-        (p-1) v_p(d_j) + j, distinct mod p-1: the least one is ord_pi(d*x).
+        (p-1) v_p(d_j) + j, distinct mod p-1: the least one is its ord_pi.
         """
         if self.is_zero():
             return math.inf
         p = self.p
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        ds = [int(c * d) for c in self.coeffs]
+        ds = list(self.num)
         for k in range(p - 2):
             for j in range(p - 3, k - 1, -1):
                 ds[j] += ds[j + 1]
         best = min((p - 1) * _vp(dj, p) + j for j, dj in enumerate(ds) if dj)
-        return best - (p - 1) * _vp(d, p)
+        return best - (p - 1) * _vp(self.den, p)
 
     def ord_q(self, q: int):
         """q-adic valuation, q = p^a: ord_pi / ((p-1) a).  inf for 0."""
         p = self.p
-        a = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            a += 1
-        if qq != 1 or a == 0:
+        a = _vp(q, p) if q else 0
+        if a == 0 or p ** a != q:
             raise ValueError(f"{q} is not a power of the conductor {p}")
         o = self.ord_pi()
-        if o is math.inf:
-            return math.inf
-        return Fraction(o, (p - 1) * a)
+        return math.inf if o is math.inf else Fraction(o, (p - 1) * a)
 
     def embed(self) -> complex:
-        return sum(complex(c) * cmath.exp(2j * cmath.pi * t / self.p)
-                   for t, c in enumerate(self.coeffs))
+        zs, d = _roots(self.p), self.den
+        return sum((a / d) * zs[t] for t, a in enumerate(self.num))
 
     def __repr__(self):
         terms = [f"{c}" if t == 0 else f"{c}*z^{t}"
@@ -440,8 +453,7 @@ def reduce_mod_phi(v: SumValue) -> CycloRational:
     """
     if v.m != 1:
         raise ValueError(f"value has multiplicative conductor {v.m}, expected 1")
-    col = v.counts[:, 0].tolist()
-    return CycloRational(v.p, [Fraction(c - col[-1], v.denom) for c in col[:-1]])
+    return CycloRational._from_length_p(v.p, v.counts[:, 0].tolist(), v.denom)
 
 
 def embed_complex(v) -> complex:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -123,6 +124,22 @@ def test_cli_lfun_n3_p5_heldout_k7(capsys):
     jsonschema.validate(obj, SCHEMAS["lfun"])
     assert obj["slopes"] == [[0, 1, 1], [1, 1, 2], [2, 1, 2], [3, 1, 1]]
     assert obj["heldout"] == [{"k": 7, "match": True}]
+
+
+# sha256 of the whole stdout, recorded from the Fraction-vector CycloRational
+# before its integer-vector rewrite: the exact bytes, complex magnitudes
+# included, must survive changes to the arithmetic underneath
+@pytest.mark.parametrize("argv, digest", [
+    (("--p", "7", "--n", "2", "--b", "3"),        # P_cyclotomic is printed
+     "c4fda452ab4c8378006ce19e174c7c167e465a6d0bcb9d22542184b32189e319"),
+    (("--p", "53", "--n", "1", "--b", "2", "--heldout", "3"),
+     "cb1fb6c5d3bf49fa4b061f2caa0bf856275d0fdc15217b95fc47a911748c23a3"),
+], ids=["p7-n2-b3", "p53-n1-b2-heldout3"])
+def test_cli_lfun_json_bytes_are_pinned(capsys, argv, digest):
+    code = main(["lfun", *argv, "--out", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_polytope_json_schema_and_csv(capsys):

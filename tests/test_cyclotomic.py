@@ -5,11 +5,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from invkloos.cyclotomic import (CycloRational, SumValue, _phi_powers,
-                                 cyclotomic_poly, embed_complex,
-                                 reduce_mod_phi)
+from invkloos.cyclotomic import (CycloRational, SumValue, _pack,
+                                 _phi_powers, _unpack, cyclotomic_poly,
+                                 embed_complex, reduce_mod_phi)
 
 
 # ----------------------------------------------------------------------
@@ -103,20 +103,32 @@ def _vp(n, p):
     return v
 
 
-@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 12), st.data())
-def test_ord_pi_matches_norm_oracle(p, k, data):
+def _check_ord_pi_against_norm(p, k, data):
     # p-power numerators and denominators put the valuation anywhere, and
     # the factor pi^k moves it off the multiples of p-1
     x = CycloRational(p, [Fraction(data.draw(st.integers(-3, 3))
                                    * p ** data.draw(st.integers(0, 3)),
                                    p ** data.draw(st.integers(0, 3)))
                           for _ in range(p - 1)])
-    x = x * (CycloRational.zeta(p) - 1) ** k
+    for _ in range(k):
+        x = x * (CycloRational.zeta(p) - 1)
     assume(not x.is_zero())
-    d = math.lcm(*(c.denominator for c in x.coeffs))
-    nrm = (x * d).norm()
+    nrm = (x * x.den).norm()
     assert nrm.denominator == 1
-    assert x.ord_pi() == _vp(int(nrm), p) - (p - 1) * _vp(d, p)
+    assert x.ord_pi() == _vp(int(nrm), p) - (p - 1) * _vp(x.den, p)
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 12), st.data())
+def test_ord_pi_matches_norm_oracle(p, k, data):
+    _check_ord_pi_against_norm(p, k, data)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 60), st.data())
+def test_ord_pi_matches_norm_oracle_at_p53(k, data):
+    # a norm is p-2 products of conjugates: affordable at p = 53 only
+    # because the product is one big-int multiplication
+    _check_ord_pi_against_norm(53, k, data)
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +302,92 @@ def test_cyclo_ring_axioms(p, data):
     assert abs(lhs - rhs) < 1e-7 * (1 + abs(rhs))
 
 
+def _fraction_product(x, y):
+    """x y by the schoolbook O(p^2) loop on Fraction coefficients, folded
+    by zeta^p = 1 and then mod Phi_p: the product as it was computed before
+    Kronecker substitution, kept as the oracle for it."""
+    p = x.p
+    v = [Fraction(0)] * p
+    for i, a in enumerate(x.coeffs):
+        if a:
+            for j, b in enumerate(y.coeffs):
+                if b:
+                    v[(i + j) % p] += a * b
+    return tuple(v[t] - v[p - 1] for t in range(p - 1))
+
+
+def _assert_canonical(x):
+    assert len(x.num) == x.p - 1
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+def _draw_cyclo(p, data, kinds):
+    kind = data.draw(st.sampled_from(kinds))
+    bits = data.draw(st.sampled_from([1, 7, 63, 200]))
+    ints = st.integers(-2 ** bits, 2 ** bits)
+    num = [0] * (p - 1)
+    if kind == "dense":
+        num = data.draw(st.lists(ints, min_size=p - 1, max_size=p - 1))
+    elif kind == "extreme":       # every entry +-2^bits
+        num = data.draw(st.lists(st.sampled_from([-2 ** bits, 2 ** bits]),
+                                 min_size=p - 1, max_size=p - 1))
+    elif kind == "sparse":
+        for t, c in data.draw(st.dictionaries(st.integers(0, p - 2), ints,
+                                              max_size=8)).items():
+            num[t] = c
+    elif kind == "last":          # one nonzero entry, on zeta^(p-2)
+        num[p - 2] = data.draw(ints.filter(bool))
+    den = data.draw(st.integers(1, 10 ** 6))
+    return CycloRational(p, [Fraction(a, den) for a in num])
+
+
+@settings(deadline=None)
+@given(st.sampled_from([3, 5, 53, 89, 401]), st.data())
+def test_product_matches_the_fraction_loop(p, data):
+    kinds = ["dense", "extreme", "sparse", "zero", "last"]
+    x = _draw_cyclo(p, data, kinds)
+    # at p = 401 one sparse factor keeps the O(p^2) oracle affordable
+    y = _draw_cyclo(p, data, kinds if p < 401 else ["sparse", "zero", "last"])
+    c = Fraction(data.draw(st.integers(-10 ** 6, 10 ** 6)),
+                 data.draw(st.integers(1, 10 ** 6)))
+    assert (x * y).coeffs == _fraction_product(x, y)
+    assert (x + y).coeffs == tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+    assert (x * c).coeffs == tuple(a * c for a in x.coeffs)
+    h = data.draw(st.lists(st.integers(-6, 6), min_size=p, max_size=p))
+    r = reduce_mod_phi(SumValue.from_hist(p, h, denom=6))
+    assert r.coeffs == tuple(Fraction(a - h[-1], 6) for a in h[:-1])
+    for z in (x, y, x * y, y * x, x + y, x - y, -x, x * c, c * x, x + c,
+              x.galois(2), r):
+        _assert_canonical(z)
+    if c:
+        _assert_canonical(x / c)
+        assert (x / c).coeffs == tuple(a / c for a in x.coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 53])
+def test_product_reaches_the_coefficient_bound(p):
+    # entries of one sign make the middle coefficient of the acyclic
+    # product exactly (p-1) max|a| max|b|, the bound the digit width is
+    # taken from; k puts its bit length at every residue mod 8
+    for k in range(8):
+        for s in (1, -1):
+            x = CycloRational(p, [2 ** k] * (p - 1))
+            y = CycloRational(p, [s] * (p - 1))
+            assert (x * y).coeffs == _fraction_product(x, y)
+
+
+@given(st.integers(1, 40), st.data())
+def test_unpack_inverts_pack_at_the_ends_of_the_digit_range(sb, data):
+    half = 2 ** (8 * sb - 1)
+    digits = data.draw(st.lists(st.sampled_from([-half, half - 1, -1, 0, 1])
+                                | st.integers(-half, half - 1),
+                                min_size=1, max_size=12))
+    x = sum(d << (8 * sb * i) for i, d in enumerate(digits))
+    assert _pack(digits, sb) == x
+    pad = data.draw(st.integers(0, 2))
+    assert _unpack(x, sb, len(digits) + pad) == digits + [0] * pad
+
+
 def test_galois_action():
     z = CycloRational.zeta(5)
     assert z.galois(2) == CycloRational.zeta(5, 2)
@@ -304,6 +402,6 @@ def test_galois_action():
 
 def test_zeta_power_wraps():
     z = CycloRational.zeta(3)
-    assert z ** 3 == CycloRational.one(3)
+    assert z * z * z == CycloRational.one(3)
     assert z * z == CycloRational.zeta(3, 2)
-    assert (z ** 2 + z + 1).is_zero()
+    assert (z * z + z + 1).is_zero()
