@@ -346,11 +346,10 @@ def cmd_sum(args) -> int:
         raise ValueError("sum --tn works over F_q only; --k does not apply")
     F = build_field(args.p, args.a)
     chi = _parse_chi(args.chi, F.q, args.n + 1) if args.chi else None
-    budget = Budget(points=args.budget, force=args.force)
     if args.tn:
-        v = tn_transform(F, args.n, args.b, chi, budget=budget)
+        v = tn_transform(F, args.n, args.b, chi, budget=Budget(args.budget))
     else:
-        v = kloosterman_sum(F, args.k, args.n, args.b, chi, budget=budget)
+        v = kloosterman_sum(F, args.k, args.n, args.b, chi, budget=Budget(args.budget))
     obj = sumvalue_to_json(v)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -368,8 +367,7 @@ def cmd_toric(args) -> int:
     base = build_field(args.p, args.a) if args.p else None
     F, f = parse_laurent(args.poly, base)
     chi = _parse_chi(args.chi, F.q, f.n_vars) if args.chi else None
-    budget = Budget(points=args.budget, force=args.force)
-    v = toric_sum(F, args.k, f, chi, budget=budget)
+    v = toric_sum(F, args.k, f, chi, budget=Budget(args.budget))
     if args.out == "json":
         print(json.dumps({"poly": laurent_to_json(F, f),
                           "value": sumvalue_to_json(v)}, sort_keys=True))
@@ -382,10 +380,9 @@ def cmd_toric(args) -> int:
 
 def cmd_lfun(args) -> int:
     F = build_field(args.p, args.a)
-    budget = Budget(points=args.budget, force=args.force)
     heldout = [int(x) for x in args.heldout.split(",")] if args.heldout else []
     lf, results = lfunction_pipeline(F, args.n, args.b, heldout=heldout,
-                                     budget=budget)
+                                     budget=Budget(args.budget))
     obj = lfactorization_to_json(lf, results)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -436,24 +433,18 @@ def cmd_polytope(args) -> int:
 
 def cmd_verify(args) -> int:
     fn = SUITES[args.suite]
-    kwargs = {}
     pair = args.suite in ("cor1", "thm1")           # read --p and --n as pairs
     reads = {"thm1": "pnb", "prop31": "n", "thm33": "n"}.get(args.suite, "pn")
     ints = {f: tuple(int(x) for x in getattr(args, f).split(","))
             for f in "pnb" if getattr(args, f)}
     unread = [f"--{f}" for f in ints if f not in reads]
+    if args.budget is not None and args.suite in ("prop31", "thm33"):
+        unread.append("--budget")                   # they enumerate nothing
     if unread or (pair and len(ints.get("p", ())) != len(ints.get("n", ()))):
         print(f"error: verify {args.suite} does not read "
               f"{' '.join(unread) or '--p and --n of different lengths'}", file=sys.stderr)
         return EXIT_USAGE
-    if args.suite in ("prop31", "thm33"):          # the suites that enumerate nothing
-        if args.budget is not None or args.force:
-            print(f"error: verify {args.suite} enumerates nothing; --budget and "
-                  f"--force do not apply", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        kwargs["budget"] = Budget(force=args.force) if args.budget is None \
-            else Budget(points=args.budget, force=args.force)
+    kwargs = {} if args.budget is None else {"budget": Budget(args.budget)}
     if pair and args.p:
         kwargs["grid"] = tuple(zip(ints["n"], ints["p"]))
         if args.suite == "thm1":
@@ -484,8 +475,6 @@ def _add_out(sp):
 def _add_common(sp, budget_help="enumeration point budget"):
     _add_out(sp)
     sp.add_argument("--budget", type=int, default=10 ** 10, help=budget_help)
-    sp.add_argument("--force", action="store_true",
-                    help="run despite a point-budget refusal")
 
 
 def build_parser() -> argparse.ArgumentParser:

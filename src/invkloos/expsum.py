@@ -21,7 +21,9 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
 * gauss_formula_parts  an independent oracle for S_n built from q^k - 1
                    Gauss-sum products instead of point enumeration; the
                    products do not depend on b and are built once per call
-* _transform_sum   untwisted S_n from two FFTs behind a rounding bound
+* tower_sums       untwisted S_n(b) over F_{q^k} for many b, priced by
+                   check_tower: n = 1 enumerates; n >= 2 shifts one count
+                   array from two FFTs behind a rounding bound
 
 The enumerating sums visit each point once however many character tuples
 they are given: a tuple only selects a point's bucket sum_i j_i dlog x_i,
@@ -38,7 +40,7 @@ import numpy as np
 
 from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
-from .gf import TABLE_CAP, FieldTable, digit_dtype, field_maps
+from .gf import TABLE_CAP, FieldTable, check_table_cap, digit_dtype, field_maps
 
 DEFAULT_POINT_BUDGET = 10 ** 10
 
@@ -47,15 +49,14 @@ DEFAULT_POINT_BUDGET = 10 ** 10
 class Budget:
     """Enumeration budget: maximum number of torus points per kernel call."""
     points: int = DEFAULT_POINT_BUDGET
-    force: bool = False
 
 
 def check_points(npoints: int, budget: Budget | None) -> None:
     b = budget or Budget()
-    if npoints > b.points and not b.force:
+    if npoints > b.points:
         raise BudgetExceeded(
             f"enumeration needs {npoints} points, over the budget {b.points}; "
-            f"lower k or n, or force the run", estimate=npoints)
+            f"lower k or n, or raise the budget", estimate=npoints)
 
 
 @dataclass(frozen=True)
@@ -376,21 +377,47 @@ def _sum_one_counts(E: FieldTable, n: int) -> tuple[np.ndarray, float]:
     return A, dev
 
 
-def _transform_sum(F: FieldTable, k: int, n: int, b: int) -> SumValue:
-    """Untwisted S_n(b) over F_{q^k}, equal to kloosterman_sum's.
+def _transform_sums(F: FieldTable, k: int, n: int,
+                    bs: Sequence[int]) -> list[SumValue]:
+    """Untwisted S_n(b) over F_{q^k} for every b in bs, equal to kloosterman_sum's.
 
     x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
     1/s = g^u, hist[t] = sum over tr(g^u) = t of A[dlog b + (n+1)u] (int64).
+    A depends on (F_{q^k}, n) only: one count array serves every b.
     """
-    _validate_b(F, b)
+    for b in bs:
+        _validate_b(F, b)
     check_transform(F.q ** k, n)                 # before building tables
     maps = field_maps(F, k)
     E, M = maps.ext, maps.ext.q - 1
     A, _ = _sum_one_counts(E, n)
-    d_b = int(E.dlog[maps.embed_tab[b]])
-    hist = np.zeros(E.p, dtype=np.int64)
-    np.add.at(hist, E.tr_abs[E.exp], A[(d_b + (n + 1) * np.arange(M)) % M])
-    return SumValue.from_hist(E.p, hist)
+    t, steps = E.tr_abs[E.exp], (n + 1) * np.arange(M)
+
+    def value(b: int) -> SumValue:
+        hist = np.zeros(E.p, dtype=np.int64)
+        np.add.at(hist, t, A[(int(E.dlog[maps.embed_tab[b]]) + steps) % M])
+        return SumValue.from_hist(E.p, hist)
+    return [value(b) for b in bs]
+
+
+def check_tower(F: FieldTable, k: int, n: int, budget: Budget | None = None) -> None:
+    """Refuse tower_sums over F_{q^k} before any work: the points of the
+    n = 1 enumeration, then the table cap, then the n >= 2 rounding bound."""
+    if n == 1:
+        check_points(F.q ** k - 1, budget)
+    check_table_cap(F.p, F.a * k)
+    if n > 1:
+        check_transform(F.q ** k, n)
+
+
+def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int], *,
+               budget: Budget | None = None) -> list[SumValue]:
+    """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower:
+    n = 1 enumerates the q^k - 1 points per b, n >= 2 shares one count array."""
+    check_tower(F, k, n, budget)
+    if n == 1:
+        return [kloosterman_sum(F, k, 1, b, budget=budget) for b in bs]
+    return _transform_sums(F, k, n, bs)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ extension tower F_{q^k} is rational; its interesting part is a degree-2n
 polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path:
 
   1. power sums: S*_k = q^k S_{k,n}(b) + (q^k - 1)^n, exact in Z[zeta_p],
-     for k = 1..2n (Gauss-sum transform for n >= 2, enumeration for n = 1);
+     for k = 1..2n, from expsum.tower_sums (which picks and prices the route);
   2. sign-normalize to root power sums P_k = (-1)^n S*_k and subtract the
      two known trivial reciprocal roots 1 and q;
   3. Newton identities give the elementary symmetric functions of the
@@ -28,9 +28,8 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import (Budget, _transform_sum, check_points, check_transform,
-                     kloosterman_sum)
-from .gf import FieldTable, check_table_cap
+from .expsum import Budget, check_tower, tower_sums
+from .gf import FieldTable, prime_factors
 
 
 @dataclass
@@ -62,22 +61,6 @@ class HeldoutResult:
     match: bool
 
 
-def _plan(F: FieldTable, n: int, k_max: int, budget: Budget | None) -> None:
-    """Refuse before any work: points (n = 1), table cap, rounding bound."""
-    if n == 1:
-        check_points(F.q ** k_max - 1, budget)
-    check_table_cap(F.p, F.a * k_max)
-    if n > 1:
-        check_transform(F.q ** k_max, n)
-
-
-def _tower_sum(F: FieldTable, k: int, n: int, b: int,
-               budget: Budget | None) -> CycloRational:
-    """S_{k,n}(b); the n = 1 torus is only q^k - 1 points: enumerate it."""
-    return reduce_mod_phi(kloosterman_sum(F, k, n, b, budget=budget) if n == 1
-                          else _transform_sum(F, k, n, b))
-
-
 def power_sums(F: FieldTable, n: int, b: int, K: int, *,
                budget: Budget | None = None) -> list[CycloRational]:
     """S*_k = q^k S_{k,n}(b) + (q^k - 1)^n for k = 1..K, exact in Z[zeta_p].
@@ -85,16 +68,16 @@ def power_sums(F: FieldTable, n: int, b: int, K: int, *,
     Refuses when p | n+1: the facet determinants +-(n+1) vanish mod p, the
     associated Laurent polynomial degenerates, and the degree-2n shape of
     the nontrivial factor is no longer guaranteed.  The cost of the
-    largest k is checked before any sum is computed (see _plan).
+    largest k is checked before any sum is computed (expsum.check_tower).
     """
     if (n + 1) % F.p == 0:
         raise DegenerateError(
             f"p = {F.p} divides n+1 = {n + 1}: the reduction to a "
             "nondegenerate toric sum fails and the L-function degree "
             "claims do not apply")
-    _plan(F, n, K, budget)
-    return [F.q ** k * _tower_sum(F, k, n, b, budget) + (F.q ** k - 1) ** n
-            for k in range(1, K + 1)]
+    check_tower(F, K, n, budget)
+    return [F.q ** k * reduce_mod_phi(tower_sums(F, k, n, [b], budget=budget)[0])
+            + (F.q ** k - 1) ** n for k in range(1, K + 1)]
 
 
 def newton_to_elementary(ps: list[CycloRational]) -> list[CycloRational]:
@@ -161,11 +144,14 @@ def newton_polygon(coeffs, q: int) -> NewtonPolygon:
     """q-adic Newton polygon of sum a_k T^k with a_0 = 1.
 
     Lower convex hull of (k, ord_q a_k), zero coefficients skipped; the
-    slope multiset carries horizontal-length multiplicities.
+    slope multiset carries horizontal-length multiplicities.  Rational
+    coefficients are read as elements of Q(zeta_p), p the prime of q.
     """
     pts = []
+    p = prime_factors(q)[0]
     for k, c in enumerate(coeffs):
-        o = c.ord_q(q) if isinstance(c, CycloRational) else Fraction(c)
+        c = c if isinstance(c, CycloRational) else CycloRational.from_int(p, c)
+        o = c.ord_q(q)
         if o is not math.inf:
             pts.append((k, o))
     if not pts or pts[0] != (0, Fraction(0)):
@@ -276,7 +262,7 @@ def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int,
     out = []
     for k in extra:
         predicted = predicted_power_sum(lf, k)
-        observed = _tower_sum(F, k, n, b, budget)
+        observed = reduce_mod_phi(tower_sums(F, k, n, [b], budget=budget)[0])
         ok = predicted == observed
         out.append(HeldoutResult(k, predicted, observed, ok))
         if not ok:
@@ -302,9 +288,9 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int, *,
     """power sums -> strip trivial roots -> assemble -> weights (+ heldout).
 
     The cost of the largest k, held-out ones included, is checked before
-    any sum is computed (see _plan).
+    any sum is computed (expsum.check_tower).
     """
-    _plan(F, n, max([2 * n, *(heldout or [])]), budget)
+    check_tower(F, max([2 * n, *(heldout or [])]), n, budget)
     star = power_sums(F, n, b, 2 * n, budget=budget)
     lf = strip_trivial_roots(star, n, F.q, b=b)
     lf = assemble_lfunction(lf, n, F.q)

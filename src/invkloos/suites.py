@@ -17,13 +17,19 @@ from fractions import Fraction
 from itertools import product
 
 from .cyclotomic import SumValue, embed_complex
-from .expsum import (Budget, CharacterTuple, _transform_sum, e_sum,
-                     gauss_formula_parts, ik_laurent, kloosterman_sum,
-                     kloosterman_sums, tn_transform, toric_sum)
+from .errors import VerificationError
+from .expsum import (Budget, CharacterTuple, e_sum, gauss_formula_parts,
+                     ik_laurent, kloosterman_sum, kloosterman_sums,
+                     tn_transform, toric_sum, tower_sums)
 from .gf import build_field
 from .lfun import alpha_hodge_slopes, lfunction_pipeline
 from .polytope import (diagonal_nondegenerate, facial_ordinary, hodge_data,
                        ik_polytope)
+
+TOL = 1e-6                  # slack on the float side of the bound suites
+WEIGHT_REL_TOL = 1e-5       # thm1: max relative deviation of |alpha_i| from q^(n/2)
+ORACLE_TOL = 1e-6           # identities (d): oracle deviation over q^((n+1)/2)
+HELDOUT = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5], (3, 5): [7]}   # thm1
 
 
 @dataclass
@@ -104,13 +110,13 @@ def _chi_at(F, j: int, b: int) -> complex:
 # bound suites
 # ----------------------------------------------------------------------
 
-def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
+def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *,
                budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "thm0",
         "elementary bound: |S_n + (q-1)^n/q chi_1(b)| <= q^((n+1)/2) for "
         "equal characters, |S_n| <= q^((n+1)/2) otherwise",
-        {"q": list(ps), "n": list(ns), "tol": tol})
+        {"q": list(ps), "n": list(ns), "tol": TOL})
     for p in ps:
         F = build_field(p, 1)
         q = p
@@ -130,18 +136,18 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
                     worst = max(worst, lhs)
                     count += 1
             _timed_case(rep.cases, f"q={q} n={n} ({count} cases)", t0,
-                        worst <= bound + tol, worst, bound, "max |lhs|")
+                        worst <= bound + TOL, worst, bound, "max |lhs|")
     return rep
 
 
-def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
+def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *,
                budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "thm2",
         "toric bound for gcd(p, n+1) = 1: "
         "|S_n + ((q-1)^n - (-1)^n)/q chi_1(b)| <= (2n+1) q^(n/2) for equal "
         "characters, |S_n| <= 2(n+1) q^(n/2) otherwise",
-        {"q": list(ps), "n": list(ns), "tol": tol})
+        {"q": list(ps), "n": list(ns), "tol": TOL})
     for p in ps:
         F = build_field(p, 1)
         q = p
@@ -167,34 +173,31 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *, tol: float = 1e-6,
                     count += 1
             b_eq = (2 * n + 1) * q ** (n / 2)
             b_ne = 2 * (n + 1) * q ** (n / 2)
-            ok = worst_eq <= b_eq + tol and worst_ne <= b_ne + tol
+            ok = worst_eq <= b_eq + TOL and worst_ne <= b_ne + TOL
             _timed_case(rep.cases, f"{name} ({count} cases)", t0, ok,
                         f"{worst_eq:.9g}/{worst_ne:.9g}",
                         f"{b_eq:.9g}/{b_ne:.9g}", "max equal / max unequal")
     return rep
 
 
-def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *, tol: float = 1e-6,
+def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *,
                budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "cor1",
         "untwisted tower bound: "
         "|S_{k,n}(b) + ((q^k-1)^n - (-1)^n (q^k+1))/q^k| <= 2n q^(nk/2)",
-        {"grid": [list(g) for g in grid], "k": "1..2n", "tol": tol})
+        {"grid": [list(g) for g in grid], "k": "1..2n", "tol": TOL})
     for n, p in grid:
         F = build_field(p, 1)
         q = p
         for k in range(1, 2 * n + 1):
             t0 = time.perf_counter()
-            worst = 0.0
-            for b in range(1, q):
-                s = embed_complex(kloosterman_sum(F, k, n, b, budget=budget)
-                                  if n == 1 else _transform_sum(F, k, n, b))
-                main = ((q ** k - 1) ** n - (-1) ** n * (q ** k + 1)) / q ** k
-                worst = max(worst, abs(s + main))
+            main = ((q ** k - 1) ** n - (-1) ** n * (q ** k + 1)) / q ** k
+            worst = max(abs(embed_complex(s) + main) for s in
+                        tower_sums(F, k, n, range(1, q), budget=budget))
             bound = 2 * n * q ** (n * k / 2)
             _timed_case(rep.cases, f"n={n} q={q} k={k}", t0,
-                        worst <= bound + tol, worst, bound, "max |lhs|")
+                        worst <= bound + TOL, worst, bound, "max |lhs|")
     return rep
 
 
@@ -212,13 +215,9 @@ def _sorted_partial_sums(slopes) -> list[Fraction]:
 
 def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
                nonordinary=((2, 5),),
-               heldout_spec: dict | None = None,
                ordinary_table: bool = True,
-               weight_rel_tol: float = 1e-5,
                bs: tuple[int, ...] | None = None,
                budget: Budget | None = None) -> VerifyReport:
-    if heldout_spec is None:
-        heldout_spec = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5], (3, 5): [7]}
     rep = VerifyReport(
         "thm1",
         "degree-2n nontrivial factor with integral coefficients, reciprocal "
@@ -227,15 +226,13 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
         "sums must match their recomputed values exactly",
         {"grid": [list(g) for g in grid],
          "nonordinary": [list(g) for g in nonordinary],
-         "heldout": {f"{k[0]},{k[1]}": v for k, v in heldout_spec.items()},
+         "heldout": {f"{k[0]},{k[1]}": v for k, v in HELDOUT.items()},
          "ordinary_table": ordinary_table})
-
-    from .errors import VerificationError
 
     for n, p in grid:
         F = build_field(p, 1)
         expected = alpha_hodge_slopes(n)
-        ks = heldout_spec.get((n, p), [])
+        ks = HELDOUT.get((n, p), [])
         b_list = bs if bs is not None else tuple(range(1, p))
         t0 = time.perf_counter()
         slope_ok = held_ok = True
@@ -260,8 +257,8 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
             "degree and integrality asserted upstream", elapsed))
         rep.cases.append(CaseResult(
             f"weights n={n} p={p} (all b)",
-            "pass" if worst_rel <= weight_rel_tol else "fail",
-            _fmt(worst_rel), _fmt(weight_rel_tol), "max relative deviation"))
+            "pass" if worst_rel <= WEIGHT_REL_TOL else "fail",
+            _fmt(worst_rel), _fmt(WEIGHT_REL_TOL), "max relative deviation"))
         if ks:
             rep.cases.append(CaseResult(
                 f"heldout n={n} p={p} k={ks}", "pass" if held_ok else "fail",
@@ -379,7 +376,7 @@ def suite_thm33(ns=(1, 2, 3, 4)) -> VerifyReport:
 
 def suite_identities(ps=(3, 5, 7), ns=(1, 2),
                      grid3=((1, 3), (1, 5), (2, 7), (2, 13)), *,
-                     toric_cap: int = 10 ** 7, oracle_tol: float = 1e-6,
+                     toric_cap: int = 10 ** 7,
                      budget: Budget | None = None) -> VerifyReport:
     rep = VerifyReport(
         "identities",
@@ -472,7 +469,7 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
                 for brute, (s1, s2) in zip(brutes, parts):
                     worst = max(worst, abs(brute[i] - embed_complex(s1 + s2)))
                     worst_s2 = max(worst_s2, abs(embed_complex(s2)))
-            bound = oracle_tol * q ** ((n + 1) / 2)
+            bound = ORACLE_TOL * q ** ((n + 1) / 2)
             ok = worst <= bound and worst_s2 <= q ** ((n + 1) / 2) + 1e-9
             _timed_case(rep.cases, f"(d) oracle q={q} n={n}", t0, ok,
                         f"{worst:.3g}", f"{bound:.3g}",

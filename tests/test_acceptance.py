@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from invkloos import expsum, lfun
+from invkloos import expsum
 from invkloos.errors import BudgetExceeded
 from invkloos.expsum import Budget
 from invkloos.gf import build_field
@@ -54,14 +54,14 @@ def _assert_suite(rep, num: str, runtime_cap: float | None = None,
 
 def test_criterion_01_elementary_bound_exhaustive():
     t0 = time.perf_counter()
-    rep = suite_thm0(ps=(3, 5, 7), ns=(1, 2), tol=1e-6)
+    rep = suite_thm0(ps=(3, 5, 7), ns=(1, 2))
     _assert_suite(rep, "1", runtime_cap=60.0,
                   elapsed=time.perf_counter() - t0)
 
 
 def test_criterion_02_toric_bound_exhaustive():
     t0 = time.perf_counter()
-    rep = suite_thm2(ps=(3, 5, 7), ns=(1, 2), tol=1e-6)
+    rep = suite_thm2(ps=(3, 5, 7), ns=(1, 2))
     skips = [c.name for c in rep.cases if c.status == "skip"]
     assert skips == ["q=3 n=2"]     # exactly the p | n+1 cell is excluded
     _assert_suite(rep, "2", runtime_cap=60.0,
@@ -127,7 +127,7 @@ def _sorted_partials(slopes):
 
 
 def test_criterion_06_tower_bound():
-    rep = suite_cor1(grid=((1, 3), (1, 5), (2, 7)), tol=1e-6)
+    rep = suite_cor1(grid=((1, 3), (1, 5), (2, 7)))
     _assert_suite(rep, "6")
 
 
@@ -192,11 +192,10 @@ def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     # over the point budget, and a direct enumeration over it must all be
     # refused before any kernel runs
     kernel_calls = []
-    for mod, name in ((lfun, "kloosterman_sum"), (lfun, "_transform_sum"),
-                      (expsum, "_inverted_hist"), (expsum, "_sum_one_counts")):
-        real = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, _real=real, **kw:
-                            kernel_calls.append(a) or _real(*a, **kw))
+    for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts"):
+        real = getattr(expsum, name)
+        monkeypatch.setattr(expsum, name, lambda *a, _name=name, _real=real, **kw:
+                            kernel_calls.append(_name) or _real(*a, **kw))
     F = build_field(5, 1)
     with pytest.raises(BudgetExceeded, match="rounding bound"):
         power_sums(build_field(3, 1), 3, 1, 16)          # F_{3^16}, in the cap
@@ -206,10 +205,11 @@ def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
         lfunction_pipeline(build_field(7, 1), 1, 1, heldout=[12],
                            budget=Budget())
     assert ei.value.estimate == 7 ** 12 - 1
+    assert kernel_calls == []
     with pytest.raises(BudgetExceeded) as ei:
         expsum.kloosterman_sum(F, 6, 3, 1, budget=Budget())
     assert ei.value.estimate > 10 ** 10
-    assert kernel_calls == []
+    assert kernel_calls == ["kloosterman_sum"]       # the entry, and no kernel
     _report("out-of-scope", True,
             f"enumeration of n=3 p=5 k=6 refused at {ei.value.estimate:.1e} "
             "points; transform beyond its bound and the table cap refused")

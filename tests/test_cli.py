@@ -142,6 +142,20 @@ def test_cli_lfun_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout, recorded before the tower route moved into
+# expsum.tower_sums (one count array per (p, k) in place of one per b)
+@pytest.mark.parametrize("argv, digest", [
+    ((), "73a862f70c5b0bab9531317ee0b496ee6acf747b56cf1f087a93ea535fa7727c"),
+    (("--p", "7,13,17", "--n", "2,2,2"),
+     "7037f5d6e48dc0c8ae07807942d1a3054b0480354d5905e13847c098ac2df847"),
+], ids=["default", "p7-13-17-n2"])
+def test_cli_verify_cor1_json_bytes_are_pinned(capsys, argv, digest):
+    code = main(["verify", "cor1", *argv, "--out", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_polytope_json_schema_and_csv(capsys):
     code, out = run(capsys, "polytope", "--n", "2", "--out", "json")
     assert code == 0
@@ -178,7 +192,8 @@ def test_cli_verify_rejects_budget_flags_where_nothing_enumerates(capsys, suite,
     assert main(["verify", suite, "--n", "1", *flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--budget and --force do not apply" in captured.err
+    assert (f"verify {suite} does not read --budget" if flag[0] == "--budget"
+            else "unrecognized arguments: --force") in captured.err  # no such flag
     code, _ = run(capsys, "verify", suite, "--n", "1")
     assert code == 0
     code, _ = run(capsys, "verify", "thm0", "--p", "3", "--n", "1",

@@ -13,7 +13,8 @@ from invkloos.expsum import (Budget, CharacterTuple, LaurentPoly,
                              check_transform, e_sum, gauss_formula_parts,
                              gauss_formula_sum, gauss_sum, ik_laurent,
                              kloosterman_sum, kloosterman_sums, tn_transform,
-                             toric_sum, _sum_one_counts, _transform_sum)
+                             toric_sum, tower_sums, _sum_one_counts,
+                             _transform_sums)
 from invkloos.gf import _FIELDS, FieldTable, build_field, field_maps
 
 
@@ -80,9 +81,10 @@ def test_budget_refusal_carries_estimate():
     with pytest.raises(BudgetExceeded) as ei:
         kloosterman_sum(F, 6, 3, 1, budget=Budget(points=10 ** 6))
     assert ei.value.estimate == (3 ** 6 - 1) ** 3
-    # force overrides
-    small = kloosterman_sum(F, 2, 1, 1, budget=Budget(points=1, force=True))
-    assert small.p == 3
+    # a larger points admits the cell: F_9^* is 8 points
+    with pytest.raises(BudgetExceeded):
+        kloosterman_sum(F, 2, 1, 1, budget=Budget(points=7))
+    assert kloosterman_sum(F, 2, 1, 1, budget=Budget(points=8)).p == 3
 
 
 def test_excluded_locus_is_skipped():
@@ -643,8 +645,9 @@ TRANSFORM_GRID = [
 def test_gauss_transform_matches_enumeration(p, a, n, kmax):
     F = build_field(p, a)
     for k in range(1, kmax + 1):
-        for b in range(1, F.q):
-            assert _transform_sum(F, k, n, b).counts.tolist() == \
+        bs = range(1, F.q)                  # every b from one tower_sums call
+        for b, v in zip(bs, tower_sums(F, k, n, bs), strict=True):
+            assert v.counts.tolist() == \
                 kloosterman_sum(F, k, n, b).counts.tolist(), (k, b)
 
 
@@ -653,9 +656,9 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
 @pytest.mark.parametrize("p", [16411, 65537])
 def test_kernel_matches_transform_past_int16(p):
     F = build_field(p, 1)
-    for b in (1, 2, 3, p - 1):
-        assert kloosterman_sum(F, 1, 1, b).counts.tolist() == \
-            _transform_sum(F, 1, 1, b).counts.tolist(), b
+    bs = (1, 2, 3, p - 1)
+    for b, v in zip(bs, _transform_sums(F, 1, 1, bs), strict=True):
+        assert kloosterman_sum(F, 1, 1, b).counts.tolist() == v.counts.tolist(), b
 
 
 # the largest n >= 2 fields of the tier-1 run (criteria 3 and 8, the n=3,
@@ -688,12 +691,13 @@ def test_gauss_transform_refuses_over_bound_before_any_fft(monkeypatch):
                             lambda *a, _real=real, **kw: calls.append(a)
                             or _real(*a, **kw))
     F = build_field(3, 1)
-    with pytest.raises(BudgetExceeded, match="rounding bound") as ei:
-        _transform_sum(F, 16, 3, 1)        # within the table cap
-    assert ei.value.estimate == 3 ** 16
+    for route in (tower_sums, _transform_sums):
+        with pytest.raises(BudgetExceeded, match="rounding bound") as ei:
+            route(F, 16, 3, [1])            # within the table cap
+        assert ei.value.estimate == 3 ** 16
     assert (3, 16) not in _FIELDS           # no table was built either
     with pytest.raises(BudgetExceeded, match="2\\^63"):
         check_transform(6 * 10 ** 4, 4)     # bound 0.3, but M^4 > 2^63
     assert calls == []
-    _transform_sum(F, 2, 3, 1)
-    assert len(calls) == 2                 # one forward, one inverse FFT
+    assert len(tower_sums(build_field(13, 1), 2, 2, range(1, 13))) == 12
+    assert len(calls) == 2                 # one forward, one inverse FFT for all b

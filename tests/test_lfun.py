@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from invkloos import lfun
+from invkloos import expsum
 from invkloos.cyclotomic import CycloRational, embed_complex
 from invkloos.errors import BudgetExceeded, DegenerateError, VerificationError
 from invkloos.expsum import Budget
@@ -72,9 +72,10 @@ def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
     # within the point budget: the refusal must come before any smaller k
     # enumerates
     kernel_calls = []
-    real = lfun.kloosterman_sum
-    monkeypatch.setattr(lfun, "kloosterman_sum",
-                        lambda *a, **kw: kernel_calls.append(a) or real(*a, **kw))
+    for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts"):
+        real = getattr(expsum, name)
+        monkeypatch.setattr(expsum, name, lambda *a, _real=real, **kw:
+                            kernel_calls.append(a) or _real(*a, **kw))
     F = build_field(3, 1)
     with pytest.raises(BudgetExceeded, match="table cap") as ei:
         lfunction_pipeline(F, 1, 1, heldout=[13, 17])
@@ -185,6 +186,19 @@ def test_newton_polygon_skips_zero_coefficients():
 def test_newton_polygon_needs_unit_constant():
     with pytest.raises(ValueError):
         newton_polygon([C(3, 3), C(3, 1)], 3)
+    with pytest.raises(ValueError):
+        newton_polygon([3, 1], 3)
+
+
+def test_newton_polygon_reads_rational_coefficients():
+    # a rational coefficient is its element of Q(zeta_p), not its own ord
+    assert newton_polygon([1, 3, 9], 3).slopes == (Fraction(1), Fraction(1))
+    assert newton_polygon([1, Fraction(1, 3)], 3).slopes == (Fraction(-1),)
+    assert newton_polygon([1, 5, 0, 125], 25).slopes == \
+        (Fraction(1, 2),) * 3
+    cyclo = [C(5, 1), CycloRational(5, (5, 0, -5, 0)), C(5, 0), C(5, 25)]
+    mixed = [1, cyclo[1], 0, Fraction(25)]
+    assert newton_polygon(mixed, 5) == newton_polygon(cyclo, 5)
 
 
 def test_lower_hull():
@@ -242,9 +256,10 @@ def test_pipeline_n3_q5_ordinary_with_heldout_k7(monkeypatch):
     # p = 5 = 1 mod 4: the ordinary slopes {0,1,1,2,2,3} for every b; n >= 2
     # goes through the Gauss-sum transform and never enumerates
     kernel_calls = []
-    real = lfun.kloosterman_sum
-    monkeypatch.setattr(lfun, "kloosterman_sum",
-                        lambda *a, **kw: kernel_calls.append(a) or real(*a, **kw))
+    for name in ("kloosterman_sum", "_inverted_hist"):
+        real = getattr(expsum, name)
+        monkeypatch.setattr(expsum, name, lambda *a, _real=real, **kw:
+                            kernel_calls.append(a) or _real(*a, **kw))
     F = build_field(5, 1)
     for b in range(1, 5):
         lf, res = lfunction_pipeline(F, 3, b, heldout=[7])
