@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .cyclotomic import SumValue, embed_complex, reduce_mod_phi
 from .errors import BudgetExceeded, DegenerateError, ParseError, VerificationError
-from .expsum import (Budget, CharacterTuple, LaurentPoly, gauss_sum,
-                     kloosterman_sum, tn_transform, toric_sum)
+from .expsum import (DEFAULT_POINT_BUDGET, CharacterTuple, LaurentPoly,
+                     gauss_sum, kloosterman_sum, tn_transform, toric_sum)
 from .gf import FieldTable, build_field, field_maps
 from .lfun import lfunction_pipeline
 from .polytope import build_polytope, hodge_data, ik_polytope
@@ -347,9 +347,9 @@ def cmd_sum(args) -> int:
     F = build_field(args.p, args.a)
     chi = _parse_chi(args.chi, F.q, args.n + 1) if args.chi else None
     if args.tn:
-        v = tn_transform(F, args.n, args.b, chi, budget=Budget(args.budget))
+        v = tn_transform(F, args.n, args.b, chi, budget=args.budget)
     else:
-        v = kloosterman_sum(F, args.k, args.n, args.b, chi, budget=Budget(args.budget))
+        v = kloosterman_sum(F, args.k, args.n, args.b, chi, budget=args.budget)
     obj = sumvalue_to_json(v)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -367,7 +367,7 @@ def cmd_toric(args) -> int:
     base = build_field(args.p, args.a) if args.p else None
     F, f = parse_laurent(args.poly, base)
     chi = _parse_chi(args.chi, F.q, f.n_vars) if args.chi else None
-    v = toric_sum(F, args.k, f, chi, budget=Budget(args.budget))
+    v = toric_sum(F, args.k, f, chi, budget=args.budget)
     if args.out == "json":
         print(json.dumps({"poly": laurent_to_json(F, f),
                           "value": sumvalue_to_json(v)}, sort_keys=True))
@@ -382,7 +382,7 @@ def cmd_lfun(args) -> int:
     F = build_field(args.p, args.a)
     heldout = [int(x) for x in args.heldout.split(",")] if args.heldout else []
     lf, results = lfunction_pipeline(F, args.n, args.b, heldout=heldout,
-                                     budget=Budget(args.budget))
+                                     budget=args.budget)
     obj = lfactorization_to_json(lf, results)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -444,12 +444,11 @@ def cmd_verify(args) -> int:
         print(f"error: verify {args.suite} does not read "
               f"{' '.join(unread) or '--p and --n of different lengths'}", file=sys.stderr)
         return EXIT_USAGE
-    kwargs = {} if args.budget is None else {"budget": Budget(args.budget)}
+    if any(n < 1 for n in ints.get("n", ())):
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    kwargs = {} if args.budget is None else {"budget": args.budget}
     if pair and args.p:
         kwargs["grid"] = tuple(zip(ints["n"], ints["p"]))
-        if args.suite == "thm1":
-            kwargs["nonordinary"] = ()          # honor the user's restriction
-            kwargs["ordinary_table"] = False
     elif not pair:
         kwargs.update({f + "s": v for f, v in ints.items()})
     if "b" in ints:
@@ -474,7 +473,7 @@ def _add_out(sp):
 
 def _add_common(sp, budget_help="enumeration point budget"):
     _add_out(sp)
-    sp.add_argument("--budget", type=int, default=10 ** 10, help=budget_help)
+    sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET, help=budget_help)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,21 +42,21 @@ from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
 from .gf import TABLE_CAP, FieldTable, check_table_cap, digit_dtype, field_maps
 
+#: enumeration budget: torus points per kernel call (the CLI's --budget)
 DEFAULT_POINT_BUDGET = 10 ** 10
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Enumeration budget: maximum number of torus points per kernel call."""
-    points: int = DEFAULT_POINT_BUDGET
-
-
-def check_points(npoints: int, budget: Budget | None) -> None:
-    b = budget or Budget()
-    if npoints > b.points:
+def check_points(npoints: int, budget: int) -> None:
+    if npoints > budget:
         raise BudgetExceeded(
-            f"enumeration needs {npoints} points, over the budget {b.points}; "
+            f"enumeration needs {npoints} points, over the budget {budget}; "
             f"lower k or n, or raise the budget", estimate=npoints)
+
+
+def _check_positive(**degrees: int) -> None:
+    for name, value in degrees.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,9 @@ def _validate_b(F: FieldTable, b: int) -> None:
 
 
 def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi,
-                   budget: Budget | None) -> tuple[np.ndarray, bool]:
-    """_rows of chi, after pricing the points and histogram cells."""
+                   budget: int) -> tuple[np.ndarray, bool]:
+    """_rows of chi, after checking n, k and b and pricing points and cells."""
+    _check_positive(n=n, k=k)
     _validate_b(F, b)
     Q = F.q ** k
     J, one = _rows(chi, n + 1, F.q, Q)
@@ -269,7 +270,7 @@ def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi,
 
 def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
                      chis: Sequence[CharacterTuple], *,
-                     budget: Budget | None = None) -> Iterator[SumValue]:
+                     budget: int = DEFAULT_POINT_BUDGET) -> Iterator[SumValue]:
     """Inverted n-variable Kloosterman sums S_n(chi, b) over F_{q^k}, exactly,
     for every chi in chis from one enumeration of the torus.
 
@@ -289,14 +290,14 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
 
 def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
                     chi: CharacterTuple | None = None, *,
-                    budget: Budget | None = None) -> SumValue:
+                    budget: int = DEFAULT_POINT_BUDGET) -> SumValue:
     """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums' row."""
     chis = [CharacterTuple.trivial(n + 1) if chi is None else chi]
     return next(kloosterman_sums(F, k, n, b, chis, budget=budget))
 
 
 def tn_transform(F: FieldTable, n: int, b: int, chi=None, *,
-                 budget: Budget | None = None):
+                 budget: int = DEFAULT_POINT_BUDGET):
     """The product-locus-1 companion sum T_n(chi, b), computed two ways.
 
     Direct definition: product of the n+1 variables equals 1 and psi is
@@ -400,9 +401,11 @@ def _transform_sums(F: FieldTable, k: int, n: int,
     return [value(b) for b in bs]
 
 
-def check_tower(F: FieldTable, k: int, n: int, budget: Budget | None = None) -> None:
-    """Refuse tower_sums over F_{q^k} before any work: the points of the
-    n = 1 enumeration, then the table cap, then the n >= 2 rounding bound."""
+def check_tower(F: FieldTable, k: int, n: int,
+                budget: int = DEFAULT_POINT_BUDGET) -> None:
+    """Refuse tower_sums over F_{q^k} before any work: n or k below 1, the
+    n = 1 points, then the table cap, then the n >= 2 rounding bound."""
+    _check_positive(n=n, k=k)
     if n == 1:
         check_points(F.q ** k - 1, budget)
     check_table_cap(F.p, F.a * k)
@@ -411,7 +414,7 @@ def check_tower(F: FieldTable, k: int, n: int, budget: Budget | None = None) -> 
 
 
 def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int], *,
-               budget: Budget | None = None) -> list[SumValue]:
+               budget: int = DEFAULT_POINT_BUDGET) -> list[SumValue]:
     """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower:
     n = 1 enumerates the q^k - 1 points per b, n >= 2 shares one count array."""
     check_tower(F, k, n, budget)
@@ -439,7 +442,7 @@ def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
 
 
 def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None, *,
-              budget: Budget | None = None):
+              budget: int = DEFAULT_POINT_BUDGET):
     """Twisted toric exponential sum of f over (F_{q^k}^*)^n, exactly.
 
     sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
@@ -459,6 +462,7 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None, *,
     bucket Tr C, x' with A != 0 puts Q/p - [s = 0] in bucket Tr C + s.
     Without such a variable the whole torus is enumerated.
     """
+    _check_positive(k=k)
     Q, p = F.q ** k, F.p
     M = Q - 1
     J, one = _rows(chi, f.n_vars, F.q, Q)
@@ -517,7 +521,7 @@ def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
 
 
 def e_sum(F: FieldTable, n: int, b: int, chi=None, *,
-          budget: Budget | None = None):
+          budget: int = DEFAULT_POINT_BUDGET):
     """The auxiliary (n+2)-variable toric sum E_n(chi, b).
 
     Twist (chi_1 conj(chi_{n+1}), ..., chi_n conj(chi_{n+1}), 1, 1); it
@@ -542,7 +546,7 @@ def e_sum(F: FieldTable, n: int, b: int, chi=None, *,
 
 def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
                         chi: CharacterTuple | None = None, *,
-                        budget: Budget | None = None
+                        budget: int = DEFAULT_POINT_BUDGET
                         ) -> list[tuple[SumValue, SumValue]]:
     """S_n(chi, b) over F_{q^k} as (main term, Gauss-product sum), per b in bs.
 
@@ -608,10 +612,3 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
         out.append((SumValue(p, M, s1, denom=Q), s2))
     return out
 
-
-def gauss_formula_sum(F: FieldTable, k: int, n: int, b: int,
-                      chi: CharacterTuple | None = None, *,
-                      budget: Budget | None = None) -> SumValue:
-    """S_n(chi, b) over F_{q^k} through the Gauss-sum closed form."""
-    (s1, s2), = gauss_formula_parts(F, k, n, (b,), chi, budget=budget)
-    return s1 + s2

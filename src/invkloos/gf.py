@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-#: default cap on table size (number of field elements)
+#: cap on table size (number of field elements)
 TABLE_CAP = 1 << 26
 
 
@@ -327,17 +327,17 @@ def _table_bytes(p: int, a: int) -> int:
     return 8 * (2 * q - 1 + a) + digit_dtype(p).itemsize * q * (a + 1)
 
 
-def check_table_cap(p: int, a: int, cap: int = TABLE_CAP) -> None:
-    """Refuse F_{p^a} over the table cap, reporting the memory it needs."""
+def check_table_cap(p: int, a: int) -> None:
+    """Refuse F_{p^a} over TABLE_CAP, reporting the memory it needs."""
     q = p ** a
-    if q > cap:
+    if q > TABLE_CAP:
         raise BudgetExceeded(
-            f"field F_{p}^{a} has {q} elements, over the table cap {cap} "
+            f"field F_{p}^{a} has {q} elements, over the table cap {TABLE_CAP} "
             f"(tables would need ~{_table_bytes(p, a) // (1 << 20)} MiB); "
-            f"raise cap= to override", estimate=q)
+            f"lower the extension degree k, the base degree a or p", estimate=q)
 
 
-def build_field(p: int, a: int, cap: int = TABLE_CAP) -> FieldTable:
+def build_field(p: int, a: int) -> FieldTable:
     """Construct (and cache) F_{p^a}.
 
     Deterministic: lex-smallest irreducible modulus, smallest generator.
@@ -351,7 +351,7 @@ def build_field(p: int, a: int, cap: int = TABLE_CAP) -> FieldTable:
     key = (p, a)
     if key in _FIELDS:
         return _FIELDS[key]
-    check_table_cap(p, a, cap)
+    check_table_cap(p, a)
     field = FieldTable(p, a, smallest_irreducible(p, a))
     _FIELDS[key] = field
     return field
@@ -384,7 +384,7 @@ class ExtensionMaps:
 _MAPS: dict[tuple[int, int, int], ExtensionMaps] = {}
 
 
-def field_maps(base: FieldTable, k: int, cap: int = TABLE_CAP) -> ExtensionMaps:
+def field_maps(base: FieldTable, k: int) -> ExtensionMaps:
     """Build F_{q^k} over the given base together with the embedding table."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -396,7 +396,7 @@ def field_maps(base: FieldTable, k: int, cap: int = TABLE_CAP) -> ExtensionMaps:
         maps = ExtensionMaps(base, base, 1, np.arange(q, dtype=np.int64))
         _MAPS[key] = maps
         return maps
-    ext = build_field(p, base.a * k, cap=cap)
+    ext = build_field(p, base.a * k)
     M = ext.q - 1
     s = M // (q - 1)
 

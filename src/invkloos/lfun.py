@@ -21,6 +21,7 @@ rational function end to end.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,8 +29,10 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import Budget, check_tower, tower_sums
+from .expsum import DEFAULT_POINT_BUDGET, check_tower, tower_sums
 from .gf import FieldTable, prime_factors
+
+ROOT_RESIDUAL_TOL = 1e-6    # complex_weights: largest residual at a root, relative
 
 
 @dataclass
@@ -62,7 +65,7 @@ class HeldoutResult:
 
 
 def power_sums(F: FieldTable, n: int, b: int, K: int, *,
-               budget: Budget | None = None) -> list[CycloRational]:
+               budget: int = DEFAULT_POINT_BUDGET) -> list[CycloRational]:
     """S*_k = q^k S_{k,n}(b) + (q^k - 1)^n for k = 1..K, exact in Z[zeta_p].
 
     Refuses when p | n+1: the facet determinants +-(n+1) vanish mod p, the
@@ -208,8 +211,7 @@ def assemble_lfunction(lf: LFactorization, n: int, q: int) -> LFactorization:
     return lf
 
 
-def complex_weights(coeffs, *, residual_tol: float = 1e-6
-                    ) -> tuple[list[float], list[complex]]:
+def complex_weights(coeffs) -> tuple[list[float], list[complex]]:
     """Magnitudes (sorted) and values of the complex reciprocal roots.
 
     Root finding at double precision on the embedded polynomial; degrees
@@ -227,7 +229,7 @@ def complex_weights(coeffs, *, residual_tol: float = 1e-6
     scale = max(abs(c) for c in emb)
     for r in roots:
         res = abs(sum(c * r ** k for k, c in enumerate(emb)))
-        if res > residual_tol * scale * max(1.0, abs(r)) ** deg:
+        if res > ROOT_RESIDUAL_TOL * scale * max(1.0, abs(r)) ** deg:
             raise ArithmeticError(
                 f"ill-conditioned root cluster: residual {res:.2e} at {r}")
     alphas = [1 / r for r in roots]
@@ -251,9 +253,8 @@ def predicted_power_sum(lf: LFactorization, k: int) -> CycloRational:
     return acc * (-lf.sign)
 
 
-def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int,
-                  extra: list[int], *,
-                  budget: Budget | None = None) -> list[HeldoutResult]:
+def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int, extra: Sequence[int],
+                  *, budget: int = DEFAULT_POINT_BUDGET) -> list[HeldoutResult]:
     """Compare predicted S_k against S_{k,n}(b) recomputed for held-out k.
 
     Exact comparison in Z[zeta_p]; any mismatch raises, since this is the
@@ -282,19 +283,21 @@ def alpha_hodge_slopes(n: int) -> list[Fraction]:
 
 
 def lfunction_pipeline(F: FieldTable, n: int, b: int, *,
-                       heldout: list[int] | None = None,
-                       budget: Budget | None = None
+                       heldout: Sequence[int] = (),
+                       budget: int = DEFAULT_POINT_BUDGET
                        ) -> tuple[LFactorization, list[HeldoutResult]]:
     """power sums -> strip trivial roots -> assemble -> weights (+ heldout).
 
-    The cost of the largest k, held-out ones included, is checked before
-    any sum is computed (expsum.check_tower).
+    Held-out k below 1 are refused, and the cost of the largest k, held-out
+    ones included, is checked before any sum is computed (expsum.check_tower).
     """
-    check_tower(F, max([2 * n, *(heldout or [])]), n, budget)
+    if any(k < 1 for k in heldout):
+        raise ValueError(f"held-out k must be >= 1, got {heldout}")
+    check_tower(F, max([2 * n, *heldout]), n, budget)
     star = power_sums(F, n, b, 2 * n, budget=budget)
     lf = strip_trivial_roots(star, n, F.q, b=b)
     lf = assemble_lfunction(lf, n, F.q)
     _, roots = complex_weights(lf.P_coeffs)
     lf.complex_roots = tuple(roots)
-    results = heldout_check(lf, F, n, b, heldout or [], budget=budget)
+    results = heldout_check(lf, F, n, b, heldout, budget=budget)
     return lf, results

@@ -365,8 +365,7 @@ def _expand(X, lo, cnt):
         yield np.column_stack([X[idx], lo[idx] + r - (ends[idx] - cnt[idx])])
 
 
-def hodge_data(P: PolytopeData, k_max: int | None = None, *,
-               box_cap: int = BOX_CAP) -> HodgeData:
+def hodge_data(P: PolytopeData, k_max: int | None = None) -> HodgeData:
     """Lattice-point weights up to c = k_max/D and the derived Hodge data.
 
     The points of weight <= c are the lattice points of c * polytope, as
@@ -392,9 +391,9 @@ def hodge_data(P: PolytopeData, k_max: int | None = None, *,
     lo = [math.floor(min(scale * v[i] for v in P.vertices)) for i in range(n)]
     hi = [math.ceil(max(scale * v[i] for v in P.vertices)) for i in range(n)]
     total = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    if total > box_cap:
+    if total > BOX_CAP:
         raise BudgetExceeded(
-            f"bounding box has {total} lattice points, over the cap {box_cap}",
+            f"bounding box has {total} lattice points, over the cap {BOX_CAP}",
             estimate=total)
 
     # c * projection_j = {x : D * normal . x <= k_max * rhs} over its facets
@@ -478,8 +477,7 @@ def diagonal_nondegenerate(M, p: int) -> bool:
     return math.gcd(abs(d), p) == 1
 
 
-def ordinary_test(M, p: int, *, det_cap: int = DET_CAP
-                  ) -> tuple[SolutionGroup, bool]:
+def ordinary_test(M, p: int) -> tuple[SolutionGroup, bool]:
     """Stickelberger stability test on the solution group of M.
 
     Enumerates S = {r in [0,1)^n : M r integral} through a transversal of
@@ -490,8 +488,8 @@ def ordinary_test(M, p: int, *, det_cap: int = DET_CAP
     d = det_int(M)
     if d == 0:
         raise ValueError("vertex matrix is singular")
-    if abs(d) > det_cap:
-        raise BudgetExceeded(f"|det| = {abs(d)} over the cap {det_cap}")
+    if abs(d) > DET_CAP:
+        raise BudgetExceeded(f"|det| = {abs(d)} over the cap {DET_CAP}")
     n = len(M)
     minv = invert_matrix(M)
     diag = hnf_diagonal(M)

@@ -18,9 +18,9 @@ from itertools import product
 
 from .cyclotomic import SumValue, embed_complex
 from .errors import VerificationError
-from .expsum import (Budget, CharacterTuple, e_sum, gauss_formula_parts,
-                     ik_laurent, kloosterman_sum, kloosterman_sums,
-                     tn_transform, toric_sum, tower_sums)
+from .expsum import (DEFAULT_POINT_BUDGET, CharacterTuple, e_sum,
+                     gauss_formula_parts, ik_laurent, kloosterman_sum,
+                     kloosterman_sums, tn_transform, toric_sum, tower_sums)
 from .gf import build_field
 from .lfun import alpha_hodge_slopes, lfunction_pipeline
 from .polytope import (diagonal_nondegenerate, facial_ordinary, hodge_data,
@@ -30,6 +30,11 @@ TOL = 1e-6                  # slack on the float side of the bound suites
 WEIGHT_REL_TOL = 1e-5       # thm1: max relative deviation of |alpha_i| from q^(n/2)
 ORACLE_TOL = 1e-6           # identities (d): oracle deviation over q^((n+1)/2)
 HELDOUT = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5], (3, 5): [7]}   # thm1
+THM1_GRID = ((1, 3), (1, 5), (2, 7), (2, 13), (3, 5))    # thm1 default (n, p)
+NONORDINARY = ((2, 5),)     # thm1 default: (n, p) with slopes above Hodge
+TORIC_GRID = ((1, 3), (1, 5), (2, 7), (2, 13))           # identities (b): (n, p)
+TORIC_CAP = 10 ** 7         # identities (b): skip cells over this many points
+ND_PRIMES = (2, 3, 5, 7, 11, 13)    # prop31: primes of the non-degeneracy test
 
 
 @dataclass
@@ -111,7 +116,7 @@ def _chi_at(F, j: int, b: int) -> complex:
 # ----------------------------------------------------------------------
 
 def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *,
-               budget: Budget | None = None) -> VerifyReport:
+               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
     rep = VerifyReport(
         "thm0",
         "elementary bound: |S_n + (q-1)^n/q chi_1(b)| <= q^((n+1)/2) for "
@@ -141,7 +146,7 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *,
 
 
 def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *,
-               budget: Budget | None = None) -> VerifyReport:
+               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
     rep = VerifyReport(
         "thm2",
         "toric bound for gcd(p, n+1) = 1: "
@@ -181,7 +186,7 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *,
 
 
 def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *,
-               budget: Budget | None = None) -> VerifyReport:
+               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
     rep = VerifyReport(
         "cor1",
         "untwisted tower bound: "
@@ -213,11 +218,10 @@ def _sorted_partial_sums(slopes) -> list[Fraction]:
     return out
 
 
-def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
-               nonordinary=((2, 5),),
-               ordinary_table: bool = True,
-               bs: tuple[int, ...] | None = None,
-               budget: Budget | None = None) -> VerifyReport:
+def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None,
+               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
+    ordinary_table = grid is None   # the default grid adds NONORDINARY and the table
+    grid, nonordinary = (THM1_GRID, NONORDINARY) if ordinary_table else (grid, ())
     rep = VerifyReport(
         "thm1",
         "degree-2n nontrivial factor with integral coefficients, reciprocal "
@@ -243,6 +247,7 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
                     F, n, b, heldout=ks, budget=budget)
             except VerificationError:
                 slope_ok = held_ok = False
+                worst_rel = math.inf        # no roots: the weights are unchecked
                 continue
             if sorted(lf.slopes) != sorted(expected):
                 slope_ok = False
@@ -304,12 +309,12 @@ def suite_thm1(grid=((1, 3), (1, 5), (2, 7), (2, 13), (3, 5)), *,
 # polytope suites
 # ----------------------------------------------------------------------
 
-def suite_prop31(ns=(1, 2, 3, 4), *, primes=(2, 3, 5, 7, 11, 13)) -> VerifyReport:
+def suite_prop31(ns=(1, 2, 3, 4)) -> VerifyReport:
     rep = VerifyReport(
         "prop31",
         "denominator 1, facet determinants -(n+1) and n+1, normalized "
         "volume 2n+2, diagonal non-degeneracy exactly when gcd(p, n+1) = 1",
-        {"n": list(ns), "primes": list(primes)})
+        {"n": list(ns), "primes": list(ND_PRIMES)})
     for n in ns:
         t0 = time.perf_counter()
         ik = ik_polytope(n)
@@ -324,9 +329,9 @@ def suite_prop31(ns=(1, 2, 3, 4), *, primes=(2, 3, 5, 7, 11, 13)) -> VerifyRepor
         t0 = time.perf_counter()
         nd_ok = all(diagonal_nondegenerate(ik.M1, p) == ((n + 1) % p != 0)
                     and diagonal_nondegenerate(ik.M2, p) == ((n + 1) % p != 0)
-                    for p in primes)
+                    for p in ND_PRIMES)
         _timed_case(rep.cases, f"n={n} non-degeneracy iff p∤(n+1)", t0, nd_ok,
-                    "checked", f"primes {list(primes)}")
+                    "checked", f"primes {list(ND_PRIMES)}")
     return rep
 
 
@@ -374,10 +379,8 @@ def suite_thm33(ns=(1, 2, 3, 4)) -> VerifyReport:
 # exact identity suite
 # ----------------------------------------------------------------------
 
-def suite_identities(ps=(3, 5, 7), ns=(1, 2),
-                     grid3=((1, 3), (1, 5), (2, 7), (2, 13)), *,
-                     toric_cap: int = 10 ** 7,
-                     budget: Budget | None = None) -> VerifyReport:
+def suite_identities(ps=(3, 5, 7), ns=(1, 2), *,
+                     budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
     rep = VerifyReport(
         "identities",
         "exact algebra: (a) q S_n = -(q-1)^n chi_1(b) + chi_1(b) E_n (equal "
@@ -385,8 +388,8 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
         "S*_k = q^k S_{k,n} + (q^k-1)^n; (c) parameter transform "
         "T_n(chi,b) = chi_1...chi_{n+1}(b) S_n(chi, b^-(n+1)); (d) the "
         "Gauss-formula oracle agrees with enumeration",
-        {"q": list(ps), "n": list(ns), "grid3": [list(g) for g in grid3],
-         "toric_cap": toric_cap})
+        {"q": list(ps), "n": list(ns), "grid3": [list(g) for g in TORIC_GRID],
+         "toric_cap": TORIC_CAP})
 
     # (a) the auxiliary-sum rewrite, exact histogram equality
     for p in ps:
@@ -418,16 +421,16 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2),
                         "exact", "exact", f"{count} cases")
 
     # (b) power-sum relation against an independent toric enumeration
-    for n, p in grid3:
+    for n, p in TORIC_GRID:
         F = build_field(p, 1)
         q = p
         for k in range(1, 2 * n + 1):
             name = f"(b) toric relation n={n} q={q} k={k}"
             pts = (q ** k - 1) ** (n + 2)
-            if pts > toric_cap:
+            if pts > TORIC_CAP:
                 rep.cases.append(CaseResult(
                     name, "skip",
-                    detail=f"toric enumeration {pts} points over cap {toric_cap}"))
+                    detail=f"toric enumeration {pts} points over cap {TORIC_CAP}"))
                 continue
             t0 = time.perf_counter()
             ok = True

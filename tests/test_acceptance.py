@@ -11,7 +11,6 @@ import pytest
 
 from invkloos import expsum
 from invkloos.errors import BudgetExceeded
-from invkloos.expsum import Budget
 from invkloos.gf import build_field
 from invkloos.lfun import (alpha_hodge_slopes, heldout_check,
                            lfunction_pipeline, power_sums)
@@ -132,7 +131,7 @@ def test_criterion_06_tower_bound():
 
 
 def test_criterion_07_exact_identities():
-    rep = suite_identities(ps=(3, 5, 7), ns=(1, 2), grid3=GRID3)
+    rep = suite_identities(ps=(3, 5, 7), ns=(1, 2))
     skipped = [c.name for c in rep.cases if c.status == "skip"]
     # only oversized toric enumerations may be skipped, never the algebra
     assert all(name.startswith("(b)") for name in skipped)
@@ -200,14 +199,15 @@ def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="rounding bound"):
         power_sums(build_field(3, 1), 3, 1, 16)          # F_{3^16}, in the cap
     with pytest.raises(BudgetExceeded, match="table cap"):
-        lfunction_pipeline(F, 3, 1, heldout=[12], budget=Budget())
+        lfunction_pipeline(F, 3, 1, heldout=[12],
+                           budget=expsum.DEFAULT_POINT_BUDGET)
     with pytest.raises(BudgetExceeded, match="points") as ei:
         lfunction_pipeline(build_field(7, 1), 1, 1, heldout=[12],
-                           budget=Budget())
+                           budget=expsum.DEFAULT_POINT_BUDGET)
     assert ei.value.estimate == 7 ** 12 - 1
     assert kernel_calls == []
     with pytest.raises(BudgetExceeded) as ei:
-        expsum.kloosterman_sum(F, 6, 3, 1, budget=Budget())
+        expsum.kloosterman_sum(F, 6, 3, 1, budget=expsum.DEFAULT_POINT_BUDGET)
     assert ei.value.estimate > 10 ** 10
     assert kernel_calls == ["kloosterman_sum"]       # the entry, and no kernel
     _report("out-of-scope", True,

@@ -231,6 +231,19 @@ def test_cli_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and "weight counts" in captured.err
     assert main(["nope"]) == 2                          # unknown command
+    for argv in (["sum", "--p", "5", "--n", "1", "--b", "1", "--k", "0"],
+                 ["toric", "--p", "5", "--poly", "x1+x1^-1", "--k", "0"],
+                 ["sum", "--p", "5", "--n", "0", "--b", "1"],
+                 ["lfun", "--p", "5", "--n", "0", "--b", "1"],
+                 ["verify", "thm0", "--p", "5", "--n", "0"],
+                 ["verify", "thm1", "--p", "7", "--n", "0"],
+                 ["verify", "cor1", "--p", "7", "--n", "0"],
+                 ["lfun", "--p", "7", "--n", "1", "--b", "1", "--heldout=0"],
+                 ["lfun", "--p", "7", "--n", "1", "--b", "1", "--heldout=-1"],
+                 ["lfun", "--p", "7", "--n", "2", "--b", "1", "--heldout=0"]):
+        assert main(argv) == 2, argv                    # n, k or held-out k < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= 1" in captured.err, argv
 
 
 def test_cli_tn_flag(capsys):
@@ -269,4 +282,9 @@ def test_cli_verify_reads_the_flags_it_documents(capsys):
     assert code == 0 and json.loads(out)["grid"]["grid"] == [[1, 3]]
     code, out = run(capsys, "verify", "thm1", "--p", "3", "--n", "1",
                     "--b", "2", "--out", "json")
-    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "pass"
+    # an explicit grid runs only that grid: no contrast, no ordinariness table
+    assert rep["grid"]["nonordinary"] == [] and rep["grid"]["ordinary_table"] is False
+    assert [c["name"] for c in rep["cases"]] == [
+        "slopes n=1 p=3 (all b)", "weights n=1 p=3 (all b)", "heldout n=1 p=3 k=[3, 4]"]

@@ -33,9 +33,10 @@ def test_nonprime_p_rejected():
         build_field(3, 0)
 
 
-def test_table_cap_refusal_reports_memory():
+def test_table_cap_refusal_reports_memory(monkeypatch):
+    monkeypatch.setattr(gf, "TABLE_CAP", 1 << 20)
     with pytest.raises(BudgetExceeded, match="MiB"):
-        build_field(2, 30, cap=1 << 20)
+        build_field(2, 30)
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (3, 2), (5, 2), (2, 4), (7, 3),
@@ -276,12 +277,13 @@ def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("p,a", [(3, 5), (7, 3), (65537, 1)])
-def test_table_cap_reports_the_bytes_the_tables_store(p, a):
+def test_table_cap_reports_the_bytes_the_tables_store(monkeypatch, p, a):
     F = build_field(p, a)
     stored = sum(v.nbytes for v in vars(F).values() if isinstance(v, np.ndarray))
     assert gf._table_bytes(p, a) == stored
+    monkeypatch.setattr(gf, "TABLE_CAP", 1)
     with pytest.raises(BudgetExceeded, match=f"~{stored // (1 << 20)} MiB"):
-        gf.check_table_cap(p, a, cap=1)
+        gf.check_table_cap(p, a)
 
 
 def test_tables_hold_p_above_int16():

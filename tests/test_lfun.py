@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from invkloos import expsum
+from invkloos import expsum, suites
 from invkloos.cyclotomic import CycloRational, embed_complex
 from invkloos.errors import BudgetExceeded, DegenerateError, VerificationError
-from invkloos.expsum import Budget
 from invkloos.gf import build_field
 from invkloos.lfun import (alpha_hodge_slopes, assemble_lfunction,
                            complex_weights, elementary_to_power, heldout_check,
@@ -281,3 +280,22 @@ def test_predicted_power_sum_matches_known_value():
     F = build_field(3, 1)
     lf, _ = lfunction_pipeline(F, 1, 1)
     assert predicted_power_sum(lf, 1) == C(3, -1)
+
+
+@pytest.mark.parametrize("bad", [{1, 2, 3, 4}, {2}])
+def test_thm1_weights_fail_when_a_pipeline_raised(monkeypatch, bad):
+    # a b whose pipeline raised has no roots to check, so the weights case
+    # of its (n, p) cannot pass, whether every b raised or only one
+    real = suites.lfunction_pipeline
+
+    def pipeline(F, n, b, **kw):
+        if (n, F.p) == (1, 5) and b in bad:
+            raise VerificationError("raised for the test")
+        return real(F, n, b, **kw)
+
+    monkeypatch.setattr(suites, "lfunction_pipeline", pipeline)
+    rep = suites.suite_thm1(grid=((1, 5),))
+    status = {c.name: c.status for c in rep.cases}
+    assert status["weights n=1 p=5 (all b)"] == "fail"
+    assert status["slopes n=1 p=5 (all b)"] == "fail"
+    assert rep.verdict == "fail"

@@ -269,8 +269,9 @@ def test_box_cap_refusal(monkeypatch):
     huge, wide = build_polytope(_HUGE_D), build_polytope(_OVERFLOW)
     assert huge.D == 226759569
     monkeypatch.setattr(polytope, "np", _NoNumpy())
+    monkeypatch.setattr(polytope, "BOX_CAP", 10 ** 4)
     with pytest.raises(BudgetExceeded, match="bounding box"):
-        hodge_data(ik, 40, box_cap=10 ** 4)
+        hodge_data(ik, 40)
     with pytest.raises(BudgetExceeded, match="weight counts"):
         hodge_data(huge)                        # k_max = 4 * D
     with pytest.raises(BudgetExceeded, match="overflow int64"):
