@@ -32,15 +32,14 @@ def main() -> int:
         for p in range(2, args.pmax + 1):
             if not is_prime(p) or (n + 1) % p == 0:
                 continue
-            F = build_field(p, 1)
-            seen = {}
             try:
-                for b in range(1, p):
-                    lf, _ = lfunction_pipeline(F, n, b)
-                    seen.setdefault(tuple(sorted(lf.slopes)), []).append(b)
+                pairs = lfunction_pipeline(build_field(p, 1), n, range(1, p))
             except BudgetExceeded as exc:
                 print(f"n={n} p={p}: refused: {exc}")
                 continue
+            seen = {}
+            for lf, _ in pairs:
+                seen.setdefault(tuple(sorted(lf.slopes)), []).append(lf.b)
             for slopes, bs in seen.items():
                 ordinary = list(slopes) == hp
                 congruent = p % (n + 1) == 1

@@ -11,9 +11,8 @@ from .expsum import (CharacterTuple, LaurentPoly, e_sum, gauss_formula_parts,
                      gauss_sum, ik_laurent, kloosterman_sum, kloosterman_sums,
                      tn_transform, toric_sum, tower_sums)
 from .gf import ExtensionMaps, FieldTable, build_field, field_maps
-from .lfun import (LFactorization, alpha_hodge_slopes, assemble_lfunction,
-                   complex_weights, heldout_check, lfunction_pipeline,
-                   newton_polygon, newton_to_elementary, power_sums,
+from .lfun import (LFactorization, alpha_hodge_slopes, complex_weights,
+                   lfunction_pipeline, newton_polygon, newton_to_elementary,
                    strip_trivial_roots)
 from .polytope import (HodgeData, IkPolytope, PolytopeData, SolutionGroup,
                        build_polytope, diagonal_nondegenerate, facial_ordinary,

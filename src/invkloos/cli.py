@@ -312,7 +312,7 @@ def cmd_field(args) -> int:
     F = build_field(args.p, args.a)
     info = {"p": F.p, "a": F.a, "q": F.q, "modulus": list(F.modulus),
             "generator": F.g}
-    if args.k and args.k > 1:
+    if args.k != 1:                         # field_maps refuses k < 1
         maps = field_maps(F, args.k)
         info["extension"] = {"k": args.k, "q_ext": maps.ext.q,
                              "modulus": list(maps.ext.modulus),
@@ -402,17 +402,17 @@ def cmd_lfun(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    if args.n:
-        ik = ik_polytope(args.n)
-        P = ik.polytope
+    if args.n is not None:
+        P = ik_polytope(args.n).polytope
+    elif args.vertices:
+        with open(args.vertices) as fh:
+            P = build_polytope(json.load(fh)["vertices"])
+    elif args.poly is not None:
+        base = build_field(args.p, args.a) if args.p else None
+        _, f = parse_laurent(args.poly, base)
+        P = build_polytope(f)
     else:
-        if args.vertices:
-            with open(args.vertices) as fh:
-                P = build_polytope(json.load(fh)["vertices"])
-        else:
-            base = build_field(args.p, args.a) if args.p else None
-            _, f = parse_laurent(args.poly, base)
-            P = build_polytope(f)
+        raise ValueError("polytope needs one of --n, --poly or --vertices")
     hd = hodge_data(P, args.kmax)
     obj = hodge_to_json(hd)
     if args.out == "json":

@@ -366,10 +366,13 @@ def _sum_one_counts(E: FieldTable, n: int) -> tuple[np.ndarray, float]:
     Q, M = E.q, E.q - 1
     bound = check_transform(Q, n)
     G = np.fft.fft(np.exp(2j * np.pi / E.p * np.arange(E.p))[E.tr_abs[E.exp]])
-    P = np.conj(G[(n + 1) * np.arange(M) % M])
+    P = G[(n + 1) * np.arange(M) % M]
+    np.conj(P, out=P)
     for _ in range(n + 1):
         P *= G
-    A_float = (float(M ** n) + np.fft.ifft(P).real) / Q       # (M^n + C)/Q
+    del G                       # peak 40 B/element: G, P and the index array
+    A_float = (float(M ** n) + np.fft.ifft(P, out=P).real) / Q   # (M^n + C)/Q
+    del P
     A = np.rint(A_float).astype(np.int64)
     dev = float(np.abs(A_float - A).max())
     if dev > bound or int(A.sum()) != (M ** (n + 1) - (-1) ** (n + 1)) // Q:

@@ -2,28 +2,32 @@
 
 The generating function exp(sum_k S_k T^k / k) of the sums over the
 extension tower F_{q^k} is rational; its interesting part is a degree-2n
-polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path:
+polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path
+(lfunction_pipeline, for one b or a whole family of b at once):
 
-  1. power sums: S*_k = q^k S_{k,n}(b) + (q^k - 1)^n, exact in Z[zeta_p],
-     for k = 1..2n, from expsum.tower_sums (which picks and prices the route);
-  2. sign-normalize to root power sums P_k = (-1)^n S*_k and subtract the
+  1. read the tower once: one expsum.tower_sums call per k in 1..2n and
+     per held-out k, shared by every b (tower_sums picks and prices the
+     route; the largest k is priced before any sum);
+  2. power sums S*_k = q^k S_{k,n}(b) + (q^k - 1)^n, exact in Z[zeta_p];
+  3. sign-normalize to root power sums P_k = (-1)^n S*_k and subtract the
      two known trivial reciprocal roots 1 and q;
-  3. Newton identities give the elementary symmetric functions of the
+  4. Newton identities give the elementary symmetric functions of the
      remaining 2n roots beta_i, hence prod (1 - beta_i T);
-  4. rescale T -> T/q (alpha_i = beta_i / q) and assert integrality.
+  5. rescale T -> T/q (alpha_i = beta_i / q) and assert integrality.
 
 The q-adic Newton polygon of P and the complex magnitudes of its
 reciprocal roots implement the slope / weight checks; held-out power
-sums (k > 2n recomputed by the same route) validate the assembled
-rational function end to end.
+sums (read from the same tower pass) validate the assembled rational
+function end to end.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -49,11 +53,10 @@ class LFactorization:
     sign: int
     P_coeffs: tuple[CycloRational, ...]
     np_points: tuple[tuple[int, Fraction], ...]
-    np_vertices: tuple[tuple[int, Fraction], ...]
     slopes: tuple[Fraction, ...]
     coefficients_rational: bool
-    trivial_part: tuple[tuple[int, int], ...] | None = None
-    complex_roots: tuple[complex, ...] | None = None
+    trivial_part: tuple[tuple[int, int], ...]
+    complex_roots: tuple[complex, ...]
 
 
 @dataclass
@@ -62,25 +65,6 @@ class HeldoutResult:
     predicted: CycloRational
     observed: CycloRational
     match: bool
-
-
-def power_sums(F: FieldTable, n: int, b: int, K: int, *,
-               budget: int = DEFAULT_POINT_BUDGET) -> list[CycloRational]:
-    """S*_k = q^k S_{k,n}(b) + (q^k - 1)^n for k = 1..K, exact in Z[zeta_p].
-
-    Refuses when p | n+1: the facet determinants +-(n+1) vanish mod p, the
-    associated Laurent polynomial degenerates, and the degree-2n shape of
-    the nontrivial factor is no longer guaranteed.  The cost of the
-    largest k is checked before any sum is computed (expsum.check_tower).
-    """
-    if (n + 1) % F.p == 0:
-        raise DegenerateError(
-            f"p = {F.p} divides n+1 = {n + 1}: the reduction to a "
-            "nondegenerate toric sum fails and the L-function degree "
-            "claims do not apply")
-    check_tower(F, K, n, budget)
-    return [F.q ** k * reduce_mod_phi(tower_sums(F, k, n, [b], budget=budget)[0])
-            + (F.q ** k - 1) ** n for k in range(1, K + 1)]
 
 
 def newton_to_elementary(ps: list[CycloRational]) -> list[CycloRational]:
@@ -175,7 +159,9 @@ def strip_trivial_roots(star: list[CycloRational], n: int, q: int, *,
     after subtracting 1^k + q^k the Newton identities yield the degree-2n
     polynomial in the beta_i, and T -> T/q rescales to the alpha_i.
     Raises when any rescaled coefficient fails to be integral (a sign
-    convention or precision bug, never data).
+    convention or precision bug, never data).  The trivial factor list is
+    (1-T)^(n+1) and the alternating binomial tower of (1 - q^(j-1) T) for
+    j = 2..n, as exponents of q with signed multiplicities in L^sign.
     """
     if len(star) < 2 * n:
         raise ValueError(f"need power sums for k = 1..{2 * n}")
@@ -193,22 +179,14 @@ def strip_trivial_roots(star: list[CycloRational], n: int, q: int, *,
                 "(sign convention or reconstruction bug)")
         coeffs.append(a)
     npg = newton_polygon(coeffs, q)
+    trivial = [(0, n + 1)] + [(j - 1, math.comb(n, j) * (-1) ** (j - 1))
+                              for j in range(2, n + 1)]
+    _, roots = complex_weights(coeffs)
     return LFactorization(
         n=n, q=q, p=p, b=b, sign=(-1) ** (n + 1),
-        P_coeffs=tuple(coeffs),
-        np_points=npg.points, np_vertices=npg.vertices, slopes=npg.slopes,
-        coefficients_rational=all(c.is_rational() for c in coeffs))
-
-
-def assemble_lfunction(lf: LFactorization, n: int, q: int) -> LFactorization:
-    """Attach the trivial factor list: (1-T)^(n+1) and the alternating
-    binomial tower of (1 - q^(j-1) T) for j = 2..n, as exponents of q with
-    signed multiplicities in L^sign."""
-    trivial = [(0, n + 1)]
-    for j in range(2, n + 1):
-        trivial.append((j - 1, math.comb(n, j) * (-1) ** (j - 1)))
-    lf.trivial_part = tuple(trivial)
-    return lf
+        P_coeffs=tuple(coeffs), np_points=npg.points, slopes=npg.slopes,
+        coefficients_rational=all(c.is_rational() for c in coeffs),
+        trivial_part=tuple(trivial), complex_roots=tuple(roots))
 
 
 def complex_weights(coeffs) -> tuple[list[float], list[complex]]:
@@ -243,7 +221,6 @@ def predicted_power_sum(lf: LFactorization, k: int) -> CycloRational:
     with the alpha power sums taken from P's coefficients by Newton's
     identities.
     """
-    assert lf.trivial_part is not None, "assemble_lfunction first"
     p = lf.P_coeffs[0].p
     es = [lf.P_coeffs[i] * ((-1) ** i) for i in range(1, len(lf.P_coeffs))]
     psums = elementary_to_power(es, k)
@@ -251,26 +228,6 @@ def predicted_power_sum(lf: LFactorization, k: int) -> CycloRational:
     for e, m in lf.trivial_part:
         acc = acc + m * lf.q ** (e * k)
     return acc * (-lf.sign)
-
-
-def heldout_check(lf: LFactorization, F: FieldTable, n: int, b: int, extra: Sequence[int],
-                  *, budget: int = DEFAULT_POINT_BUDGET) -> list[HeldoutResult]:
-    """Compare predicted S_k against S_{k,n}(b) recomputed for held-out k.
-
-    Exact comparison in Z[zeta_p]; any mismatch raises, since this is the
-    strongest end-to-end correctness signal of the whole pipeline.
-    """
-    out = []
-    for k in extra:
-        predicted = predicted_power_sum(lf, k)
-        observed = reduce_mod_phi(tower_sums(F, k, n, [b], budget=budget)[0])
-        ok = predicted == observed
-        out.append(HeldoutResult(k, predicted, observed, ok))
-        if not ok:
-            raise VerificationError(
-                f"held-out power sum mismatch at k={k}: "
-                f"predicted {predicted!r}, computed {observed!r}")
-    return out
 
 
 def alpha_hodge_slopes(n: int) -> list[Fraction]:
@@ -282,22 +239,45 @@ def alpha_hodge_slopes(n: int) -> list[Fraction]:
     return out
 
 
-def lfunction_pipeline(F: FieldTable, n: int, b: int, *,
+def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
                        heldout: Sequence[int] = (),
-                       budget: int = DEFAULT_POINT_BUDGET
-                       ) -> tuple[LFactorization, list[HeldoutResult]]:
-    """power sums -> strip trivial roots -> assemble -> weights (+ heldout).
+                       budget: int = DEFAULT_POINT_BUDGET):
+    """tower sums -> strip trivial roots -> weights -> held-out check.
 
-    Held-out k below 1 are refused, and the cost of the largest k, held-out
-    ones included, is checked before any sum is computed (expsum.check_tower).
+    b is one unit, giving (LFactorization, [HeldoutResult]), or a sequence
+    of units, giving a list of those pairs in its order.  Held-out k below
+    1 are refused, the cost of the largest k, held-out ones included, is
+    checked before any sum is computed (expsum.check_tower), and p | n+1
+    is refused: the facet determinants +-(n+1) vanish mod p, the Laurent
+    polynomial degenerates and the degree-2n shape of P no longer holds.
+    Each k in 1..2n and each held-out k is read from the tower once for
+    every b; a held-out sum must equal its prediction exactly in Z[zeta_p]
+    or the call raises, since this is the strongest end-to-end signal.
     """
     if any(k < 1 for k in heldout):
         raise ValueError(f"held-out k must be >= 1, got {heldout}")
     check_tower(F, max([2 * n, *heldout]), n, budget)
-    star = power_sums(F, n, b, 2 * n, budget=budget)
-    lf = strip_trivial_roots(star, n, F.q, b=b)
-    lf = assemble_lfunction(lf, n, F.q)
-    _, roots = complex_weights(lf.P_coeffs)
-    lf.complex_roots = tuple(roots)
-    results = heldout_check(lf, F, n, b, heldout, budget=budget)
-    return lf, results
+    if (n + 1) % F.p == 0:
+        raise DegenerateError(
+            f"p = {F.p} divides n+1 = {n + 1}: the reduction to a "
+            "nondegenerate toric sum fails and the L-function degree "
+            "claims do not apply")
+    one = isinstance(b, Integral)
+    bs = [b] if one else list(b)
+    sums = {k: [reduce_mod_phi(v) for v in tower_sums(F, k, n, bs, budget=budget)]
+            for k in sorted({*range(1, 2 * n + 1), *heldout})}
+    out = []
+    for i, bi in enumerate(bs):
+        star = [F.q ** k * sums[k][i] + (F.q ** k - 1) ** n
+                for k in range(1, 2 * n + 1)]
+        lf = strip_trivial_roots(star, n, F.q, b=bi)
+        results = []
+        for k in heldout:
+            predicted, observed = predicted_power_sum(lf, k), sums[k][i]
+            if predicted != observed:
+                raise VerificationError(
+                    f"held-out power sum mismatch at k={k}: "
+                    f"predicted {predicted!r}, computed {observed!r}")
+            results.append(HeldoutResult(k, predicted, observed, True))
+        out.append((lf, results))
+    return out[0] if one else out

@@ -233,28 +233,27 @@ def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None,
          "heldout": {f"{k[0]},{k[1]}": v for k, v in HELDOUT.items()},
          "ordinary_table": ordinary_table})
 
+    def family(n, p, heldout=()):
+        """(lf, held-out results) for every b, from one tower pass, or None
+        when the pipeline raised: then no b has roots or slopes to check."""
+        try:
+            return lfunction_pipeline(build_field(p, 1), n,
+                                      bs if bs is not None else range(1, p),
+                                      heldout=heldout, budget=budget)
+        except VerificationError:
+            return None
+
     for n, p in grid:
-        F = build_field(p, 1)
         expected = alpha_hodge_slopes(n)
         ks = HELDOUT.get((n, p), [])
-        b_list = bs if bs is not None else tuple(range(1, p))
         t0 = time.perf_counter()
-        slope_ok = held_ok = True
-        worst_rel = 0.0
-        for b in b_list:
-            try:
-                lf, results = lfunction_pipeline(
-                    F, n, b, heldout=ks, budget=budget)
-            except VerificationError:
-                slope_ok = held_ok = False
-                worst_rel = math.inf        # no roots: the weights are unchecked
-                continue
-            if sorted(lf.slopes) != sorted(expected):
-                slope_ok = False
-            held_ok = held_ok and all(r.match for r in results)
-            for r in lf.complex_roots:
-                rel = abs(abs(r) - p ** (n / 2)) / p ** (n / 2)
-                worst_rel = max(worst_rel, rel)
+        pairs = family(n, p, ks)
+        slope_ok = pairs is not None and all(sorted(lf.slopes) == sorted(expected)
+                                             for lf, _ in pairs)
+        held_ok = pairs is not None and all(r.match for _, res in pairs for r in res)
+        worst_rel = math.inf if pairs is None else max(
+            (abs(abs(r) - p ** (n / 2)) / p ** (n / 2)
+             for lf, _ in pairs for r in lf.complex_roots), default=0.0)
         elapsed = time.perf_counter() - t0
         rep.cases.append(CaseResult(
             f"slopes n={n} p={p} (all b)", "pass" if slope_ok else "fail",
@@ -270,22 +269,19 @@ def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None,
                 "match", "match", "exact in Z[zeta_p]"))
 
     for n, p in nonordinary:
-        F = build_field(p, 1)
         hp = _sorted_partial_sums(alpha_hodge_slopes(n))
         t0 = time.perf_counter()
-        ok = True
-        seen = []
-        for b in bs if bs is not None else range(1, p):
-            lf, _ = lfunction_pipeline(F, n, b, budget=budget)
+        pairs = family(n, p)
+        ok = pairs is not None
+        for lf, _ in pairs or ():
             np_ps = _sorted_partial_sums(lf.slopes)
             above = all(a >= h for a, h in zip(np_ps, hp))
             endpoints = len(np_ps) == len(hp) and np_ps[-1] == hp[-1]
-            differs = np_ps != hp
-            ok = ok and above and endpoints and differs
-            seen.append("{" + ",".join(str(s) for s in sorted(lf.slopes)) + "}")
-        _timed_case(rep.cases, f"nonordinary n={n} p={p}", t0, ok,
-                    seen[0] if seen else "", "strictly above, same endpoints",
-                    "observed slopes")
+            ok = ok and above and endpoints and np_ps != hp
+        seen = ("{" + ",".join(str(s) for s in sorted(pairs[0][0].slopes)) + "}"
+                if pairs else "")
+        _timed_case(rep.cases, f"nonordinary n={n} p={p}", t0, ok, seen,
+                    "strictly above, same endpoints", "observed slopes")
 
     if ordinary_table:
         t0 = time.perf_counter()

@@ -12,8 +12,7 @@ import pytest
 from invkloos import expsum
 from invkloos.errors import BudgetExceeded
 from invkloos.gf import build_field
-from invkloos.lfun import (alpha_hodge_slopes, heldout_check,
-                           lfunction_pipeline, power_sums)
+from invkloos.lfun import alpha_hodge_slopes, lfunction_pipeline
 from invkloos.polytope import facial_ordinary
 from invkloos.expsum import ik_laurent
 from invkloos.suites import (suite_cor1, suite_identities, suite_prop31,
@@ -146,11 +145,8 @@ def test_criterion_08_heldout_power_sums():
     spec = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5]}
     ok = True
     for (n, p), ks in spec.items():
-        F = build_field(p, 1)
-        for b in range(1, p):
-            lf = _pipeline(n, p, b)
-            results = heldout_check(lf, F, n, b, ks)
-            ok = ok and all(r.match for r in results)
+        family = lfunction_pipeline(build_field(p, 1), n, range(1, p), heldout=ks)
+        ok = ok and all(r.match for _, results in family for r in results)
     elapsed = time.perf_counter() - t0
     _report("8", ok and elapsed < 600,
             f"exact matches on {spec}, {elapsed:.0f}s (cap 600s)")
@@ -197,7 +193,7 @@ def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
                             kernel_calls.append(_name) or _real(*a, **kw))
     F = build_field(5, 1)
     with pytest.raises(BudgetExceeded, match="rounding bound"):
-        power_sums(build_field(3, 1), 3, 1, 16)          # F_{3^16}, in the cap
+        lfunction_pipeline(build_field(3, 1), 3, 1, heldout=[16])   # F_{3^16}, in the cap
     with pytest.raises(BudgetExceeded, match="table cap"):
         lfunction_pipeline(F, 3, 1, heldout=[12],
                            budget=expsum.DEFAULT_POINT_BUDGET)

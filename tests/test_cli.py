@@ -231,6 +231,11 @@ def test_cli_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and "weight counts" in captured.err
     assert main(["nope"]) == 2                          # unknown command
+    for argv, msg in ((["polytope", "--n", "0"], "n must be in 1..8"),
+                      (["polytope"], "one of --n, --poly or --vertices")):
+        assert main(argv) == 2, argv                    # no usable source
+        captured = capsys.readouterr()
+        assert captured.out == "" and msg in captured.err, argv
     for argv in (["sum", "--p", "5", "--n", "1", "--b", "1", "--k", "0"],
                  ["toric", "--p", "5", "--poly", "x1+x1^-1", "--k", "0"],
                  ["sum", "--p", "5", "--n", "0", "--b", "1"],
@@ -240,7 +245,9 @@ def test_cli_exit_codes(capsys, tmp_path):
                  ["verify", "cor1", "--p", "7", "--n", "0"],
                  ["lfun", "--p", "7", "--n", "1", "--b", "1", "--heldout=0"],
                  ["lfun", "--p", "7", "--n", "1", "--b", "1", "--heldout=-1"],
-                 ["lfun", "--p", "7", "--n", "2", "--b", "1", "--heldout=0"]):
+                 ["lfun", "--p", "7", "--n", "2", "--b", "1", "--heldout=0"],
+                 ["field", "--p", "5", "--k", "0"],
+                 ["field", "--p", "5", "--k", "-1"]):
         assert main(argv) == 2, argv                    # n, k or held-out k < 1
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >= 1" in captured.err, argv

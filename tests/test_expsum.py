@@ -1,5 +1,6 @@
 import cmath
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -580,10 +581,11 @@ def test_transform_identity_exhaustive(q, n):
 def test_galois_action_consistency_p3_n1():
     # conjugating the additive character conjugates every power sum and
     # leaves the reconstructed Newton polygon and root magnitudes unchanged
-    from invkloos.lfun import complex_weights, power_sums, strip_trivial_roots
+    from invkloos.lfun import complex_weights, strip_trivial_roots
 
     F = build_field(3, 1)
-    star = power_sums(F, 1, 1, 2)
+    star = [3 ** k * reduce_mod_phi(tower_sums(F, k, 1, [1])[0]) + (3 ** k - 1)
+            for k in (1, 2)]                            # S*_k, n = 1
     lf = strip_trivial_roots(star, 1, 3)
     star_c = [s.galois(2) for s in star]
     lf_c = strip_trivial_roots(star_c, 1, 3)
@@ -668,6 +670,21 @@ def test_gauss_transform_rounding_within_stated_bound(p, k, n):
     assert dev <= check_transform(p ** k, n) < 0.5
     M = p ** k - 1
     assert int(A.sum()) == (M ** (n + 1) - (-1) ** (n + 1)) // p ** k
+
+
+def test_gauss_transform_peak_memory_per_element():
+    # G and P (16 B each) and the index array (8 B) are the peak; the
+    # inverse FFT runs in place and P is dropped before the rounding check
+    E = build_field(3, 12)
+    A0, dev0 = _sum_one_counts(E, 2)        # tables and lazy maps built first
+    tracemalloc.start()
+    try:
+        A, dev = _sum_one_counts(E, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * E.q, peak / E.q
+    assert np.array_equal(A, A0) and dev == dev0
 
 
 def test_gauss_transform_bound_admits_the_point_budget():

@@ -5,18 +5,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invkloos import expsum, suites
-from invkloos.cyclotomic import CycloRational, embed_complex
+from invkloos.cli import lfactorization_to_json
+from invkloos.cyclotomic import CycloRational, embed_complex, reduce_mod_phi
 from invkloos.errors import BudgetExceeded, DegenerateError, VerificationError
+from invkloos.expsum import tower_sums
 from invkloos.gf import build_field
-from invkloos.lfun import (alpha_hodge_slopes, assemble_lfunction,
-                           complex_weights, elementary_to_power, heldout_check,
-                           lfunction_pipeline, lower_hull, newton_polygon,
-                           newton_to_elementary, power_sums, predicted_power_sum,
-                           strip_trivial_roots)
+from invkloos.lfun import (alpha_hodge_slopes, complex_weights,
+                           elementary_to_power, lfunction_pipeline, lower_hull,
+                           newton_polygon, newton_to_elementary,
+                           predicted_power_sum, strip_trivial_roots)
 
 
 def C(p, n):
     return CycloRational.from_int(p, n)
+
+
+def star_sums(F, n, b, K):
+    """S*_k = q^k S_{k,n}(b) + (q^k - 1)^n for k = 1..K, from the tower."""
+    return [F.q ** k * reduce_mod_phi(tower_sums(F, k, n, [b])[0])
+            + (F.q ** k - 1) ** n for k in range(1, K + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -54,16 +61,22 @@ def test_newton_roundtrip_against_brute_force(roots):
 
 def test_power_sums_first_value_q3():
     F = build_field(3, 1)
-    star = power_sums(F, 1, 1, 1)
+    star = star_sums(F, 1, 1, 1)
     # q S_{1,1}(1) + (q-1)^n = 3*(-1) + 2
     assert star[0] == C(3, -1)
 
 
-def test_power_sums_refuses_degenerate_characteristic():
+def test_power_sums_refuses_degenerate_characteristic(monkeypatch):
+    # p | n+1 is refused before any tower sum is read
+    reads = []
+    real = expsum.tower_sums
+    monkeypatch.setattr("invkloos.lfun.tower_sums",
+                        lambda *a, **kw: reads.append(a) or real(*a, **kw))
     with pytest.raises(DegenerateError, match="divides n\\+1"):
-        power_sums(build_field(3, 1), 2, 1, 2)
+        lfunction_pipeline(build_field(3, 1), 2, 1)
     with pytest.raises(DegenerateError):
-        power_sums(build_field(2, 1), 1, 1, 2)
+        lfunction_pipeline(build_field(2, 1), 1, [1])
+    assert reads == []
 
 
 def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
@@ -80,7 +93,7 @@ def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
         lfunction_pipeline(F, 1, 1, heldout=[13, 17])
     assert ei.value.estimate == 3 ** 17
     with pytest.raises(BudgetExceeded, match="table cap"):
-        power_sums(build_field(8209, 1), 1, 1, 2)
+        lfunction_pipeline(build_field(8209, 1), 1, 1)
     assert kernel_calls == []
 
 
@@ -88,7 +101,7 @@ def test_power_sum_growth_bound():
     # |S*_k - (-1)^n (q^k + 1)| <= 2n q^((n+2)k/2)
     for q, n, kmax in [(3, 1, 4), (5, 2, 2)]:
         F = build_field(q, 1)
-        star = power_sums(F, n, 1, kmax)
+        star = star_sums(F, n, 1, kmax)
         for k, s in enumerate(star, start=1):
             lhs = abs(embed_complex(s) - (-1) ** n * (q ** k + 1))
             assert lhs <= 2 * n * q ** ((n + 2) * k / 2) + 1e-6
@@ -100,7 +113,7 @@ def test_power_sum_growth_bound():
 
 def test_strip_n1_q3():
     F = build_field(3, 1)
-    star = power_sums(F, 1, 1, 2)
+    star = star_sums(F, 1, 1, 2)
     lf = strip_trivial_roots(star, 1, 3, b=1)
     assert len(lf.P_coeffs) == 3
     assert lf.P_coeffs[0] == CycloRational.one(3)
@@ -113,7 +126,7 @@ def test_slope_sum_equals_leading_valuation():
     # Newton polygon endpoint: the slope multiset sums to ord_q(a_2n)
     for n, p, b in [(1, 3, 1), (1, 7, 3), (2, 5, 2)]:
         F = build_field(p, 1)
-        lf = strip_trivial_roots(power_sums(F, n, b, 2 * n), n, p)
+        lf = strip_trivial_roots(star_sums(F, n, b, 2 * n), n, p)
         assert sum(lf.slopes) == lf.P_coeffs[2 * n].ord_q(p)
 
 
@@ -128,7 +141,7 @@ def test_ordinary_n1_q7():
 def test_alpha_beta_roundtrip():
     # multiplying the alpha-roots by q must reproduce the beta power sums
     F = build_field(5, 1)
-    star = power_sums(F, 1, 2, 2)
+    star = star_sums(F, 1, 2, 2)
     lf = strip_trivial_roots(star, 1, 5)
     n, q = 1, 5
     es_beta = [lf.P_coeffs[k] * ((-1) ** k) * q ** k for k in range(1, 2 * n + 1)]
@@ -140,27 +153,23 @@ def test_alpha_beta_roundtrip():
 
 def test_strip_rejects_wrong_sign_convention():
     F = build_field(3, 1)
-    star = power_sums(F, 1, 1, 2)
+    star = star_sums(F, 1, 1, 2)
     bad = [s * (-1) for s in star]   # flips the parity branch
     with pytest.raises(VerificationError, match="not integral"):
         strip_trivial_roots(bad, 1, 3)
 
 
 def test_assemble_trivial_parts():
+    # strip_trivial_roots returns the trivial factor and the complex roots too
     F = build_field(3, 1)
-    lf = strip_trivial_roots(power_sums(F, 1, 1, 2), 1, 3)
-    lf = assemble_lfunction(lf, 1, 3)
+    lf = strip_trivial_roots(star_sums(F, 1, 1, 2), 1, 3)
     assert lf.trivial_part == ((0, 2),)            # (1-T)^2 only
-    lf5 = strip_trivial_roots(power_sums(build_field(5, 1), 2, 1, 4), 2, 5)
-    lf5 = assemble_lfunction(lf5, 2, 5)
+    assert lf.complex_roots == tuple(complex_weights(lf.P_coeffs)[1])
+    lf5 = strip_trivial_roots(star_sums(build_field(5, 1), 2, 1, 4), 2, 5)
     assert lf5.trivial_part == ((0, 3), (1, -1))   # (1-T)^3 (1-qT)^(-1)
-
-    class Stub:
-        pass
-    stub = Stub()
-    stub.trivial_part = None
-    lf_n3 = assemble_lfunction(stub, 3, 5)
+    lf_n3, _ = lfunction_pipeline(build_field(5, 1), 3, 1)
     assert lf_n3.trivial_part == ((0, 4), (1, -3), (2, 1))
+    assert len(lf_n3.complex_roots) == 6
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +218,7 @@ def test_lower_hull():
 
 def test_complex_weights_examples():
     F = build_field(3, 1)
-    lf = strip_trivial_roots(power_sums(F, 1, 1, 2), 1, 3)
+    lf = strip_trivial_roots(star_sums(F, 1, 1, 2), 1, 3)
     mags, roots = complex_weights(lf.P_coeffs)
     assert len(roots) == 2
     assert all(abs(m - 3 ** 0.5) < 1e-6 for m in mags)
@@ -271,9 +280,8 @@ def test_pipeline_n3_q5_ordinary_with_heldout_k7(monkeypatch):
 
 def test_heldout_on_training_range_is_consistent():
     F = build_field(3, 1)
-    lf, _ = lfunction_pipeline(F, 1, 2)
-    res = heldout_check(lf, F, 1, 2, [1, 2])
-    assert all(r.match for r in res)
+    _, res = lfunction_pipeline(F, 1, 2, heldout=[1, 2])
+    assert [(r.k, r.match) for r in res] == [(1, True), (2, True)]
 
 
 def test_predicted_power_sum_matches_known_value():
@@ -288,10 +296,10 @@ def test_thm1_weights_fail_when_a_pipeline_raised(monkeypatch, bad):
     # of its (n, p) cannot pass, whether every b raised or only one
     real = suites.lfunction_pipeline
 
-    def pipeline(F, n, b, **kw):
-        if (n, F.p) == (1, 5) and b in bad:
+    def pipeline(F, n, bs, **kw):
+        if (n, F.p) == (1, 5) and bad & set(bs):
             raise VerificationError("raised for the test")
-        return real(F, n, b, **kw)
+        return real(F, n, bs, **kw)
 
     monkeypatch.setattr(suites, "lfunction_pipeline", pipeline)
     rep = suites.suite_thm1(grid=((1, 5),))
@@ -299,3 +307,43 @@ def test_thm1_weights_fail_when_a_pipeline_raised(monkeypatch, bad):
     assert status["weights n=1 p=5 (all b)"] == "fail"
     assert status["slopes n=1 p=5 (all b)"] == "fail"
     assert rep.verdict == "fail"
+
+
+def test_thm1_nonordinary_raise_fails_its_case(monkeypatch):
+    # a raise in the non-ordinary contrast fails that case, not the report
+    real = suites.lfunction_pipeline
+
+    def pipeline(F, n, bs, **kw):
+        if F.p == 5:
+            raise VerificationError("raised for the test")
+        return real(F, n, bs, **kw)
+
+    monkeypatch.setattr(suites, "THM1_GRID", ((1, 3),))
+    monkeypatch.setattr(suites, "lfunction_pipeline", pipeline)
+    rep = suites.suite_thm1()
+    status = {c.name: c.status for c in rep.cases}
+    assert status["nonordinary n=2 p=5"] == "fail"
+    assert status["slopes n=1 p=3 (all b)"] == "pass"
+    assert rep.verdict == "fail"
+
+
+def test_thm1_reads_each_tower_sum_once(monkeypatch):
+    # every b of (n, p) = (2, 7) shares one count array per k = 1..4 and
+    # held-out k = 5, where one pipeline call per b built 6 x 5
+    builds = []
+    real = expsum._sum_one_counts
+    monkeypatch.setattr(expsum, "_sum_one_counts",
+                        lambda E, n: builds.append((E.q, n)) or real(E, n))
+    rep = suites.suite_thm1(grid=((2, 7),))
+    assert rep.verdict == "pass"
+    assert builds == [(7 ** k, 2) for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("n,p", [(1, 5), (2, 7), (3, 5)])
+def test_pipeline_family_equals_per_b_calls(n, p):
+    F = build_field(p, 1)
+    ks = suites.HELDOUT[(n, p)]
+    family = lfunction_pipeline(F, n, range(1, p), heldout=ks)
+    assert [lfactorization_to_json(*pair) for pair in family] == \
+        [lfactorization_to_json(*lfunction_pipeline(F, n, b, heldout=ks))
+         for b in range(1, p)]
