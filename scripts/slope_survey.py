@@ -3,7 +3,7 @@
 grids, including the non-ordinary characteristics where no closed form is
 known.  The ordinary congruence p = 1 mod (n+1) predicts
 {0,1,1,...,n-1,n-1,n}; everything else is observational data.  A cell
-the library refuses (table cap, rounding bound, point budget) is
+the library refuses (table cap, rounding bound) is
 reported with the library's message and skipped.
 
 Usage: python scripts/slope_survey.py [--n 1,2] [--pmax 23] [--csv out.csv]

@@ -381,8 +381,7 @@ def cmd_toric(args) -> int:
 def cmd_lfun(args) -> int:
     F = build_field(args.p, args.a)
     heldout = [int(x) for x in args.heldout.split(",")] if args.heldout else []
-    lf, results = lfunction_pipeline(F, args.n, args.b, heldout=heldout,
-                                     budget=args.budget)
+    lf, results = lfunction_pipeline(F, args.n, args.b, heldout=heldout)
     obj = lfactorization_to_json(lf, results)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -438,8 +437,8 @@ def cmd_verify(args) -> int:
     ints = {f: tuple(int(x) for x in getattr(args, f).split(","))
             for f in "pnb" if getattr(args, f)}
     unread = [f"--{f}" for f in ints if f not in reads]
-    if args.budget is not None and args.suite in ("prop31", "thm33"):
-        unread.append("--budget")                   # they enumerate nothing
+    if args.budget is not None and args.suite not in ("thm0", "thm2", "identities"):
+        unread.append("--budget")                   # the others enumerate nothing
     if unread or (pair and len(ints.get("p", ())) != len(ints.get("n", ()))):
         print(f"error: verify {args.suite} does not read "
               f"{' '.join(unread) or '--p and --n of different lengths'}", file=sys.stderr)
@@ -525,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--heldout", help="comma list of extra k to cross-check")
-    _add_common(sp, "point budget of the n = 1 enumeration; n >= 2 uses the "
-                "transform, priced by table cap and rounding bound instead")
+    _add_out(sp)
     sp.set_defaults(fn=cmd_lfun)
 
     sp = sub.add_parser("polytope", help="weights, Hodge numbers, Hodge polygon")
@@ -546,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "cor1 and thm1 pair it with --n)")
     sp.add_argument("--n", help="comma list of n values")
     sp.add_argument("--b", help="comma list of b values (thm1 only)")
-    _add_common(sp, "enumeration point budget (not for prop31, thm33)")
+    _add_common(sp, "enumeration point budget (thm0, thm2, identities only)")
     sp.set_defaults(fn=cmd_verify, budget=None)      # tells an explicit --budget apart
     return ap
 

@@ -22,8 +22,8 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    Gauss-sum products instead of point enumeration; the
                    products do not depend on b and are built once per call
 * tower_sums       untwisted S_n(b) over F_{q^k} for many b, priced by
-                   check_tower: n = 1 enumerates; n >= 2 shifts one count
-                   array from two FFTs behind a rounding bound
+                   check_tower: one count array per (F_{q^k}, n) shifted
+                   per b, from y (1 - y) at n = 1, two FFTs at n >= 2
 
 The enumerating sums visit each point once however many character tuples
 they are given: a tuple only selects a point's bucket sum_i j_i dlog x_i,
@@ -326,7 +326,7 @@ def tn_transform(F: FieldTable, n: int, b: int, chi=None, *,
 
 
 # ----------------------------------------------------------------------
-# the Gauss-sum transform for untwisted sums
+# untwisted tower sums: one count array per (F_{q^k}, n), shifted per b
 # ----------------------------------------------------------------------
 
 def check_transform(Q: int, n: int) -> float:
@@ -381,49 +381,53 @@ def _sum_one_counts(E: FieldTable, n: int) -> tuple[np.ndarray, float]:
     return A, dev
 
 
-def _transform_sums(F: FieldTable, k: int, n: int,
-                    bs: Sequence[int]) -> list[SumValue]:
-    """Untwisted S_n(b) over F_{q^k} for every b in bs, equal to kloosterman_sum's.
-
-    x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
-    1/s = g^u, hist[t] = sum over tr(g^u) = t of A[dlog b + (n+1)u] (int64).
-    A depends on (F_{q^k}, n) only: one count array serves every b.
-    """
-    for b in bs:
-        _validate_b(F, b)
-    check_transform(F.q ** k, n)                 # before building tables
-    maps = field_maps(F, k)
-    E, M = maps.ext, maps.ext.q - 1
-    A, _ = _sum_one_counts(E, n)
-    t, steps = E.tr_abs[E.exp], (n + 1) * np.arange(M)
-
-    def value(b: int) -> SumValue:
-        hist = np.zeros(E.p, dtype=np.int64)
-        np.add.at(hist, t, A[(int(E.dlog[maps.embed_tab[b]]) + steps) % M])
-        return SumValue.from_hist(E.p, hist)
-    return [value(b) for b in bs]
+def _pair_counts(E: FieldTable) -> np.ndarray:
+    """A[d] = #{y in F_Q minus {0, 1}: y (1 - y) = g^d}, the n = 1 count of
+    _sum_one_counts, exactly, from one bincount over Q - 2 points.  z ->
+    enc(1 - z) is built one base-p digit at a time, the constant digit last."""
+    p, M = E.p, E.q - 1
+    neg = -np.arange(p, dtype=np.int64) % p
+    perm = np.zeros(1, dtype=np.int64)
+    for i in range(E.a - 1, 0, -1):
+        perm = (perm[:, None] + neg * p ** i).ravel()
+    perm = (perm[:, None] + (1 - np.arange(p)) % p).ravel()
+    d = E.dlog[perm[2:]]                        # dlog (1 - y); y = 0, 1 left out
+    del perm
+    d += E.dlog[2:]
+    d %= M
+    return np.bincount(d, minlength=M)
 
 
-def check_tower(F: FieldTable, k: int, n: int,
-                budget: int = DEFAULT_POINT_BUDGET) -> None:
+def check_tower(F: FieldTable, k: int, n: int) -> None:
     """Refuse tower_sums over F_{q^k} before any work: n or k below 1, the
-    n = 1 points, then the table cap, then the n >= 2 rounding bound."""
+    table cap, then the n >= 2 rounding bound."""
     _check_positive(n=n, k=k)
-    if n == 1:
-        check_points(F.q ** k - 1, budget)
     check_table_cap(F.p, F.a * k)
     if n > 1:
         check_transform(F.q ** k, n)
 
 
-def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int], *,
-               budget: int = DEFAULT_POINT_BUDGET) -> list[SumValue]:
-    """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower:
-    n = 1 enumerates the q^k - 1 points per b, n >= 2 shares one count array."""
-    check_tower(F, k, n, budget)
-    if n == 1:
-        return [kloosterman_sum(F, k, 1, b, budget=budget) for b in bs]
-    return _transform_sums(F, k, n, bs)
+def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> list[SumValue]:
+    """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower.
+
+    x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
+    w = 1/s, hist[tr w] sums A[dlog b + (n+1) dlog w] (int64).  A depends on
+    (F_{q^k}, n) only: _pair_counts at n = 1, _sum_one_counts at n >= 2,
+    and one count array serves every b.
+    """
+    for b in bs:
+        _validate_b(F, b)
+    check_tower(F, k, n)
+    maps = field_maps(F, k)
+    E, M = maps.ext, maps.ext.q - 1
+    A = _pair_counts(E) if n == 1 else _sum_one_counts(E, n)[0]
+
+    def value(b: int) -> SumValue:
+        hist = np.zeros(E.p, dtype=np.int64)
+        u = ((n + 1) * E.dlog[1:] + int(E.dlog[maps.embed_tab[b]])) % M
+        np.add.at(hist, E.tr_abs[1:], A[u])
+        return SumValue.from_hist(E.p, hist)
+    return [value(b) for b in bs]
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path
 (lfunction_pipeline, for one b or a whole family of b at once):
 
   1. read the tower once: one expsum.tower_sums call per k in 1..2n and
-     per held-out k, shared by every b (tower_sums picks and prices the
-     route; the largest k is priced before any sum);
+     per held-out k, shared by every b (one count array per k; the largest
+     k is priced, by table cap and rounding bound, before any sum);
   2. power sums S*_k = q^k S_{k,n}(b) + (q^k - 1)^n, exact in Z[zeta_p];
   3. sign-normalize to root power sums P_k = (-1)^n S*_k and subtract the
      two known trivial reciprocal roots 1 and q;
@@ -33,7 +33,7 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import DEFAULT_POINT_BUDGET, check_tower, tower_sums
+from .expsum import check_tower, tower_sums
 from .gf import FieldTable, prime_factors
 
 ROOT_RESIDUAL_TOL = 1e-6    # complex_weights: largest residual at a root, relative
@@ -61,9 +61,8 @@ class LFactorization:
 
 @dataclass
 class HeldoutResult:
+    """A held-out k that matched: lfunction_pipeline raises on a mismatch."""
     k: int
-    predicted: CycloRational
-    observed: CycloRational
     match: bool
 
 
@@ -240,8 +239,7 @@ def alpha_hodge_slopes(n: int) -> list[Fraction]:
 
 
 def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
-                       heldout: Sequence[int] = (),
-                       budget: int = DEFAULT_POINT_BUDGET):
+                       heldout: Sequence[int] = ()):
     """tower sums -> strip trivial roots -> weights -> held-out check.
 
     b is one unit, giving (LFactorization, [HeldoutResult]), or a sequence
@@ -256,7 +254,7 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
     """
     if any(k < 1 for k in heldout):
         raise ValueError(f"held-out k must be >= 1, got {heldout}")
-    check_tower(F, max([2 * n, *heldout]), n, budget)
+    check_tower(F, max([2 * n, *heldout]), n)
     if (n + 1) % F.p == 0:
         raise DegenerateError(
             f"p = {F.p} divides n+1 = {n + 1}: the reduction to a "
@@ -264,7 +262,7 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
             "claims do not apply")
     one = isinstance(b, Integral)
     bs = [b] if one else list(b)
-    sums = {k: [reduce_mod_phi(v) for v in tower_sums(F, k, n, bs, budget=budget)]
+    sums = {k: [reduce_mod_phi(v) for v in tower_sums(F, k, n, bs)]
             for k in sorted({*range(1, 2 * n + 1), *heldout})}
     out = []
     for i, bi in enumerate(bs):
@@ -278,6 +276,6 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
                 raise VerificationError(
                     f"held-out power sum mismatch at k={k}: "
                     f"predicted {predicted!r}, computed {observed!r}")
-            results.append(HeldoutResult(k, predicted, observed, True))
+            results.append(HeldoutResult(k, True))
         out.append((lf, results))
     return out[0] if one else out

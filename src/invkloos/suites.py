@@ -185,8 +185,7 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *,
     return rep
 
 
-def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *,
-               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
+def suite_cor1(grid=((1, 3), (1, 5), (2, 7))) -> VerifyReport:
     rep = VerifyReport(
         "cor1",
         "untwisted tower bound: "
@@ -199,7 +198,7 @@ def suite_cor1(grid=((1, 3), (1, 5), (2, 7)), *,
             t0 = time.perf_counter()
             main = ((q ** k - 1) ** n - (-1) ** n * (q ** k + 1)) / q ** k
             worst = max(abs(embed_complex(s) + main) for s in
-                        tower_sums(F, k, n, range(1, q), budget=budget))
+                        tower_sums(F, k, n, range(1, q)))
             bound = 2 * n * q ** (n * k / 2)
             _timed_case(rep.cases, f"n={n} q={q} k={k}", t0,
                         worst <= bound + TOL, worst, bound, "max |lhs|")
@@ -218,8 +217,7 @@ def _sorted_partial_sums(slopes) -> list[Fraction]:
     return out
 
 
-def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None,
-               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
+def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None) -> VerifyReport:
     ordinary_table = grid is None   # the default grid adds NONORDINARY and the table
     grid, nonordinary = (THM1_GRID, NONORDINARY) if ordinary_table else (grid, ())
     rep = VerifyReport(
@@ -239,7 +237,7 @@ def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None,
         try:
             return lfunction_pipeline(build_field(p, 1), n,
                                       bs if bs is not None else range(1, p),
-                                      heldout=heldout, budget=budget)
+                                      heldout=heldout)
         except VerificationError:
             return None
 
@@ -250,7 +248,7 @@ def suite_thm1(grid=None, *, bs: tuple[int, ...] | None = None,
         pairs = family(n, p, ks)
         slope_ok = pairs is not None and all(sorted(lf.slopes) == sorted(expected)
                                              for lf, _ in pairs)
-        held_ok = pairs is not None and all(r.match for _, res in pairs for r in res)
+        held_ok = pairs is not None         # a held-out mismatch raises in the pipeline
         worst_rel = math.inf if pairs is None else max(
             (abs(abs(r) - p ** (n / 2)) / p ** (n / 2)
              for lf, _ in pairs for r in lf.complex_roots), default=0.0)

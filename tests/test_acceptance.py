@@ -184,10 +184,11 @@ def test_criterion_10_ordinariness_table():
 def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     # n=3, p=5 is in scope through the Gauss-sum transform; beyond it, an
     # n >= 2 case over the rounding bound or the table cap, an n = 1 case
-    # over the point budget, and a direct enumeration over it must all be
-    # refused before any kernel runs
+    # over the table cap, and a direct enumeration over the point budget
+    # must all be refused before any kernel runs
     kernel_calls = []
-    for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts"):
+    for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts",
+                 "_pair_counts"):
         real = getattr(expsum, name)
         monkeypatch.setattr(expsum, name, lambda *a, _name=name, _real=real, **kw:
                             kernel_calls.append(_name) or _real(*a, **kw))
@@ -195,12 +196,10 @@ def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="rounding bound"):
         lfunction_pipeline(build_field(3, 1), 3, 1, heldout=[16])   # F_{3^16}, in the cap
     with pytest.raises(BudgetExceeded, match="table cap"):
-        lfunction_pipeline(F, 3, 1, heldout=[12],
-                           budget=expsum.DEFAULT_POINT_BUDGET)
-    with pytest.raises(BudgetExceeded, match="points") as ei:
-        lfunction_pipeline(build_field(7, 1), 1, 1, heldout=[12],
-                           budget=expsum.DEFAULT_POINT_BUDGET)
-    assert ei.value.estimate == 7 ** 12 - 1
+        lfunction_pipeline(F, 3, 1, heldout=[12])
+    with pytest.raises(BudgetExceeded, match="table cap") as ei:
+        lfunction_pipeline(build_field(7, 1), 1, 1, heldout=[12])
+    assert ei.value.estimate == 7 ** 12
     assert kernel_calls == []
     with pytest.raises(BudgetExceeded) as ei:
         expsum.kloosterman_sum(F, 6, 3, 1, budget=expsum.DEFAULT_POINT_BUDGET)

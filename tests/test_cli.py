@@ -134,7 +134,12 @@ def test_cli_lfun_n3_p5_heldout_k7(capsys):
      "c4fda452ab4c8378006ce19e174c7c167e465a6d0bcb9d22542184b32189e319"),
     (("--p", "53", "--n", "1", "--b", "2", "--heldout", "3"),
      "cb1fb6c5d3bf49fa4b061f2caa0bf856275d0fdc15217b95fc47a911748c23a3"),
-], ids=["p7-n2-b3", "p53-n1-b2-heldout3"])
+    # recorded while n = 1 still enumerated the torus once per b
+    (("--p", "3", "--n", "1", "--b", "2", "--heldout", "11"),
+     "541a1a4d571905d131186bd3afb933c87497a35e00e096aaf4aaa2f933a8436e"),
+    (("--p", "3", "--a", "2", "--n", "1", "--b", "4", "--heldout", "5"),
+     "d34872778601ca7b912467a7c93103504e4172def4cbe4d626af997db9cd7884"),
+], ids=["p7-n2-b3", "p53-n1-b2-heldout3", "p3-n1-b2-heldout11", "q9-n1-b4-heldout5"])
 def test_cli_lfun_json_bytes_are_pinned(capsys, argv, digest):
     code = main(["lfun", *argv, "--out", "json"])
     out, err = capsys.readouterr()
@@ -184,21 +189,31 @@ def test_cli_verify_deterministic_json(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("suite", ["prop31", "thm33"])
+# cor1 and thm1 read the tower through count arrays, priced by table cap
+# and rounding bound; prop31 and thm33 enumerate nothing
+@pytest.mark.parametrize("suite", ["prop31", "thm33", "cor1", "thm1"])
 @pytest.mark.parametrize("flag", [["--budget", "1"], ["--budget", "10000000000"],
                                   ["--force"]])
 def test_cli_verify_rejects_budget_flags_where_nothing_enumerates(capsys, suite,
                                                                    flag):
-    assert main(["verify", suite, "--n", "1", *flag]) == 2
+    grid = ["--p", "3", "--n", "1"] if suite in ("cor1", "thm1") else ["--n", "1"]
+    assert main(["verify", suite, *grid, *flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert (f"verify {suite} does not read --budget" if flag[0] == "--budget"
             else "unrecognized arguments: --force") in captured.err  # no such flag
-    code, _ = run(capsys, "verify", suite, "--n", "1")
+    code, _ = run(capsys, "verify", suite, *grid)
     assert code == 0
     code, _ = run(capsys, "verify", "thm0", "--p", "3", "--n", "1",
                   "--budget", "1")
     assert code == 3                                    # still read there
+
+
+def test_cli_lfun_has_no_budget_flag(capsys):
+    assert main(["lfun", "--p", "3", "--n", "1", "--b", "1", "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 1" in captured.err
 
 
 def test_cli_field_and_gauss(capsys):

@@ -13,8 +13,8 @@ from invkloos.errors import BudgetExceeded, VerificationError
 from invkloos.expsum import (CharacterTuple, LaurentPoly, check_transform,
                              e_sum, gauss_formula_parts, gauss_sum, ik_laurent,
                              kloosterman_sum, kloosterman_sums, tn_transform,
-                             toric_sum, tower_sums, _sum_one_counts,
-                             _transform_sums)
+                             toric_sum, tower_sums, _pair_counts,
+                             _sum_one_counts)
 from invkloos.gf import _FIELDS, FieldTable, build_field, field_maps
 
 
@@ -627,13 +627,15 @@ def test_mass_bounded_by_point_count(q, n, data):
 
 
 # ----------------------------------------------------------------------
-# the Gauss-sum transform against enumeration
+# the untwisted tower route (pair counts, Gauss-sum transform) against enumeration
 # ----------------------------------------------------------------------
 
-# (p, a, n, largest k): n = 2, 3, 4 over p = 2, 3, 5, 7 and the non-prime
-# bases q = 4 and q = 9; the p | n+1 cells (3, 2), (2, 3), (5, 4) included,
-# since the sum is defined there even where the L-function is refused
+# (p, a, n, largest k): n = 1, 2, 3, 4 over p = 2, 3, 5, 7 and the non-prime
+# bases q = 4 and q = 9; the p | n+1 cells (2, 1), (3, 2), (2, 3), (5, 4)
+# included, since the sum is defined there even where the L-function is refused
 TRANSFORM_GRID = [
+    (2, 1, 1, 8), (3, 1, 1, 6), (5, 1, 1, 4), (7, 1, 1, 3), (2, 2, 1, 4),
+    (3, 2, 1, 3),
     (2, 1, 2, 6), (3, 1, 2, 4), (5, 1, 2, 3), (7, 1, 2, 2), (2, 2, 2, 3),
     (3, 2, 2, 2),
     (2, 1, 3, 4), (3, 1, 3, 3), (5, 1, 3, 2), (7, 1, 3, 2), (2, 2, 3, 2),
@@ -650,6 +652,9 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
         for b, v in zip(bs, tower_sums(F, k, n, bs), strict=True):
             assert v.counts.tolist() == \
                 kloosterman_sum(F, k, n, b).counts.tolist(), (k, b)
+        if n == 1:                          # the FFT's counts are A's oracle
+            E = field_maps(F, k).ext
+            assert np.array_equal(_pair_counts(E), _sum_one_counts(E, 1)[0]), k
 
 
 # n = 1 sums two digit rows, which pass int16 once 2(p-1) > 32767; at
@@ -658,7 +663,7 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
 def test_kernel_matches_transform_past_int16(p):
     F = build_field(p, 1)
     bs = (1, 2, 3, p - 1)
-    for b, v in zip(bs, _transform_sums(F, 1, 1, bs), strict=True):
+    for b, v in zip(bs, tower_sums(F, 1, 1, bs), strict=True):
         assert kloosterman_sum(F, 1, 1, b).counts.tolist() == v.counts.tolist(), b
 
 
@@ -687,6 +692,21 @@ def test_gauss_transform_peak_memory_per_element():
     assert np.array_equal(A, A0) and dev == dev0
 
 
+def test_pair_count_tower_sum_peak_memory_per_element():
+    # the digit permutation and its dlog row (8 B each), then the count
+    # array, one index row and its gathered counts (8 B each)
+    F = build_field(3, 1)
+    v0, = tower_sums(F, 12, 1, [1])         # tables and lazy maps built first
+    tracemalloc.start()
+    try:
+        v, = tower_sums(F, 12, 1, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 * 3 ** 12, peak / 3 ** 12
+    assert v.counts.tolist() == v0.counts.tolist()
+
+
 def test_gauss_transform_bound_admits_the_point_budget():
     # every n >= 2 torus of at most 10^10 points has q^k - 1 <= 10^(10/n),
     # and the bound grows with q^k; only F_2 has an unbounded n
@@ -707,10 +727,9 @@ def test_gauss_transform_refuses_over_bound_before_any_fft(monkeypatch):
                             lambda *a, _real=real, **kw: calls.append(a)
                             or _real(*a, **kw))
     F = build_field(3, 1)
-    for route in (tower_sums, _transform_sums):
-        with pytest.raises(BudgetExceeded, match="rounding bound") as ei:
-            route(F, 16, 3, [1])            # within the table cap
-        assert ei.value.estimate == 3 ** 16
+    with pytest.raises(BudgetExceeded, match="rounding bound") as ei:
+        tower_sums(F, 16, 3, [1])           # within the table cap
+    assert ei.value.estimate == 3 ** 16
     assert (3, 16) not in _FIELDS           # no table was built either
     with pytest.raises(BudgetExceeded, match="2\\^63"):
         check_transform(6 * 10 ** 4, 4)     # bound 0.3, but M^4 > 2^63

@@ -84,7 +84,8 @@ def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
     # within the point budget: the refusal must come before any smaller k
     # enumerates
     kernel_calls = []
-    for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts"):
+    for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts",
+                 "_pair_counts"):
         real = getattr(expsum, name)
         monkeypatch.setattr(expsum, name, lambda *a, _real=real, **kw:
                             kernel_calls.append(a) or _real(*a, **kw))
@@ -327,16 +328,26 @@ def test_thm1_nonordinary_raise_fails_its_case(monkeypatch):
     assert rep.verdict == "fail"
 
 
-def test_thm1_reads_each_tower_sum_once(monkeypatch):
-    # every b of (n, p) = (2, 7) shares one count array per k = 1..4 and
-    # held-out k = 5, where one pipeline call per b built 6 x 5
-    builds = []
-    real = expsum._sum_one_counts
-    monkeypatch.setattr(expsum, "_sum_one_counts",
-                        lambda E, n: builds.append((E.q, n)) or real(E, n))
-    rep = suites.suite_thm1(grid=((2, 7),))
+@pytest.mark.parametrize("n,p", [(1, 5), (2, 7)])
+def test_thm1_reads_each_tower_sum_once(monkeypatch, n, p):
+    # every b of (n, p) shares one count array per k = 1..2n and held-out
+    # k, where one pipeline call per b built (p - 1) x 5 at (2, 7); n = 1
+    # counts pairs and enumerates nothing
+    builds, enumerated = [], []
+    for name in ("_pair_counts", "_sum_one_counts"):
+        real = getattr(expsum, name)
+        monkeypatch.setattr(expsum, name, lambda E, *a, _real=real, _name=name:
+                            builds.append((_name, E.q, *a)) or _real(E, *a))
+    for name in ("kloosterman_sum", "_inverted_hist"):
+        real = getattr(expsum, name)
+        monkeypatch.setattr(expsum, name, lambda *a, _real=real, **kw:
+                            enumerated.append(a) or _real(*a, **kw))
+    rep = suites.suite_thm1(grid=((n, p),))
     assert rep.verdict == "pass"
-    assert builds == [(7 ** k, 2) for k in range(1, 6)]
+    ks = sorted({*range(1, 2 * n + 1), *suites.HELDOUT[(n, p)]})
+    assert builds == ([("_pair_counts", p ** k) for k in ks] if n == 1 else
+                      [("_sum_one_counts", p ** k, n) for k in ks])
+    assert enumerated == []
 
 
 @pytest.mark.parametrize("n,p", [(1, 5), (2, 7), (3, 5)])
