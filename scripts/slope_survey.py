@@ -12,7 +12,6 @@ Usage: python scripts/slope_survey.py [--n 1,2] [--pmax 23] [--csv out.csv]
 import argparse
 import csv
 import sys
-from fractions import Fraction
 
 from invkloos.gf import build_field, is_prime
 from invkloos.lfun import alpha_hodge_slopes, lfunction_pipeline

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .cyclotomic import SumValue, embed_complex, reduce_mod_phi
 from .errors import BudgetExceeded, DegenerateError, ParseError, VerificationError
-from .expsum import (DEFAULT_POINT_BUDGET, CharacterTuple, LaurentPoly,
-                     gauss_sum, kloosterman_sum, tn_transform, toric_sum)
+from .expsum import (CharacterTuple, LaurentPoly, gauss_sum, kloosterman_sum,
+                     tn_transform, toric_sum)
 from .gf import FieldTable, build_field, field_maps
 from .lfun import lfunction_pipeline
 from .polytope import build_polytope, hodge_data, ik_polytope
@@ -347,9 +347,9 @@ def cmd_sum(args) -> int:
     F = build_field(args.p, args.a)
     chi = _parse_chi(args.chi, F.q, args.n + 1) if args.chi else None
     if args.tn:
-        v = tn_transform(F, args.n, args.b, chi, budget=args.budget)
+        v = tn_transform(F, args.n, args.b, chi)
     else:
-        v = kloosterman_sum(F, args.k, args.n, args.b, chi, budget=args.budget)
+        v = kloosterman_sum(F, args.k, args.n, args.b, chi)
     obj = sumvalue_to_json(v)
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -367,7 +367,7 @@ def cmd_toric(args) -> int:
     base = build_field(args.p, args.a) if args.p else None
     F, f = parse_laurent(args.poly, base)
     chi = _parse_chi(args.chi, F.q, f.n_vars) if args.chi else None
-    v = toric_sum(F, args.k, f, chi, budget=args.budget)
+    v = toric_sum(F, args.k, f, chi)
     if args.out == "json":
         print(json.dumps({"poly": laurent_to_json(F, f),
                           "value": sumvalue_to_json(v)}, sort_keys=True))
@@ -437,15 +437,13 @@ def cmd_verify(args) -> int:
     ints = {f: tuple(int(x) for x in getattr(args, f).split(","))
             for f in "pnb" if getattr(args, f)}
     unread = [f"--{f}" for f in ints if f not in reads]
-    if args.budget is not None and args.suite not in ("thm0", "thm2", "identities"):
-        unread.append("--budget")                   # the others enumerate nothing
     if unread or (pair and len(ints.get("p", ())) != len(ints.get("n", ()))):
         print(f"error: verify {args.suite} does not read "
               f"{' '.join(unread) or '--p and --n of different lengths'}", file=sys.stderr)
         return EXIT_USAGE
     if any(n < 1 for n in ints.get("n", ())):
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    kwargs = {} if args.budget is None else {"budget": args.budget}
+    kwargs = {}
     if pair and args.p:
         kwargs["grid"] = tuple(zip(ints["n"], ints["p"]))
     elif not pair:
@@ -468,11 +466,6 @@ def cmd_verify(args) -> int:
 
 def _add_out(sp):
     sp.add_argument("--out", choices=("json", "csv", "table"), default="table")
-
-
-def _add_common(sp, budget_help="enumeration point budget"):
-    _add_out(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET, help=budget_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chi", help="comma list of n+1 character indices")
     sp.add_argument("--tn", action="store_true",
                     help="compute the product-locus-1 transform (k=1) instead")
-    _add_common(sp)
+    _add_out(sp)
     sp.set_defaults(fn=cmd_sum)
 
     sp = sub.add_parser("toric", help="twisted toric sum of a Laurent polynomial")
@@ -515,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--chi", help="comma list of per-variable indices")
-    _add_common(sp)
+    _add_out(sp)
     sp.set_defaults(fn=cmd_toric)
 
     sp = sub.add_parser("lfun", help="L-function reconstruction and polygons")
@@ -544,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "cor1 and thm1 pair it with --n)")
     sp.add_argument("--n", help="comma list of n values")
     sp.add_argument("--b", help="comma list of b values (thm1 only)")
-    _add_common(sp, "enumeration point budget (thm0, thm2, identities only)")
-    sp.set_defaults(fn=cmd_verify, budget=None)      # tells an explicit --budget apart
+    _add_out(sp)
+    sp.set_defaults(fn=cmd_verify)
     return ap
 
 

@@ -191,12 +191,6 @@ class SumValue:
         return SumValue(self.p, self.m, np.roll(self.counts, (dt, dj), axis=(0, 1)),
                         self.denom)
 
-    def conjugate(self) -> "SumValue":
-        """Complex conjugation: negate both root-of-unity axes."""
-        return SumValue(self.p, self.m,
-                        np.roll(self.counts[::-1, ::-1], (1, 1), axis=(0, 1)),
-                        self.denom)
-
     # -- canonical form and equality --------------------------------------
 
     def is_zero(self) -> bool:

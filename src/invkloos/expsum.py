@@ -42,15 +42,15 @@ from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
 from .gf import TABLE_CAP, FieldTable, check_table_cap, digit_dtype, field_maps
 
-#: enumeration budget: torus points per kernel call (the CLI's --budget)
-DEFAULT_POINT_BUDGET = 10 ** 10
+#: enumeration cap: torus points per kernel call (multiply-adds for the
+#: Gauss-sum oracle); read at call time, as gf.TABLE_CAP is
+POINT_CAP = 10 ** 10
 
 
-def check_points(npoints: int, budget: int) -> None:
-    if npoints > budget:
-        raise BudgetExceeded(
-            f"enumeration needs {npoints} points, over the budget {budget}; "
-            f"lower k or n, or raise the budget", estimate=npoints)
+def check_points(cost: int, what: str = "enumeration", unit: str = "points") -> None:
+    if cost > POINT_CAP:
+        raise BudgetExceeded(f"{what} needs {cost} {unit}, over the cap "
+                             f"{POINT_CAP}; lower k or n", estimate=cost)
 
 
 def _check_positive(**degrees: int) -> None:
@@ -255,22 +255,21 @@ def _validate_b(F: FieldTable, b: int) -> None:
         raise ValueError(f"b = {b} is not a unit of the base field (need 0 < b < {F.q})")
 
 
-def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi,
-                   budget: int) -> tuple[np.ndarray, bool]:
+def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi
+                   ) -> tuple[np.ndarray, bool]:
     """_rows of chi, after checking n, k and b and pricing points and cells."""
     _check_positive(n=n, k=k)
     _validate_b(F, b)
     Q = F.q ** k
     J, one = _rows(chi, n + 1, F.q, Q)
-    check_points((Q - 1) ** n, budget)
+    check_points((Q - 1) ** n)
     if J.any():
         _check_cells(len(J) * (F.p + 1) * (Q - 1), f"{len(J)} twisted sums over F_{Q}")
     return J, one
 
 
 def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
-                     chis: Sequence[CharacterTuple], *,
-                     budget: int = DEFAULT_POINT_BUDGET) -> Iterator[SumValue]:
+                     chis: Sequence[CharacterTuple]) -> Iterator[SumValue]:
     """Inverted n-variable Kloosterman sums S_n(chi, b) over F_{q^k}, exactly,
     for every chi in chis from one enumeration of the torus.
 
@@ -281,7 +280,7 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
     Priced (points, histogram cells) before any table is built; returns an
     iterator, in the order of chis, that makes each SumValue when reached.
     """
-    J, _ = _plan_inverted(F, k, n, b, list(chis), budget)
+    J, _ = _plan_inverted(F, k, n, b, list(chis))
     maps = field_maps(F, k)
     E = maps.ext
     d_last = int(E.dlog[maps.embed_tab[b]])
@@ -289,15 +288,13 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
 
 
 def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
-                    chi: CharacterTuple | None = None, *,
-                    budget: int = DEFAULT_POINT_BUDGET) -> SumValue:
+                    chi: CharacterTuple | None = None) -> SumValue:
     """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums' row."""
     chis = [CharacterTuple.trivial(n + 1) if chi is None else chi]
-    return next(kloosterman_sums(F, k, n, b, chis, budget=budget))
+    return next(kloosterman_sums(F, k, n, b, chis))
 
 
-def tn_transform(F: FieldTable, n: int, b: int, chi=None, *,
-                 budget: int = DEFAULT_POINT_BUDGET):
+def tn_transform(F: FieldTable, n: int, b: int, chi=None):
     """The product-locus-1 companion sum T_n(chi, b), computed two ways.
 
     Direct definition: product of the n+1 variables equals 1 and psi is
@@ -308,7 +305,7 @@ def tn_transform(F: FieldTable, n: int, b: int, chi=None, *,
     CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
     giving an iterator as kloosterman_sums does; each side is one pass.
     """
-    J, one = _plan_inverted(F, 1, n, b, chi, budget)
+    J, one = _plan_inverted(F, 1, n, b, chi)
     M = F.q - 1
     direct = _inverted_hist(F, n, 0, F.tr_quotient(b), J)
     b_target = F.power(b, -(n + 1)) if M > 1 else 1
@@ -448,8 +445,7 @@ def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
     return acc
 
 
-def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None, *,
-              budget: int = DEFAULT_POINT_BUDGET):
+def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None):
     """Twisted toric exponential sum of f over (F_{q^k}^*)^n, exactly.
 
     sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
@@ -477,7 +473,7 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None, *,
               and all(e[i] in (0, 1) for e in f.exponents())), None)
     rest = [i for i in range(f.n_vars) if i != v]
     J = J[:, rest]
-    check_points(M ** len(rest), budget)
+    check_points(M ** len(rest))
     if J.any():
         _check_cells(len(J) * p * M, f"{len(J)} twisted toric sums over F_{Q}")
     maps = field_maps(F, k)
@@ -527,8 +523,7 @@ def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
     return LaurentPoly(nv, tuple(terms))
 
 
-def e_sum(F: FieldTable, n: int, b: int, chi=None, *,
-          budget: int = DEFAULT_POINT_BUDGET):
+def e_sum(F: FieldTable, n: int, b: int, chi=None):
     """The auxiliary (n+2)-variable toric sum E_n(chi, b).
 
     Twist (chi_1 conj(chi_{n+1}), ..., chi_n conj(chi_{n+1}), 1, 1); it
@@ -541,8 +536,7 @@ def e_sum(F: FieldTable, n: int, b: int, chi=None, *,
     J, one = _rows(chi, n + 1, F.q, F.q)
     twists = [CharacterTuple.reduced(list(j[:n] - j[n]) + [0, 0], F.q) for j in J]
     distinct = list(dict.fromkeys(twists))
-    value = dict(zip(distinct, toric_sum(F, 1, ik_laurent(F, n, b), distinct,
-                                         budget=budget)))
+    value = dict(zip(distinct, toric_sum(F, 1, ik_laurent(F, n, b), distinct)))
     out = (value[t] for t in twists)
     return next(out) if one else out
 
@@ -552,8 +546,7 @@ def e_sum(F: FieldTable, n: int, b: int, chi=None, *,
 # ----------------------------------------------------------------------
 
 def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
-                        chi: CharacterTuple | None = None, *,
-                        budget: int = DEFAULT_POINT_BUDGET
+                        chi: CharacterTuple | None = None
                         ) -> list[tuple[SumValue, SumValue]]:
     """S_n(chi, b) over F_{q^k} as (main term, Gauss-product sum), per b in bs.
 
@@ -566,7 +559,8 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
     chi_j, xi_c = (n+1) c + j_1 + ... + j_{n+1} and d_x = dlog x.  Only
     the last unit depends on b: the M Gauss sums and the M products of n+3
     of them (int64 cyclic convolutions on Z/p x Z/M = Z/pM, refused when
-    their mass M^(n+4) reaches 2^63) are built once per call, and each b
+    their mass M^(n+4) reaches 2^63, then when their (n+2) M (pM)^2
+    multiply-adds exceed POINT_CAP) are built once per call, and each b
     costs one shift and add.  Both parts are exact SumValues with
     denominators, so this is an oracle for kloosterman_sum that shares no
     enumeration code with it.
@@ -577,10 +571,11 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
         chi = CharacterTuple.trivial(n + 1)
     Q = F.q ** k
     M, p, N = Q - 1, F.p, F.p * (Q - 1)
-    check_points(Q * Q, budget)
     if M ** (n + 4) >= 2 ** 63:
         raise BudgetExceeded(f"Gauss-sum products over F_{Q}, n = {n}: mass "
                              f"{M}^{n + 4} overflows int64", estimate=M ** (n + 4))
+    check_points((n + 2) * M * N * N, f"Gauss-sum oracle over F_{Q}, n = {n}",
+                 "multiply-adds")
     maps = field_maps(F, k)
     E = maps.ext
     lifted = chi.lifted(F.q, Q)

@@ -18,9 +18,9 @@ from itertools import product
 
 from .cyclotomic import SumValue, embed_complex
 from .errors import VerificationError
-from .expsum import (DEFAULT_POINT_BUDGET, CharacterTuple, e_sum,
-                     gauss_formula_parts, ik_laurent, kloosterman_sum,
-                     kloosterman_sums, tn_transform, toric_sum, tower_sums)
+from .expsum import (CharacterTuple, e_sum, gauss_formula_parts, ik_laurent,
+                     kloosterman_sum, kloosterman_sums, tn_transform, toric_sum,
+                     tower_sums)
 from .gf import build_field
 from .lfun import alpha_hodge_slopes, lfunction_pipeline
 from .polytope import (diagonal_nondegenerate, facial_ordinary, hodge_data,
@@ -115,8 +115,7 @@ def _chi_at(F, j: int, b: int) -> complex:
 # bound suites
 # ----------------------------------------------------------------------
 
-def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *,
-               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
+def suite_thm0(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
     rep = VerifyReport(
         "thm0",
         "elementary bound: |S_n + (q-1)^n/q chi_1(b)| <= q^((n+1)/2) for "
@@ -133,7 +132,7 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *,
             chis = _char_tuples(q, n)
             for b in range(1, q):
                 for chi, s in zip(chis, map(embed_complex, kloosterman_sums(
-                        F, 1, n, b, chis, budget=budget))):
+                        F, 1, n, b, chis))):
                     if chi.all_equal():
                         lhs = abs(s + (q - 1) ** n / q * _chi_at(F, chi.indices[0], b))
                     else:
@@ -145,8 +144,7 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2), *,
     return rep
 
 
-def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *,
-               budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
+def suite_thm2(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
     rep = VerifyReport(
         "thm2",
         "toric bound for gcd(p, n+1) = 1: "
@@ -168,7 +166,7 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2), *,
             chis = _char_tuples(q, n)
             for b in range(1, q):
                 for chi, s in zip(chis, map(embed_complex, kloosterman_sums(
-                        F, 1, n, b, chis, budget=budget))):
+                        F, 1, n, b, chis))):
                     if chi.all_equal():
                         main = ((q - 1) ** n - (-1) ** n) / q * _chi_at(
                             F, chi.indices[0], b)
@@ -373,8 +371,7 @@ def suite_thm33(ns=(1, 2, 3, 4)) -> VerifyReport:
 # exact identity suite
 # ----------------------------------------------------------------------
 
-def suite_identities(ps=(3, 5, 7), ns=(1, 2), *,
-                     budget: int = DEFAULT_POINT_BUDGET) -> VerifyReport:
+def suite_identities(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
     rep = VerifyReport(
         "identities",
         "exact algebra: (a) q S_n = -(q-1)^n chi_1(b) + chi_1(b) E_n (equal "
@@ -396,9 +393,8 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2), *,
             chis = _char_tuples(q, n)
             for b in range(1, q):
                 db = int(F.dlog[b])
-                for chi, s, en in zip(chis,
-                                      kloosterman_sums(F, 1, n, b, chis, budget=budget),
-                                      e_sum(F, n, b, chis, budget=budget)):
+                for chi, s, en in zip(chis, kloosterman_sums(F, 1, n, b, chis),
+                                      e_sum(F, n, b, chis)):
                     lhs = s.scale(q)
                     if chi.all_equal():
                         j1 = chi.indices[0]
@@ -429,9 +425,8 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2), *,
             t0 = time.perf_counter()
             ok = True
             for b in range(1, q):
-                lhs = toric_sum(F, k, ik_laurent(F, n, b), budget=budget)
-                rhs = kloosterman_sum(F, k, n, b,
-                                      budget=budget).scale(q ** k) + \
+                lhs = toric_sum(F, k, ik_laurent(F, n, b))
+                rhs = kloosterman_sum(F, k, n, b).scale(q ** k) + \
                     SumValue.integer(p, (q ** k - 1) ** n)
                 if not (lhs == rhs):
                     ok = False
@@ -445,7 +440,7 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2), *,
             count = 0
             chis = _char_tuples(p, n)
             for b in range(1, p):
-                tn_transform(F, n, b, chis, budget=budget)   # raises on a mismatch
+                tn_transform(F, n, b, chis)   # raises on a mismatch
                 count += len(chis)
             _timed_case(rep.cases, f"(c) transform q={p} n={n}", t0, True,
                         "exact", "exact", f"{count} cases")
@@ -459,10 +454,10 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2), *,
             worst = worst_s2 = 0.0
             bs = range(1, q)
             chis = _char_tuples(q, n)
-            brutes = [[embed_complex(v) for v in kloosterman_sums(
-                F, 1, n, b, chis, budget=budget)] for b in bs]
+            brutes = [[embed_complex(v) for v in kloosterman_sums(F, 1, n, b, chis)]
+                      for b in bs]
             for i, chi in enumerate(chis):
-                parts = gauss_formula_parts(F, 1, n, bs, chi, budget=budget)
+                parts = gauss_formula_parts(F, 1, n, bs, chi)
                 for brute, (s1, s2) in zip(brutes, parts):
                     worst = max(worst, abs(brute[i] - embed_complex(s1 + s2)))
                     worst_s2 = max(worst_s2, abs(embed_complex(s2)))

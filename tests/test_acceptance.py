@@ -3,7 +3,6 @@ tolerance.  Run with -v for one pass/fail line per criterion (add -s to
 see the summary prints as they complete).
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -184,7 +183,7 @@ def test_criterion_10_ordinariness_table():
 def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     # n=3, p=5 is in scope through the Gauss-sum transform; beyond it, an
     # n >= 2 case over the rounding bound or the table cap, an n = 1 case
-    # over the table cap, and a direct enumeration over the point budget
+    # over the table cap, and a direct enumeration over the point cap
     # must all be refused before any kernel runs
     kernel_calls = []
     for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts",
@@ -202,8 +201,8 @@ def test_out_of_scope_refuses_gracefully_on_budget(monkeypatch):
     assert ei.value.estimate == 7 ** 12
     assert kernel_calls == []
     with pytest.raises(BudgetExceeded) as ei:
-        expsum.kloosterman_sum(F, 6, 3, 1, budget=expsum.DEFAULT_POINT_BUDGET)
-    assert ei.value.estimate > 10 ** 10
+        expsum.kloosterman_sum(F, 6, 3, 1)
+    assert ei.value.estimate > expsum.POINT_CAP
     assert kernel_calls == ["kloosterman_sum"]       # the entry, and no kernel
     _report("out-of-scope", True,
             f"enumeration of n=3 p=5 k=6 refused at {ei.value.estimate:.1e} "

@@ -76,15 +76,18 @@ def test_b_validation():
         kloosterman_sum(F, 1, 1, 5)
 
 
-def test_budget_refusal_carries_estimate():
+def test_budget_refusal_carries_estimate(monkeypatch):
     F = build_field(3, 1)
+    monkeypatch.setattr(expsum, "POINT_CAP", 10 ** 6)
     with pytest.raises(BudgetExceeded) as ei:
-        kloosterman_sum(F, 6, 3, 1, budget=10 ** 6)
+        kloosterman_sum(F, 6, 3, 1)
     assert ei.value.estimate == (3 ** 6 - 1) ** 3
-    # a larger budget admits the cell: F_9^* is 8 points
+    # a larger cap admits the cell: F_9^* is 8 points
+    monkeypatch.setattr(expsum, "POINT_CAP", 7)
     with pytest.raises(BudgetExceeded):
-        kloosterman_sum(F, 2, 1, 1, budget=7)
-    assert kloosterman_sum(F, 2, 1, 1, budget=8).p == 3
+        kloosterman_sum(F, 2, 1, 1)
+    monkeypatch.setattr(expsum, "POINT_CAP", 8)
+    assert kloosterman_sum(F, 2, 1, 1).p == 3
 
 
 def test_excluded_locus_is_skipped():
@@ -136,12 +139,13 @@ def test_extension_matches_direct_enumeration():
 
 
 def test_conjugation_symmetry_untwisted():
-    # for untwisted sums (m = 1) conjugate() only relabels t -> -t, the sum
-    # for the conjugate additive character
+    # x -> -x turns s into -s for the parameter (-1)^(n+1) b, so
+    # conj S_n(b) = S_n((-1)^(n+1) b); at n = 2 over F_7, b = 4 pairs with 3
     F = build_field(7, 1)
     v = kloosterman_sum(F, 1, 2, 4)
-    assert abs(embed_complex(v.conjugate())
+    assert abs(embed_complex(kloosterman_sum(F, 1, 2, 3))
                - embed_complex(v).conjugate()) < 1e-12
+    assert abs(embed_complex(v).imag) > 1e-3        # not real, so the pairing matters
 
 
 # ----------------------------------------------------------------------
@@ -433,25 +437,28 @@ def test_e_sum_twists_match_whole_torus_enumeration(q, n):
 def test_toric_budget_prices_the_enumerated_points(monkeypatch):
     F = build_field(5, 1)
     f = ik_laurent(F, 1, 2)          # x_2 summed out: 4^2 of 4^3 points
-    toric_sum(F, 1, f, budget=16)
+    monkeypatch.setattr(expsum, "POINT_CAP", 16)
+    toric_sum(F, 1, f)
 
     def no_chunks(*args):
         raise AssertionError("enumerated before the budget check")
 
     monkeypatch.setattr(expsum, "_toric_chunks", no_chunks)
-    with pytest.raises(BudgetExceeded) as exc:
-        toric_sum(F, 1, f, budget=15)
-    assert exc.value.estimate == 16
-    # a character on the only linear variable keeps it in the enumeration
-    with pytest.raises(BudgetExceeded) as exc:
-        toric_sum(F, 1, X1X2_PLUS_X2_INV, CharacterTuple((1, 0)), budget=15)
-    assert exc.value.estimate == 16
-    with pytest.raises(BudgetExceeded) as exc:
-        toric_sum(F, 1, X1X2_PLUS_X2_INV, budget=3)
-    assert exc.value.estimate == 4
     # priced from (q, k) alone, before any table of F_{5^30} is built
     with pytest.raises(BudgetExceeded):
         toric_sum(F, 30, f)
+    monkeypatch.setattr(expsum, "POINT_CAP", 15)
+    with pytest.raises(BudgetExceeded) as exc:
+        toric_sum(F, 1, f)
+    assert exc.value.estimate == 16
+    # a character on the only linear variable keeps it in the enumeration
+    with pytest.raises(BudgetExceeded) as exc:
+        toric_sum(F, 1, X1X2_PLUS_X2_INV, CharacterTuple((1, 0)))
+    assert exc.value.estimate == 16
+    monkeypatch.setattr(expsum, "POINT_CAP", 3)
+    with pytest.raises(BudgetExceeded) as exc:
+        toric_sum(F, 1, X1X2_PLUS_X2_INV)
+    assert exc.value.estimate == 4
 
 
 def test_toric_negative_exponents_classical_kloosterman():
@@ -532,6 +539,15 @@ def test_oracle_refuses_products_that_overflow_int64():
     # (2^13 - 1)^5 >= 2^63, refused before any table of F_{2^13} is built
     with pytest.raises(BudgetExceeded, match="overflows int64"):
         gauss_formula_parts(build_field(2, 1), 13, 1, (1,))
+
+
+def test_oracle_refuses_by_its_multiply_adds_before_building_tables():
+    # n + 2 = 3 convolutions of length N = 3 M per character c, M = 3^7 - 1
+    M = 3 ** 7 - 1
+    with pytest.raises(BudgetExceeded, match="multiply-adds") as ei:
+        gauss_formula_parts(build_field(3, 1), 7, 1, (1,))
+    assert ei.value.estimate == 3 * M * (3 * M) ** 2
+    assert (3, 7) not in _FIELDS
 
 
 def test_oracle_over_extension():
@@ -708,11 +724,11 @@ def test_pair_count_tower_sum_peak_memory_per_element():
 
 
 def test_gauss_transform_bound_admits_the_point_budget():
-    # every n >= 2 torus of at most 10^10 points has q^k - 1 <= 10^(10/n),
-    # and the bound grows with q^k; only F_2 has an unbounded n
+    # every n >= 2 torus of at most POINT_CAP points has q^k - 1 <=
+    # POINT_CAP^(1/n), and the bound grows with q^k; only F_2 has an unbounded n
     for n in range(2, 34):
         Q = 2
-        while Q ** n <= 10 ** 10:
+        while Q ** n <= expsum.POINT_CAP:
             Q += 1
         check_transform(Q, n)
     for n in range(2, 80):

@@ -81,7 +81,7 @@ def test_power_sums_refuses_degenerate_characteristic(monkeypatch):
 
 def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
     # F_{3^17} and F_{8209^2} are over the table cap while their points are
-    # within the point budget: the refusal must come before any smaller k
+    # within the point cap: the refusal must come before any smaller k
     # enumerates
     kernel_calls = []
     for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts",
