@@ -10,11 +10,9 @@ Usage: python scripts/bound_margins.py [--q 3,5,7,9] [--n 1,2] [--csv out.csv]
 import argparse
 import csv
 import sys
-from itertools import product
 
-from invkloos.cyclotomic import embed_complex
-from invkloos.expsum import CharacterTuple, kloosterman_sums
 from invkloos.gf import build_field, is_prime
+from invkloos.suites import twisted_errors
 
 
 def field_for(q: int):
@@ -40,22 +38,14 @@ def main() -> int:
     rows = []
     for q in (int(x) for x in args.q.split(",")):
         F = field_for(q)
-        import cmath
         for n in (int(x) for x in args.n.split(",")):
             worst = {"equal": 0.0, "mixed": 0.0}
-            chis = [CharacterTuple(idx)
-                    for idx in product(range(q - 1), repeat=n + 1)]
             for b in range(1, q):
-                for chi, v in zip(chis, kloosterman_sums(F, 1, n, b, chis)):
-                    s = embed_complex(v)
-                    if chi.all_equal():
-                        M = q - 1
-                        chib = cmath.exp(
-                            2j * cmath.pi * (chi.indices[0] * int(F.dlog[b]) % M) / M)
-                        err = abs(s + (q - 1) ** n / q * chib)
-                        worst["equal"] = max(worst["equal"], err)
-                    else:
-                        worst["mixed"] = max(worst["mixed"], abs(s))
+                # thm0's error terms: the main term (q-1)^n/q chi_1(b) off
+                # the equal-character sums, all tuples from one stack
+                err, equal = twisted_errors(F, n, b, (q - 1) ** n / q)
+                worst["equal"] = max(worst["equal"], float(err[equal].max()))
+                worst["mixed"] = max(worst["mixed"], float(err[~equal].max(initial=0.0)))
             for kind, val in worst.items():
                 if val == 0.0 and kind == "mixed" and q == 2:
                     continue

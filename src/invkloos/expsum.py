@@ -21,22 +21,28 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
 * gauss_formula_parts  an independent oracle for S_n built from q^k - 1
                    Gauss-sum products instead of point enumeration; the
                    products do not depend on b and are built once per call
+                   for every tuple, grouped by Gauss index
 * tower_sums       untwisted S_n(b) over F_{q^k} for many b, priced by
                    check_tower: one count array per (F_{q^k}, n) shifted
                    per b, from y (1 - y) at n = 1, two FFTs at n >= 2
 
 The enumerating sums visit each point once however many character tuples
 they are given: a tuple only selects a point's bucket sum_i j_i dlog x_i,
-so all tuples fill one exact int64 bincount per chunk of points.
+so all tuples fill one exact int64 bincount per chunk of points.  Given a
+sequence of C tuples, a twisted sum returns that stack, one int64 (C, p, m)
+array with row c the histogram of tuple c (m = 1 when every tuple is
+trivial), for cyclotomic.reduce_counts and embed_counts to check whole;
+given one tuple (or None), it returns that row as a SumValue.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
@@ -78,9 +84,6 @@ class CharacterTuple:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def all_equal(self) -> bool:
-        return len(set(self.indices)) == 1
 
     def lifted(self, q: int, ext_q: int) -> tuple[int, ...]:
         step = (ext_q - 1) // (q - 1)
@@ -194,11 +197,9 @@ def _char_hists(J: np.ndarray, width: int, M: int, chunks, nmasks: int = 1):
     return [np.broadcast_to(h, (C, width, m)) for h in hists]
 
 
-def _values(p: int, hist: np.ndarray, J: np.ndarray) -> Iterator[SumValue]:
-    """SumValues of the rows of a _char_hists histogram cut to p buckets (m = 1
-    for an all-trivial row), each made when reached: a list costs ~1 KiB a row."""
-    return (SumValue.from_hist(p, h[:p], m=h.shape[1]) if j.any()
-            else SumValue.from_hist(p, h[:p, 0]) for h, j in zip(hist, J))
+def _one(p: int, stack: np.ndarray) -> SumValue:
+    """The SumValue of a one-row stack (conductor 1 for an untwisted row)."""
+    return SumValue.from_hist(p, stack[0], m=stack.shape[2])
 
 
 def _rows(chi, count: int, q: int, Q: int) -> tuple[np.ndarray, bool]:
@@ -269,29 +270,29 @@ def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi
 
 
 def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
-                     chis: Sequence[CharacterTuple]) -> Iterator[SumValue]:
+                     chis: Sequence[CharacterTuple]) -> np.ndarray:
     """Inverted n-variable Kloosterman sums S_n(chi, b) over F_{q^k}, exactly,
     for every chi in chis from one enumeration of the torus.
 
     Enumerates (x_1, ..., x_n) over the torus, sets
     s = x_1 + ... + x_n + b/(x_1 ... x_n), skips s = 0 and accumulates
     psi(Tr(1/s)); each chi only picks the bucket sum_i j_i dlog x_i of a
-    point.  An all-trivial chi comes back with conductor 1 (p counters).
-    Priced (points, histogram cells) before any table is built; returns an
-    iterator, in the order of chis, that makes each SumValue when reached.
+    point.  Priced (points, histogram cells) before any table is built;
+    returns the (len(chis), p, m) stack, m = q^k - 1, or 1 when every chi is
+    trivial (a read-only broadcast of one row).
     """
     J, _ = _plan_inverted(F, k, n, b, list(chis))
     maps = field_maps(F, k)
     E = maps.ext
     d_last = int(E.dlog[maps.embed_tab[b]])
-    return _values(E.p, _inverted_hist(E, n, d_last, maps.tr_inv, J), J)
+    return _inverted_hist(E, n, d_last, maps.tr_inv, J)[:, :E.p]
 
 
 def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
                     chi: CharacterTuple | None = None) -> SumValue:
     """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums' row."""
     chis = [CharacterTuple.trivial(n + 1) if chi is None else chi]
-    return next(kloosterman_sums(F, k, n, b, chis))
+    return _one(F.p, kloosterman_sums(F, k, n, b, chis))
 
 
 def tn_transform(F: FieldTable, n: int, b: int, chi=None):
@@ -303,7 +304,7 @@ def tn_transform(F: FieldTable, n: int, b: int, chi=None):
     one point set onto the other bucket for bucket, so the two exact
     histograms must be equal cell for cell or the call raises.  chi is one
     CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
-    giving an iterator as kloosterman_sums does; each side is one pass.
+    giving a stack as kloosterman_sums does; each side is one pass.
     """
     J, one = _plan_inverted(F, 1, n, b, chi)
     M = F.q - 1
@@ -318,8 +319,8 @@ def tn_transform(F: FieldTable, n: int, b: int, chi=None):
         raise VerificationError(
             "transform mismatch between the direct sum and its "
             "reciprocal-parameter expression (implementation bug)")
-    out = _values(F.p, direct, J)
-    return next(out) if one else out
+    direct = direct[:, :F.p]
+    return _one(F.p, direct) if one else direct
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +452,8 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None):
     sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
     histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i).  chi is
     one CharacterTuple (None: untwisted), giving one SumValue, or a
-    sequence of them, giving an iterator as kloosterman_sums does, from
-    one enumeration in which each tuple is one more key row.
+    sequence of them, giving a stack as kloosterman_sums does, from one
+    enumeration in which each tuple is one more key row.
 
     The first variable x_v whose exponents all lie in {0, 1} and whose
     lifted character is trivial in every tuple is summed out: with
@@ -494,8 +495,7 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None):
     hist, *z = _char_hists(J, p, M, chunks(), 1 if v is None else 2)
     if z:
         hist = Q * z[0] - hist + (Q // p) * (hist - z[0]).sum(axis=1, keepdims=True)
-    out = _values(p, hist, J)
-    return next(out) if one else out
+    return _one(p, hist) if one else hist
 
 
 def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
@@ -530,15 +530,14 @@ def e_sum(F: FieldTable, n: int, b: int, chi=None):
     satisfies q S_n = -(q-1)^n chi_1(b) + chi_1(b) E_n when all characters
     agree and q S_n = chi_{n+1}(b) E_n otherwise.  chi is one
     CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
-    giving an iterator: the distinct twists are the key rows of one
-    toric_sum, and x_{n+1}, trivial in every twist, is summed out.
+    giving a stack: the distinct twists are the key rows of one toric_sum,
+    and x_{n+1}, trivial in every twist, is summed out.
     """
     J, one = _rows(chi, n + 1, F.q, F.q)
     twists = [CharacterTuple.reduced(list(j[:n] - j[n]) + [0, 0], F.q) for j in J]
-    distinct = list(dict.fromkeys(twists))
-    value = dict(zip(distinct, toric_sum(F, 1, ik_laurent(F, n, b), distinct)))
-    out = (value[t] for t in twists)
-    return next(out) if one else out
+    row = {t: i for i, t in enumerate(dict.fromkeys(twists))}
+    out = toric_sum(F, 1, ik_laurent(F, n, b), list(row))[[row[t] for t in twists]]
+    return _one(F.p, out) if one else out
 
 
 # ----------------------------------------------------------------------
@@ -546,71 +545,72 @@ def e_sum(F: FieldTable, n: int, b: int, chi=None):
 # ----------------------------------------------------------------------
 
 def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
-                        chi: CharacterTuple | None = None
-                        ) -> list[tuple[SumValue, SumValue]]:
-    """S_n(chi, b) over F_{q^k} as (main term, Gauss-product sum), per b in bs.
+                        chis: Sequence[CharacterTuple] | None = None
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """S_n(chi, b) over F_{q^k} for every chi in chis (None: the trivial
+    tuple), as (main, rest) per b in bs: two (len(chis), p, M) int64 stacks,
+    M = q^k - 1, with S_n(chi, b) = main / q^k + rest / (q^k M) row for row.
 
-    The main term is -(q^k-1)^n / q^k * chi_1(b) when all characters are
-    equal and 0 otherwise; the remainder is 1/(q^k (q^k-1)) times
+    main is -M^n chi_1(b) for a tuple of equal characters, else 0; rest is
 
         sum_c g(-xi_c)^2 g(c + j_1) ... g(c + j_{n+1}) zeta_M^(xi_c d_-1 - c d_b)
 
-    over the M = q^k - 1 characters c, where g(j) is the Gauss sum of
-    chi_j, xi_c = (n+1) c + j_1 + ... + j_{n+1} and d_x = dlog x.  Only
-    the last unit depends on b: the M Gauss sums and the M products of n+3
-    of them (int64 cyclic convolutions on Z/p x Z/M = Z/pM, refused when
-    their mass M^(n+4) reaches 2^63, then when their (n+2) M (pM)^2
-    multiply-adds exceed POINT_CAP) are built once per call, and each b
-    costs one shift and add.  Both parts are exact SumValues with
-    denominators, so this is an oracle for kloosterman_sum that shares no
-    enumeration code with it.
+    over the M characters c, where g(j) is the Gauss sum of chi_j,
+    xi_c = (n+1) c + j_1 + ... + j_{n+1} and d_x = dlog x.  Only the last
+    unit depends on b: the M Gauss sums, their squares and every tuple's M
+    products of n+3 of them (int64 cyclic convolutions on Z/p x Z/M = Z/pM,
+    refused when their mass M^(n+4) reaches 2^63, then when their
+    (len(chis) (n+1) + 1) M (pM)^2 multiply-adds exceed POINT_CAP) are
+    built once per call, the rows that take g(r) next by one product with
+    its circulant, and each b costs one shift and add.  An oracle for
+    kloosterman_sums that shares no enumeration code with it.
     """
     for b in bs:
         _validate_b(F, b)
-    if chi is None:
-        chi = CharacterTuple.trivial(n + 1)
     Q = F.q ** k
     M, p, N = Q - 1, F.p, F.p * (Q - 1)
+    J, _ = _rows([CharacterTuple.trivial(n + 1)] if chis is None else chis,
+                 n + 1, F.q, Q)
     if M ** (n + 4) >= 2 ** 63:
         raise BudgetExceeded(f"Gauss-sum products over F_{Q}, n = {n}: mass "
                              f"{M}^{n + 4} overflows int64", estimate=M ** (n + 4))
-    check_points((n + 2) * M * N * N, f"Gauss-sum oracle over F_{Q}, n = {n}",
-                 "multiply-adds")
+    check_points((len(J) * (n + 1) + 1) * M * N * N,
+                 f"Gauss-sum oracle over F_{Q}, n = {n}", "multiply-adds")
     maps = field_maps(F, k)
     E = maps.ext
-    lifted = chi.lifted(F.q, Q)
     d_neg1 = int(E.dlog[E.neg(1)])
     # cell (t, u) of Z/p x Z/M as its CRT index in Z/pM
     crt = (np.arange(p)[:, None] * (M * pow(M, -1, p))
            + np.arange(M) * (p * pow(p, -1, M))) % N
     G = np.zeros((M, N), dtype=np.int64)
     G[:, crt.ravel()] = _gauss_hists(E, range(M)).reshape(M, N)
+    GG = np.concatenate([G, G], axis=1)
 
-    def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        full = np.convolve(x, y)
-        full[:N - 1] += full[N:]
-        return full[:N]
+    def times(X: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Row i of X times g(r[i]): one product per Gauss index g with its
+        circulant, c[j, i] = g[i - j mod N], a strided view into GG[g]."""
+        out = np.empty_like(X)
+        step = GG.strides[1]
+        for g in np.unique(r):
+            rows = r == g
+            out[rows] = X[rows] @ as_strided(GG[g, N:], (N, N), (-step, step),
+                                             writeable=False)
+        return out
 
-    xi = ((n + 1) * np.arange(M) + sum(lifted)) % M
-    terms = []
-    for c in range(M):
-        term = times(G[-xi[c] % M], G[-xi[c] % M])
-        for ji in lifted:
-            term = times(term, G[(c + ji) % M])
-        terms.append(term)
-    terms = np.array(terms)[:, crt]              # back to (c, t, u)
-
+    cs = np.arange(M)
+    xi = ((n + 1) * cs + J.sum(axis=1)[:, None]) % M             # (tuple, c)
+    X = times(G, cs)[-xi.ravel() % M]                            # g(-xi_c)^2
+    for j in J.T:
+        X = times(X, ((cs + j[:, None]) % M).ravel())
+    terms = X.reshape(len(J), M, N)[..., crt]                    # (tuple, c, t, u)
+    del X
+    equal = (J == J[:, :1]).all(axis=1)
     out = []
-    cs, ts = np.arange(M)[:, None, None], np.arange(p)[None, :, None]
     for b in bs:
         db = int(E.dlog[maps.embed_tab[b]])
-        shift = (xi * d_neg1 - np.arange(M) * db) % M
-        u = (np.arange(M)[None, :] - shift[:, None]) % M
-        s2 = SumValue.from_hist(p, terms[cs, ts, u[:, None, :]].sum(axis=0),
-                                m=M, denom=Q * M)
-        s1 = np.zeros((p, M), dtype=np.int64)
-        if chi.all_equal():
-            s1[0, (lifted[0] * db) % M] = -(Q - 1) ** n
-        out.append((SumValue(p, M, s1, denom=Q), s2))
+        u = (cs - ((xi * d_neg1 - cs * db) % M)[..., None]) % M
+        rest = np.take_along_axis(terms, u[:, :, None, :], axis=3).sum(axis=1)
+        main = np.zeros_like(rest)
+        main[equal, 0, J[equal, 0] * db % M] = -(Q - 1) ** n
+        out.append((main, rest))
     return out
-

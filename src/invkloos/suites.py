@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import SumValue, embed_complex
+import numpy as np
+
+from .cyclotomic import (SumValue, embed_complex, embed_counts,
+                         reduce_counts)
 from .errors import VerificationError
 from .expsum import (CharacterTuple, e_sum, gauss_formula_parts, ik_laurent,
                      kloosterman_sum, kloosterman_sums, tn_transform, toric_sum,
@@ -28,7 +31,6 @@ from .polytope import (diagonal_nondegenerate, facial_ordinary, hodge_data,
 
 TOL = 1e-6                  # slack on the float side of the bound suites
 WEIGHT_REL_TOL = 1e-5       # thm1: max relative deviation of |alpha_i| from q^(n/2)
-ORACLE_TOL = 1e-6           # identities (d): oracle deviation over q^((n+1)/2)
 HELDOUT = {(1, 3): [3, 4], (1, 5): [3, 4], (2, 7): [5], (3, 5): [7]}   # thm1
 THM1_GRID = ((1, 3), (1, 5), (2, 7), (2, 13), (3, 5))    # thm1 default (n, p)
 NONORDINARY = ((2, 5),)     # thm1 default: (n, p) with slopes above Hodge
@@ -101,14 +103,24 @@ def _timed_case(cases: list[CaseResult], name: str, t0: float, ok: bool,
                             _fmt(rhs), detail, time.perf_counter() - t0))
 
 
-def _char_tuples(q: int, n: int):
-    return [CharacterTuple(t) for t in product(range(q - 1), repeat=n + 1)]
+def _char_tuples(q: int, n: int) -> tuple[list[CharacterTuple], np.ndarray]:
+    """Every (n+1)-tuple of characters of F_q, and their (C, n+1) indices."""
+    idx = list(product(range(q - 1), repeat=n + 1))
+    return [CharacterTuple(t) for t in idx], np.array(idx).reshape(len(idx), n + 1)
 
 
-def _chi_at(F, j: int, b: int) -> complex:
-    """chi_j(b) as a complex number."""
-    M = F.q - 1
-    return cmath.exp(2j * cmath.pi * (j * int(F.dlog[b]) % M) / M)
+def twisted_errors(F, n: int, b: int, main: float) -> tuple[np.ndarray, np.ndarray]:
+    """|S_n(chi, b) + main chi_1(b)| over F_q for the tuples chi of equal
+    characters and |S_n(chi, b)| for the others, every tuple in the order of
+    _char_tuples, from one kloosterman_sums stack and one embedding; with
+    the mask of the equal tuples."""
+    chis, J = _char_tuples(F.q, n)
+    s = embed_counts(kloosterman_sums(F, 1, n, b, chis))
+    equal = (J == J[:, :1]).all(axis=1)
+    M, db = F.q - 1, int(F.dlog[b])             # chi_j(b) = e^(2 pi i j db/M)
+    s[equal] += [main * cmath.exp(2j * cmath.pi * (int(j) * db % M) / M)
+                 for j in J[equal, 0]]
+    return np.abs(s), equal
 
 
 # ----------------------------------------------------------------------
@@ -129,16 +141,10 @@ def suite_thm0(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
             bound = q ** ((n + 1) / 2)
             worst = 0.0
             count = 0
-            chis = _char_tuples(q, n)
             for b in range(1, q):
-                for chi, s in zip(chis, map(embed_complex, kloosterman_sums(
-                        F, 1, n, b, chis))):
-                    if chi.all_equal():
-                        lhs = abs(s + (q - 1) ** n / q * _chi_at(F, chi.indices[0], b))
-                    else:
-                        lhs = abs(s)
-                    worst = max(worst, lhs)
-                    count += 1
+                err, _ = twisted_errors(F, n, b, (q - 1) ** n / q)
+                worst = max(worst, float(err.max()))
+                count += len(err)
             _timed_case(rep.cases, f"q={q} n={n} ({count} cases)", t0,
                         worst <= bound + TOL, worst, bound, "max |lhs|")
     return rep
@@ -163,17 +169,11 @@ def suite_thm2(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
             t0 = time.perf_counter()
             worst_eq = worst_ne = 0.0
             count = 0
-            chis = _char_tuples(q, n)
             for b in range(1, q):
-                for chi, s in zip(chis, map(embed_complex, kloosterman_sums(
-                        F, 1, n, b, chis))):
-                    if chi.all_equal():
-                        main = ((q - 1) ** n - (-1) ** n) / q * _chi_at(
-                            F, chi.indices[0], b)
-                        worst_eq = max(worst_eq, abs(s + main))
-                    else:
-                        worst_ne = max(worst_ne, abs(s))
-                    count += 1
+                err, equal = twisted_errors(F, n, b, ((q - 1) ** n - (-1) ** n) / q)
+                worst_eq = max(worst_eq, float(err[equal].max()))
+                worst_ne = max(worst_ne, float(err[~equal].max(initial=0.0)))
+                count += len(err)
             b_eq = (2 * n + 1) * q ** (n / 2)
             b_ne = 2 * (n + 1) * q ** (n / 2)
             ok = worst_eq <= b_eq + TOL and worst_ne <= b_ne + TOL
@@ -382,7 +382,8 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
         {"q": list(ps), "n": list(ns), "grid3": [list(g) for g in TORIC_GRID],
          "toric_cap": TORIC_CAP})
 
-    # (a) the auxiliary-sum rewrite, exact histogram equality
+    # (a) the auxiliary-sum rewrite, exact: q S_n - chi_{n+1}(b) E_n + [equal]
+    # (q-1)^n chi_1(b) reduced once per (q, n, b); both stacks have m = q-1
     for p in ps:
         F = build_field(p, 1)
         q, M = p, p - 1
@@ -390,23 +391,17 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
             t0 = time.perf_counter()
             ok = True
             count = 0
-            chis = _char_tuples(q, n)
+            chis, J = _char_tuples(q, n)
+            equal = (J == J[:, :1]).all(axis=1)
             for b in range(1, q):
-                db = int(F.dlog[b])
-                for chi, s, en in zip(chis, kloosterman_sums(F, 1, n, b, chis),
-                                      e_sum(F, n, b, chis)):
-                    lhs = s.scale(q)
-                    if chi.all_equal():
-                        j1 = chi.indices[0]
-                        rhs = en.promote(M).shift(0, j1 * db % M) - \
-                            SumValue.unit(p, M, 0, j1 * db % M,
-                                          coeff=(q - 1) ** n)
-                    else:
-                        jn1 = chi.indices[n]
-                        rhs = en.promote(M).shift(0, jn1 * db % M)
-                    if not (lhs == rhs):
-                        ok = False
-                    count += 1
+                shift = J[:, n] * int(F.dlog[b]) % M     # j_1 = j_{n+1} if equal
+                rhs = np.take_along_axis(e_sum(F, n, b, chis),
+                                         (np.arange(M) - shift[:, None])[:, None] % M,
+                                         axis=2)
+                rhs[equal, 0, shift[equal]] -= (q - 1) ** n
+                ok = ok and not reduce_counts(
+                    q * kloosterman_sums(F, 1, n, b, chis) - rhs).any()
+                count += len(chis)
             _timed_case(rep.cases, f"(a) rewrite q={q} n={n}", t0, ok,
                         "exact", "exact", f"{count} cases")
 
@@ -438,33 +433,30 @@ def suite_identities(ps=(3, 5, 7), ns=(1, 2)) -> VerifyReport:
         for n in ns:
             t0 = time.perf_counter()
             count = 0
-            chis = _char_tuples(p, n)
+            chis, _ = _char_tuples(p, n)
             for b in range(1, p):
                 tn_transform(F, n, b, chis)   # raises on a mismatch
                 count += len(chis)
             _timed_case(rep.cases, f"(c) transform q={p} n={n}", t0, True,
                         "exact", "exact", f"{count} cases")
 
-    # (d) the Gauss-formula oracle vs enumeration, and |S_2| <= q^((n+1)/2)
+    # (d) q M S_n = M main + rest exactly, reduced once per (q, n, b) (the oracle
+    # refuses M^(n+4) >= 2^63, so int64 holds it); |S_2| = |rest| / (q M)
     for p in ps:
         F = build_field(p, 1)
-        q = p
+        q, M = p, p - 1
         for n in ns:
             t0 = time.perf_counter()
-            worst = worst_s2 = 0.0
-            bs = range(1, q)
-            chis = _char_tuples(q, n)
-            brutes = [[embed_complex(v) for v in kloosterman_sums(F, 1, n, b, chis)]
-                      for b in bs]
-            for i, chi in enumerate(chis):
-                parts = gauss_formula_parts(F, 1, n, bs, chi)
-                for brute, (s1, s2) in zip(brutes, parts):
-                    worst = max(worst, abs(brute[i] - embed_complex(s1 + s2)))
-                    worst_s2 = max(worst_s2, abs(embed_complex(s2)))
-            bound = ORACLE_TOL * q ** ((n + 1) / 2)
-            ok = worst <= bound and worst_s2 <= q ** ((n + 1) / 2) + 1e-9
+            ok, worst_s2 = True, 0.0
+            chis, _ = _char_tuples(q, n)
+            for b, (main, rest) in zip(range(1, q),
+                                       gauss_formula_parts(F, 1, n, range(1, q), chis)):
+                ok = ok and not reduce_counts(
+                    q * M * kloosterman_sums(F, 1, n, b, chis) - M * main - rest).any()
+                worst_s2 = max(worst_s2, float(np.abs(embed_counts(rest)).max()) / (q * M))
+            ok = ok and worst_s2 <= q ** ((n + 1) / 2) + 1e-9
             _timed_case(rep.cases, f"(d) oracle q={q} n={n}", t0, ok,
-                        f"{worst:.3g}", f"{bound:.3g}",
+                        "exact", "exact",
                         f"max |S_2|={worst_s2:.6g} <= {q ** ((n + 1) / 2):.6g}")
     return rep
 

@@ -161,6 +161,22 @@ def test_cli_verify_cor1_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout at the default grids.  thm0 and thm2 were
+# recorded while every twisted sum was embedded one SumValue at a time;
+# identities after its oracle case (d) became exact ("exact"/"exact" where
+# it printed a float deviation and 1e-6 q^((n+1)/2))
+@pytest.mark.parametrize("suite, digest", [
+    ("thm0", "a201275c4136c2574df00fbd8638302ab8df8aadb0b75cb1a3ad7cdd328b335c"),
+    ("thm2", "3fc51394a3a1d29c9ae9b6923f02daec083e2c14aa9dddd70ac367fef23ad9a7"),
+    ("identities", "12fb867b3efa5f0b2505e7fcdd9a5ffbff1a8bc7e93aa8cb74ed4160af8dbd8b"),
+])
+def test_cli_verify_twisted_json_bytes_are_pinned(capsys, suite, digest):
+    code = main(["verify", suite, "--out", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_polytope_json_schema_and_csv(capsys):
     code, out = run(capsys, "polytope", "--n", "2", "--out", "json")
     assert code == 0

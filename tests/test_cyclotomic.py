@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from invkloos.cyclotomic import (CycloRational, SumValue, _pack,
                                  _phi_powers, _unpack, cyclotomic_poly,
-                                 embed_complex, reduce_mod_phi)
+                                 embed_complex, embed_counts, reduce_counts,
+                                 reduce_mod_phi)
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +178,9 @@ def test_promote_and_mixed_m_arithmetic():
 
 
 def test_conjugation_and_shift():
+    # rotating the indices by (dt, dj) multiplies by zeta_p^dt zeta_m^dj
     v = SumValue.unit(5, 4, t=2, j=1, coeff=3)
-    s = v.shift(1, 2)
+    s = SumValue(5, 4, np.roll(v.counts, (1, 2), axis=(0, 1)))
     assert abs(embed_complex(s)
                - embed_complex(v) * cmath.exp(2j * cmath.pi / 5)
                * cmath.exp(2j * cmath.pi * 2 / 4)) < 1e-12
@@ -227,8 +229,31 @@ def test_is_zero_matches_the_cell_loop(pm, data):
         assert v.is_zero() == (not any(map(any, ref)))
     assert SumValue(p, m, z).is_zero()
     assert r + SumValue(p, m, z) == r
-    assert (r == r.shift(1)) == (not any(map(any, _reduced_reference(
-        r - r.shift(1)))))
+    r1 = SumValue(p, m, np.roll(r.counts, 1, axis=0))
+    assert (r == r1) == (not any(map(any, _reduced_reference(r - r1))))
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 23),
+       st.integers(1, 10 ** 6), st.data())
+def test_array_embedding_matches_the_per_entry_sum(p, m, denom, data):
+    # within the documented bound mass * 1e-14, which holds for p + m <= 25
+    assume(math.gcd(p, m) == 1 and p + m <= 25)
+    cells = st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=m, max_size=m)
+    v = SumValue(p, m, data.draw(st.lists(cells, min_size=p, max_size=p)), denom)
+    zp = [cmath.exp(2j * cmath.pi * t / p) for t in range(p)]
+    zm = [cmath.exp(2j * cmath.pi * j / m) for j in range(m)]
+    exact = 0j
+    for t, j, c in v.entries():
+        exact += c * zp[t] * zm[j]
+    assert abs(v.embed() - exact / denom) <= v.mass() * 1e-14
+    # a stack embeds row by row, and reduces to the same canonical grids
+    stack = np.stack([v.counts, -v.counts, 0 * v.counts])
+    assert np.allclose(embed_counts(stack),
+                       [exact, -exact, 0], rtol=0, atol=v.mass() * 1e-14)
+    red = reduce_counts(stack)
+    assert red.shape == (3, p - 1, len(_phi_powers(m)[0][0]))
+    assert not red[2].any() and (red[0] == -red[1]).all()
+    assert bool(red[0].any()) == (not v.is_zero())
 
 
 def test_growth_past_int64_is_refused():

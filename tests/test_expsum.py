@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invkloos.cyclotomic import SumValue, embed_complex, reduce_mod_phi
-from invkloos import expsum
+from invkloos.cyclotomic import (SumValue, embed_complex, embed_counts,
+                                 reduce_counts, reduce_mod_phi)
+from invkloos import expsum, suites
 from invkloos.errors import BudgetExceeded, VerificationError
 from invkloos.expsum import (CharacterTuple, LaurentPoly, check_transform,
                              e_sum, gauss_formula_parts, gauss_sum, ik_laurent,
@@ -195,35 +196,53 @@ def _all_chis(q, count):
     return [CharacterTuple(t) for t in product(range(q - 1), repeat=count)]
 
 
+def _pad(hist, m):
+    """A histogram list widened to m columns: an untwisted one (one column)
+    is the same value as a stack row with all of its counts in column 0."""
+    return [row + [0] * (m - len(row)) for row in hist]
+
+
+def _oracle_matches(F, k, n, bs, chis):
+    """Whether q^k M S_n = M main + rest holds row for row in
+    Z[zeta_p, zeta_M], M = q^k - 1: the reduced stacks agree cell for cell."""
+    Q = F.q ** k
+    M = Q - 1
+    for b, (main, rest) in zip(bs, gauss_formula_parts(F, k, n, bs, chis)):
+        S = kloosterman_sums(F, k, n, b, chis)
+        S = np.array([_pad(h, M) for h in S.tolist()])
+        if not np.array_equal(reduce_counts(Q * M * S), reduce_counts(M * main + rest)):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("q,n,k", [(3, 1, 2), (5, 2, 1), (7, 2, 1), (4, 1, 1),
                                    (9, 1, 1), (5, 3, 1)])
 def test_batched_kernel_matches_enumeration_and_oracle(q, n, k):
     F = _field(q)
     chis = _all_chis(q, n + 1)
     bs = range(1, q)
-    oracle = {chi: gauss_formula_parts(F, k, n, bs, chi) for chi in chis}
-    for bi, b in enumerate(bs):
+    for b in bs:
         points = _inverted_points(F, k, n, b)
-        batch = list(kloosterman_sums(F, k, n, b, chis))
-        assert len(batch) == len(chis)
-        for chi, v in zip(chis, batch):
-            assert v.counts.tolist() == _points_hist(F, k, points, chi), (b, chi)
-            assert v.m == (1 if not any(chi.indices) else q ** k - 1)
-            s1, s2 = oracle[chi][bi]
-            assert s1 + s2 == v
+        batch = kloosterman_sums(F, k, n, b, chis)
+        assert batch.shape == (len(chis), F.p, q ** k - 1)
+        for chi, v in zip(chis, batch.tolist()):
+            assert v == _pad(_points_hist(F, k, points, chi), q ** k - 1), (b, chi)
+    assert _oracle_matches(F, k, n, bs, chis)
 
 
 @pytest.mark.parametrize("q,n,k", [(5, 2, 1), (3, 1, 2), (9, 1, 1)])
 def test_one_chi_wrapper_is_an_element_of_the_batch(q, n, k):
     F = _field(q)
     chis = _all_chis(q, n + 1)
+    M = q ** k - 1
     for b in range(1, q):
-        batch = list(kloosterman_sums(F, k, n, b, chis))
+        batch = kloosterman_sums(F, k, n, b, chis)
         for i in (0, 1, len(chis) // 2, len(chis) - 1):
             one = kloosterman_sum(F, k, n, b, chis[i])
-            assert (one.m, one.counts.tolist()) == \
-                (batch[i].m, batch[i].counts.tolist())
-        assert kloosterman_sum(F, k, n, b).counts.tolist() == batch[0].counts.tolist()
+            assert one.m == (M if any(chis[i].indices) else 1)
+            assert one.promote(M).counts.tolist() == batch[i].tolist()
+        assert kloosterman_sum(F, k, n, b).promote(M).counts.tolist() == \
+            batch[0].tolist()
 
 
 @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (7, 1), (4, 1)])
@@ -232,11 +251,11 @@ def test_batched_tn_transform_matches_enumeration(q, n):
     chis = _all_chis(q, n + 1)
     for b in range(1, q):
         points = _inverted_points(F, 1, n, b, product_is_b=False)
-        batch = list(tn_transform(F, n, b, chis))
-        for chi, v in zip(chis, batch):
-            assert v.counts.tolist() == _points_hist(F, 1, points, chi), (b, chi)
+        batch = tn_transform(F, n, b, chis)
+        for chi, v in zip(chis, batch.tolist()):
+            assert v == _pad(_points_hist(F, 1, points, chi), q - 1), (b, chi)
         assert tn_transform(F, n, b, chis[-1]).counts.tolist() == \
-            batch[-1].counts.tolist()
+            batch[-1].tolist()
 
 
 def test_tn_transform_raises_when_the_two_sides_differ(monkeypatch):
@@ -254,15 +273,16 @@ def test_batched_e_sum_matches_enumeration(q, n):
     chis = _all_chis(q, n + 1)
     for b in range(1, q):
         f = ik_laurent(F, n, b)
-        batch = list(e_sum(F, n, b, chis))
+        batch = e_sum(F, n, b, chis)
         want = {}
-        for chi, v in zip(chis, batch):
+        for chi, v in zip(chis, batch.tolist()):
             twist = CharacterTuple.reduced(
                 [chi.indices[i] - chi.indices[n] for i in range(n)] + [0, 0], q)
             if twist not in want:
-                want[twist] = _torus_hist(F, 1, f, twist)
-            assert v.counts.tolist() == want[twist], (b, chi)
-        assert e_sum(F, n, b, chis[-1]).counts.tolist() == batch[-1].counts.tolist()
+                want[twist] = _pad(_torus_hist(F, 1, f, twist), q - 1)
+            assert v == want[twist], (b, chi)
+        assert _pad(e_sum(F, n, b, chis[-1]).counts.tolist(), q - 1) == \
+            batch[-1].tolist()
 
 
 def test_batched_toric_rows_match_single_calls():
@@ -271,8 +291,8 @@ def test_batched_toric_rows_match_single_calls():
     for f in (X1X2_PLUS_X2_INV, CONST_PLUS_X1X2, ik_laurent(F, 1, 3)):
         rows = chis if f.n_vars == 2 else [CharacterTuple(c.indices + (0,))
                                             for c in chis]
-        for chi, v in zip(rows, toric_sum(F, 1, f, rows)):
-            assert v.counts.tolist() == _torus_hist(F, 1, f, chi), (f, chi)
+        for chi, v in zip(rows, toric_sum(F, 1, f, rows).tolist()):
+            assert v == _pad(_torus_hist(F, 1, f, chi), 4), (f, chi)
 
 
 def test_cell_cap_refused_before_any_enumeration(monkeypatch):
@@ -299,23 +319,22 @@ def test_cell_cap_refused_before_any_enumeration(monkeypatch):
 def test_key_arrays_stay_within_the_chunk(monkeypatch):
     F = build_field(5, 1)
     chis = _all_chis(5, 3)                           # 64 rows, 16 points
-    want = [v.counts.tolist() for v in kloosterman_sums(F, 1, 2, 3, chis)]
-    want_e = [v.counts.tolist() for v in e_sum(F, 2, 3, chis)]
+    want = kloosterman_sums(F, 1, 2, 3, chis).tolist()
+    want_e = e_sum(F, 2, 3, chis).tolist()
     sizes = []
     real = np.bincount
     monkeypatch.setattr(expsum.np, "bincount",
                         lambda x, **kw: sizes.append(x.size) or real(x, **kw))
     monkeypatch.setattr(expsum, "_CHUNK", 10)
-    got = [v.counts.tolist() for v in kloosterman_sums(F, 1, 2, 3, chis)]
-    assert got == want
+    assert kloosterman_sums(F, 1, 2, 3, chis).tolist() == want
     # chunks of 10 and 6 points; one row per key array at 10, one at 6
     assert len(sizes) == 64 + 64 and max(sizes) <= 10
     sizes.clear()
     monkeypatch.setattr(expsum, "_CHUNK", 40)
-    assert [v.counts.tolist() for v in kloosterman_sums(F, 1, 2, 3, chis)] == want
+    assert kloosterman_sums(F, 1, 2, 3, chis).tolist() == want
     assert len(sizes) == 64 // 2 and max(sizes) == 32      # 2 rows x 16 points
     sizes.clear()
-    assert [v.counts.tolist() for v in e_sum(F, 2, 3, chis)] == want_e
+    assert e_sum(F, 2, 3, chis).tolist() == want_e
     # 16 distinct twists over the 64 points of (x_1, x_2, x_4), in chunks
     # of 40 and 24: one row per key array, and per row one bincount for
     # every point and one for the points with A = 0
@@ -484,13 +503,45 @@ def test_rewrite_identity_exact(q, n):
             chi = CharacterTuple(idx)
             lhs = kloosterman_sum(F, 1, n, b, chi).scale(q)
             en = e_sum(F, n, b, chi)
-            if chi.all_equal():
-                j1 = idx[0]
-                rhs = en.promote(M).shift(0, j1 * db % M) - \
-                    SumValue.unit(q, M, 0, j1 * db % M, coeff=(q - 1) ** n)
-            else:
-                rhs = en.promote(M).shift(0, idx[n] * db % M)
+            # chi_{n+1}(b) E_n: E_n's indices rotated by j_{n+1} db
+            rhs = SumValue(q, M, np.roll(en.promote(M).counts, idx[n] * db % M, axis=1))
+            if len(set(idx)) == 1:
+                rhs = rhs - SumValue.unit(q, M, 0, idx[0] * db % M, coeff=(q - 1) ** n)
             assert lhs == rhs
+
+
+def _identities_cases(part):
+    rep = suites.suite_identities(ps=(5,), ns=(1,))
+    return [c.status for c in rep.cases if c.name.startswith(part)]
+
+
+def test_identities_rewrite_fails_on_one_wrong_cell_of_the_e_sum_stack(monkeypatch):
+    real = suites.e_sum
+
+    def off_by_one(F, n, b, chi=None):
+        out = np.array(real(F, n, b, chi))
+        if b == 3:
+            out[5, 1, 2] += 1
+        return out
+
+    assert _identities_cases("(a)") == ["pass"]
+    monkeypatch.setattr(suites, "e_sum", off_by_one)
+    assert _identities_cases("(a)") == ["fail"]
+    assert _identities_cases("(d)") == ["pass"]
+
+
+def test_identities_oracle_fails_on_one_wrong_cell_of_the_oracle_stack(monkeypatch):
+    real = suites.gauss_formula_parts
+
+    def off_by_one(F, k, n, bs, chis=None):
+        parts = real(F, k, n, bs, chis)
+        parts[2][1][5, 1, 2] += 1                   # rest at b = 3
+        return parts
+
+    assert _identities_cases("(d)") == ["pass"]
+    monkeypatch.setattr(suites, "gauss_formula_parts", off_by_one)
+    assert _identities_cases("(d)") == ["fail"]
+    assert _identities_cases("(a)") == ["pass"]
 
 
 def test_e_sum_untwisted_value_n1_q3():
@@ -503,36 +554,58 @@ def test_e_sum_untwisted_value_n1_q3():
 # the Gauss-formula oracle
 # ----------------------------------------------------------------------
 
+def _oracle_values(F, k, n, bs, chis=None):
+    """The oracle's S_n = main / Q + rest / (Q M) per b, embedded: (len(chis),)."""
+    Q = F.q ** k
+    return [embed_counts(main) / Q + embed_counts(rest) / (Q * (Q - 1))
+            for main, rest in gauss_formula_parts(F, k, n, bs, chis)]
+
+
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1)])
 def test_oracle_agrees_with_enumeration(q, n):
     F = build_field(q, 1)
     bound = 1e-9 * q ** ((n + 1) / 2)
-    for b in range(1, q):
-        for idx in product(range(q - 1), repeat=n + 1):
-            chi = CharacterTuple(idx)
-            brute = embed_complex(kloosterman_sum(F, 1, n, b, chi))
-            (s1, s2), = gauss_formula_parts(F, 1, n, (b,), chi)
-            orac = embed_complex(s1 + s2)
-            assert abs(brute - orac) < bound
+    chis = _all_chis(q, n + 1)
+    for b, orac in zip(range(1, q), _oracle_values(F, 1, n, range(1, q), chis)):
+        for chi, o in zip(chis, orac):
+            assert abs(embed_complex(kloosterman_sum(F, 1, n, b, chi)) - o) < bound
 
 
 def test_oracle_error_term_bound():
     F = build_field(7, 1)
-    for idx in [(0, 0), (1, 1), (2, 4), (0, 5)]:
-        for _, s2 in gauss_formula_parts(F, 1, 1, (1, 3), CharacterTuple(idx)):
-            assert abs(embed_complex(s2)) <= 7 + 1e-9
+    chis = [CharacterTuple(idx) for idx in [(0, 0), (1, 1), (2, 4), (0, 5)]]
+    for _, rest in gauss_formula_parts(F, 1, 1, (1, 3), chis):
+        assert rest.shape == (4, 7, 6)
+        assert (abs(embed_counts(rest)) / (7 * 6) <= 7 + 1e-9).all()
 
 
-@pytest.mark.parametrize("q,n,k", [(3, 2, 1), (5, 1, 1), (5, 2, 1), (3, 1, 2)])
+@pytest.mark.parametrize("q,n,k", [(3, 2, 1), (5, 1, 1), (5, 2, 1), (3, 1, 2),
+                                   (4, 1, 1), (9, 1, 1), (4, 1, 2)])
 def test_oracle_parts_equal_enumeration_exactly_for_every_b(q, n, k):
-    F = build_field(q, 1)
+    F = _field(q)
     bs = range(1, q)
-    for idx in product(range(q - 1), repeat=n + 1):
-        chi = CharacterTuple(idx)
-        parts = gauss_formula_parts(F, k, n, bs, chi)
-        assert len(parts) == len(bs)
-        for b, (s1, s2) in zip(bs, parts):
-            assert s1 + s2 == kloosterman_sum(F, k, n, b, chi)
+    chis = _all_chis(q, n + 1)
+    parts = gauss_formula_parts(F, k, n, bs, chis)
+    assert len(parts) == len(bs)
+    assert all(main.shape == rest.shape == (len(chis), F.p, q ** k - 1)
+               for main, rest in parts)
+    assert _oracle_matches(F, k, n, bs, chis)
+
+
+def test_batched_oracle_peak_memory():
+    # grouped by Gauss index, the products of all 216 tuples at q = 7, n = 2
+    # peak near 2 MiB; one (216, 6, 42, 42) stack of circulants would be 18 MiB
+    F = build_field(7, 1)
+    chis = _all_chis(7, 3)
+    gauss_formula_parts(F, 1, 2, range(1, 7), chis[:1])   # tables built first
+    tracemalloc.start()
+    try:
+        parts = gauss_formula_parts(F, 1, 2, range(1, 7), chis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == 6 and parts[0][1].shape == (216, 7, 6)
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_oracle_refuses_products_that_overflow_int64():
@@ -553,14 +626,14 @@ def test_oracle_refuses_by_its_multiply_adds_before_building_tables():
 def test_oracle_over_extension():
     F = build_field(3, 1)
     brute = kloosterman_sum(F, 2, 1, 2)
-    (s1, s2), = gauss_formula_parts(F, 2, 1, (2,))
-    assert abs(embed_complex(brute) - embed_complex(s1 + s2)) < 1e-9
+    (orac,), = _oracle_values(F, 2, 1, (2,))
+    assert abs(embed_complex(brute) - orac) < 1e-9
 
 
 def test_oracle_untwisted_n1_q3():
     F = build_field(3, 1)
-    (s1, s2), = gauss_formula_parts(F, 1, 1, (1,))
-    assert abs(embed_complex(s1 + s2) - (-1)) < 1e-12
+    (orac,), = _oracle_values(F, 1, 1, (1,))
+    assert abs(orac - (-1)) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -620,8 +693,6 @@ def test_character_tuple_reduction_and_lift():
     chi = CharacterTuple.reduced((7, -1, 0), 5)
     assert chi.indices == (3, 3, 0)
     assert chi.lifted(5, 25) == (18, 18, 0)
-    assert CharacterTuple((2, 2)).all_equal()
-    assert not CharacterTuple((2, 1)).all_equal()
 
 
 def test_laurent_poly_validation():

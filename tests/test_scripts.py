@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -36,3 +37,11 @@ def test_bound_margins_rows_and_unproved_flags():
     flagged = {cell[:2] for cell, line in zip(cells, lines)
                if line.endswith("[p | n+1, no proved bound]")}
     assert flagged == {("3", "2"), ("4", "1")}
+
+
+def test_bound_margins_stdout_is_pinned():
+    # sha256 of the default run (q = 3, 4, 5, 7, 8, 9; n = 1, 2), recorded
+    # while the script embedded every twisted sum one SumValue at a time
+    out = _run("bound_margins.py", "--q", "3,4,5,7,8,9", "--n", "1,2")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "648f58be74c905c2682b0152bdc411f3fffffeeb02a11b82b99b84010f24de0f"
