@@ -6,7 +6,11 @@ first; 0 encodes the zero element.  Construction is deterministic: the
 modulus is the lexicographically smallest monic irreducible of degree a
 over Z/p (coefficients compared from the constant term upward) and the
 generator g is the generating element with the smallest integer
-encoding.
+encoding.  Bootstrapping computes in F_p[t]/(f) with a x a matrices over
+Z/p: Rabin's irreducibility test and the generator's order test take
+powers of companion and multiplication matrices, and the absolute traces
+of the power basis are the power sums of f's roots, from Newton's
+identities.
 
 Multiplication and powers go through exp/dlog tables, so per-element
 cost inside enumeration kernels is a handful of table lookups; addition
@@ -30,62 +34,34 @@ TABLE_CAP = 1 << 26
 
 
 # ----------------------------------------------------------------------
-# dense polynomial arithmetic over Z/p (little-endian coefficient lists),
-# used only while bootstrapping the tables
+# arithmetic in F_p[t]/(f) through a x a matrices over Z/p (row vectors:
+# v @ mat multiplies the element v by the one mat stands for), used only
+# while bootstrapping the tables; int64 is exact while a (p-1)^2 < 2^63
 # ----------------------------------------------------------------------
 
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _companion(mod: tuple[int, ...], p: int) -> np.ndarray:
+    """Multiplication by t modulo the monic mod: row i holds t^(i+1)."""
+    c = np.eye(len(mod) - 1, k=1, dtype=np.int64)
+    c[-1] = np.negative(mod[:-1]) % p
+    return c
 
 
-def _pmulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    return _pmodred(out, mod, p)
+def _mulmat(x: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
+    """Multiplication by the element with coefficients x: row i is t^i x."""
+    rows = [x]
+    for _ in range(len(c) - 1):
+        rows.append(rows[-1] @ c % p)
+    return np.array(rows, dtype=np.int64)
 
 
-def _pmodred(f: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic
-    f = list(f)
-    d = len(mod) - 1
-    for i in range(len(f) - 1, d - 1, -1):
-        c = f[i]
-        if c:
-            f[i] = 0
-            for j in range(d):
-                f[i - d + j] = (f[i - d + j] - c * mod[j]) % p
-    return _ptrim(f)
-
-
-def _ppowmod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _pmodred(f, mod, p)
+def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            out = _pmulmod(out, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
+            out = out @ m % p
+        m = m @ m % p
         e >>= 1
     return out
-
-
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _ptrim(list(f)), _ptrim(list(g))
-    while g:
-        inv_lc = pow(g[-1], -1, p)
-        r = list(f)
-        while len(r) >= len(g) and r:
-            c = (r[-1] * inv_lc) % p
-            shift = len(r) - len(g)
-            for j, gj in enumerate(g):
-                r[shift + j] = (r[shift + j] - c * gj) % p
-            _ptrim(r)
-        f, g = g, r
-    return f
 
 
 def is_prime(n: int) -> bool:
@@ -116,41 +92,31 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _psub(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-           for i in range(n)]
-    return _ptrim(out)
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    # x^(p^a) == x mod f, and gcd(x^(p^(a/l)) - x, f) = 1 for prime l | a
+def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
+    # Rabin: t^(p^a) == t mod f, and gcd(t^(p^(a/l)) - t, f) = 1 for prime
+    # l | a.  Once the first holds, f is squarefree with factors of degrees
+    # dividing a, so h is prime to f exactly when h^(p^a - 1) == 1 mod f.
     a = len(mod) - 1
-    if a == 1:
-        return True
-    x = [0, 1]
-    xq = _ppowmod(x, p ** a, mod, p)
-    if _psub(xq, x, p):
+    c = _companion(mod, p)
+    if not (_matpow(c, p ** a, p) == c).all():
         return False
-    for ell in prime_factors(a):
-        xd = _ppowmod(x, p ** (a // ell), mod, p)
-        if len(_pgcd(mod, _psub(xd, x, p), p)) != 1:
-            return False
-    return True
+    one = np.eye(a, dtype=np.int64)
+    return all((_matpow((_matpow(c, p ** (a // ell), p) - c) % p, p ** a - 1, p)
+                == one).all() for ell in prime_factors(a))
 
 
 def smallest_irreducible(p: int, a: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree a over Z/p.
 
     Candidates x^a + c_{a-1} x^{a-1} + ... + c_0 are ordered by the tuple
-    (c_0, c_1, ..., c_{a-1}).
+    (c_0, c_1, ..., c_{a-1}); for a > 1 those with c_0 = 0 are divisible
+    by x, so the scan starts at c_0 = 1.
     """
     if a == 1:
         return (0, 1)  # x itself: F_p[x]/(x) = F_p
-    for coeffs in product(range(p), repeat=a):
-        mod = list(coeffs) + [1]
-        if coeffs[0] != 0 and _is_irreducible(mod, p):
-            return tuple(mod)
+    for coeffs in product(range(1, p), *[range(p)] * (a - 1)):
+        if _is_irreducible(coeffs + (1,), p):
+            return coeffs + (1,)
     raise AssertionError("no irreducible found (unreachable)")
 
 
@@ -175,28 +141,24 @@ class FieldTable:
         self.a = a
         self.q = p ** a
         self.modulus = modulus
-        q, mlist = self.q, list(modulus)
+        q = self.q
         m_order = q - 1
+        self._pows = np.array([p ** i for i in range(a)], dtype=np.int64)
+        c = _companion(modulus, p)
 
-        # generator: smallest encoding whose order is exactly q-1
+        # generator: smallest encoding whose order is exactly q-1; for a > 1
+        # the encodings below p lie in F_p^*, so none of them generates
         rad = prime_factors(m_order) if m_order > 1 else []
-        g = None
-        for cand in range(1, q):
-            cpoly = self._int_to_poly(cand)
-            if all(_ptrim([c % p for c in _ppowmod(cpoly, m_order // r, mlist, p)]) != [1]
-                   for r in rad):
-                g = cand
+        one = np.eye(a, dtype=np.int64)
+        for g in range(p if a > 1 else 1, q):
+            mat = _mulmat(g // self._pows % p, c, p)
+            if not any((_matpow(mat, m_order // r, p) == one).all() for r in rad):
                 break
-        assert g is not None
         self.g = g
 
         # exp/dlog in blocks of B <= 1024 rows (bigger ones only grow peak
-        # memory): mat multiplies by g, g^2, g^4, ... to double g^0..g^(B-1),
-        # then by g^B per block; int64 is exact while a (p-1)^2 < 2^63
-        self._pows = np.array([p ** i for i in range(a)], dtype=np.int64)
-        gpoly = self._int_to_poly(g)
-        mat = np.array([(_pmulmod([0] * i + [1], gpoly, mlist, p) + [0] * a)[:a]
-                        for i in range(a)], dtype=np.int64)
+        # memory): mat, which multiplies by g, then by g^2, g^4, ... doubles
+        # g^0..g^(B-1); then it multiplies by g^B per block
         B = 1 << min(10, (m_order - 1).bit_length())
         blk = np.eye(1, a, dtype=np.int64)
         while len(blk) < B:
@@ -213,41 +175,26 @@ class FieldTable:
         self.exp = exp
         self.dlog = dlog
 
-        # digit matrix
-        digits = np.zeros((q, a), dtype=digit_dtype(p))
-        rem = np.arange(q, dtype=np.int64)
+        # digit matrix: digit i of x runs through 0..p-1 in blocks of p^i
+        digits = np.empty((q, a), dtype=digit_dtype(p))
         for i in range(a):
-            digits[:, i] = rem % p
-            rem //= p
+            digits.reshape(p ** (a - 1 - i), p, p ** i, a)[..., i] = \
+                np.arange(p)[:, None]
         self.digits = digits
 
-        # absolute trace on the power basis: tr(t^j) = sum_i (t^j)^(p^i)
-        tr_basis = np.zeros(a, dtype=np.int64)
-        for j in range(a):
-            acc = [0]
-            y = _pmodred([0] * j + [1], mlist, p)
-            for _ in range(a):
-                acc = _ptrim([((acc[i] if i < len(acc) else 0)
-                               + (y[i] if i < len(y) else 0)) % p
-                              for i in range(max(len(acc), len(y), 1))])
-                y = _ppowmod(y, p, mlist, p)
-            assert len(acc) <= 1, "trace of basis element not in prime field"
-            tr_basis[j] = acc[0] if acc else 0
+        # absolute trace on the power basis: tr(t^j) = sum_i t^(j p^i) is
+        # the power sum P_j of the modulus' roots t^(p^i), by Newton's
+        # identities P_k = -(k c_{a-k} + sum_{i<k} c_{a-i} P_{k-i}), P_0 = a
+        tr_basis = [a % p]
+        for k in range(1, a):
+            tr_basis.append(-(k * modulus[a - k] + sum(
+                modulus[a - i] * tr_basis[k - i] for i in range(1, k))) % p)
         # column by column, no (q, a) int64 copy; dt holds a (p-1)^2
         dt = digit_dtype(a * p * p)
         tr = np.zeros(q, dtype=dt)
         for j in np.flatnonzero(tr_basis):
             tr += digits[:, j] * dt.type(tr_basis[j])
         self.tr_abs = (tr % p).astype(digits.dtype)
-
-    # -- encoding helpers ------------------------------------------------
-
-    def _int_to_poly(self, x: int) -> list[int]:
-        out = []
-        while x:
-            out.append(x % self.p)
-            x //= self.p
-        return out
 
     def modulus_str(self) -> str:
         def mono(i, c):

@@ -1,13 +1,47 @@
+import hashlib
+import random
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invkloos import gf
 from invkloos.errors import BudgetExceeded
-from invkloos.gf import (_pmulmod, build_field, field_maps, is_prime,
+from invkloos.gf import (FieldTable, build_field, field_maps, is_prime,
                          smallest_irreducible)
+
+
+# dense polynomials over Z/p as little-endian coefficient lists, kept here
+# as an oracle independent of the matrix arithmetic gf bootstraps with
+
+def _pmodred(f, mod, p):
+    # mod is monic; the result is trimmed of zero leading coefficients
+    f, d = list(f), len(mod) - 1
+    for i in range(len(f) - 1, d - 1, -1):
+        c, f[i] = f[i], 0
+        for j in range(d):
+            f[i - d + j] = (f[i - d + j] - c * mod[j]) % p
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _pmulmod(f, g, mod, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = (out[i + j] + fi * gj) % p
+    return _pmodred(out, mod, p)
+
+
+def _irreducible_by_trial_division(f, p):
+    """No monic d of degree 1..a/2 divides f: long division leaves f mod d."""
+    a = len(f) - 1
+    return all(_pmodred(f, list(low) + [1], p)
+               for deg in range(1, a // 2 + 1)
+               for low in product(range(p), repeat=deg))
 
 
 def test_f7_generator_is_smallest_primitive_root():
@@ -85,9 +119,10 @@ def _reference_tables(p, a):
 
 # q-1 against the block of 1024 powers: below it (2^1, 3^2, 2^10), one
 # short of a multiple (2^12), a multiple (12289), just above one (4099), and
-# a partial last block with a = 3 (17^3)
+# a partial last block with a = 3 (17^3); then a multiple of p
+# and a = p, so that tr(1) = a = 0 (3^6, 5^5)
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 2), (2, 10), (2, 12), (12289, 1),
-                                 (4099, 1), (17, 3)])
+                                 (4099, 1), (17, 3), (3, 6), (5, 5)])
 def test_tables_match_per_element_reference(p, a):
     F = build_field(p, a)
     ref = _reference_tables(p, a)
@@ -254,14 +289,108 @@ def test_smallest_irreducible_lex_order():
     assert smallest_irreducible(5, 1) == (0, 1)
 
 
+@pytest.mark.parametrize("p,a", [(p, a) for p, top in ((2, 11), (3, 7), (5, 4), (7, 3))
+                                 for a in range(1, top + 1)])
+def test_smallest_irreducible_matches_trial_division_scan(p, a):
+    # every candidate in (c_0, ..., c_{a-1}) order, c_0 = 0 included, tried
+    # against every monic divisor of degree <= a/2
+    want = next(coeffs + (1,) for coeffs in product(range(p), repeat=a)
+                if _irreducible_by_trial_division(list(coeffs) + [1], p))
+    assert smallest_irreducible(p, a) == want
+
+
+@pytest.mark.parametrize("p,a,terms", [
+    (2, 20, {20: 1, 17: 1, 0: 1}),
+    (2, 24, {24: 1, 23: 1, 21: 1, 20: 1, 0: 1}),
+    (3, 11, {11: 1, 10: 2, 9: 1, 0: 1}),
+    (3, 16, {16: 1, 14: 1, 13: 1, 0: 1}),
+    (5, 7, {7: 1, 6: 1, 0: 1}),
+    (7, 6, {6: 1, 4: 1, 0: 1}),
+    (53, 3, {3: 1, 2: 2, 0: 1}),
+])
+def test_smallest_irreducible_is_pinned(p, a, terms):
+    assert smallest_irreducible(p, a) == tuple(terms.get(i, 0) for i in range(a + 1))
+
+
+def _trace_by_conjugates(mod, p, j):
+    """tr(t^j) = sum_i (t^j)^(p^i) in F_p[t]/(mod), each p-th power taken
+    as p products."""
+    y, acc = _pmodred([0] * j + [1], mod, p), [0] * (len(mod) - 1)
+    for _ in acc:
+        for i, c in enumerate(y):
+            acc[i] = (acc[i] + c) % p
+        z = [1]
+        for _ in range(p):
+            z = _pmulmod(z, y, mod, p)
+        y = z
+    assert not any(acc[1:]), "trace outside the prime field"
+    return acc[0]
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([(p, a) for p, top in ((2, 15), (3, 10), (5, 6), (7, 5),
+                                               (11, 4), (13, 4))
+                        for a in range(1, top + 1)]),
+       st.integers(0, 10 ** 6))
+@example((3, 6), 0)
+@example((5, 5), 0)
+@example((2, 9), 0)
+def test_power_basis_traces_match_the_conjugate_sums(pa, seed):
+    # tr_abs at t^j (encoding p^j) comes from Newton's identities on the
+    # modulus; here the modulus is a random irreducible
+    p, a = pa
+    rng = random.Random(seed)
+    while True:
+        mod = [rng.randrange(p) for _ in range(a)] + [1]
+        if _irreducible_by_trial_division(mod, p):
+            break
+    F = FieldTable(p, a, tuple(mod))
+    assert [int(F.tr_abs[p ** j]) for j in range(a)] == \
+        [_trace_by_conjugates(mod, p, j) for j in range(a)]
+
+
+def _table_digest(F):
+    h = hashlib.sha256(repr((F.modulus, F.g)).encode())
+    for name in ("exp", "dlog", "digits", "tr_abs"):
+        arr = getattr(F, name)
+        h.update(repr((name, arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (modulus, g) and the four tables with their dtypes and shapes,
+# recorded with the per-polynomial construction these tables replaced
+TABLE_DIGESTS = {
+    (2, 1): "0c3b36a13009d9a390ac7c3ccbb5565680fe22e0f32cc99d786cbb549e66db56",
+    (2, 12): "4be5dd262cc3c426d2c7af2bfc71071c8cf69436a37f2b4bca82f25cbffdd94b",
+    (2, 16): "cbba97c9cd578c893dbaec1149726f4150243fb85c90397db1912640dfc0bc20",
+    (3, 7): "8eda8da38aa565cd4a656002ea810fc7d41b1203557d963bc35c0993cdbaf12a",
+    (3, 10): "855bd51dc0b34d217a8246d6ff4fa675b87cd59380a1e6a24e7f433aa6180959",
+    (5, 5): "d1b4cc430fa3cf9623443302e825db7cab8f32aa8c307630d90f4138436e98af",
+    (5, 6): "0415f4722fd1ecb1b7a56d20fa9d8d8a99473872233c0dd0c91f4c0883772107",
+    (7, 4): "caec3709697c9ff147f84759ce7413fc2c4f75e5b34652981c88c6fa49922f0f",
+    (7, 5): "aa751cbaa1f5b0f0407fa750855e4f71a184c730398105a333b257bbe333f199",
+    (13, 4): "1d326d7e46a33fbb96ac020ee80738954d1524fcba50ecc9f47dd0be5e9658b2",
+    (41, 3): "22df59e582eff8568cf3da1f90ef4140e5f71863054cb80763a588daf044ee03",
+    (53, 3): "54f1bb93cf70233f3718fcc42ee3da90fd98a8e4afeabd3450e02cf88a1970bb",
+    (4099, 1): "d6b163d8e0c1bbb0690c793570f8a0da62cdfc2f8944ba8669d2cf7a1cb5492f",
+    (65537, 1): "36b0060ec31622fbe8be8de12026d6d44217677d717df17e5912d9a944bd1b67",
+}
+
+
+@pytest.mark.parametrize("p,a", list(TABLE_DIGESTS))
+def test_tables_are_pinned(p, a):
+    assert _table_digest(build_field(p, a)) == TABLE_DIGESTS[p, a]
+
+
 def test_is_prime():
     assert [n for n in range(2, 40) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
-    # the trace goes column by column; (q, a) int64 temporaries used to
-    # push the peak past 3x the tables' bytes
+    # the trace goes column by column and the digits are filled in place,
+    # so no (q, a) or q-sized int64 temporary adds to the tables
     monkeypatch.setattr(gf, "_FIELDS", {})
     monkeypatch.setattr(gf, "_MAPS", {})
     tracemalloc.start()
@@ -273,7 +402,7 @@ def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
     E = m.ext
     tables = sum(arr.nbytes for arr in (
         E.exp, E.dlog, E.tr_abs, E.digits, m.embed_tab))
-    assert peak < 2 * tables
+    assert peak < 1.2 * tables
 
 
 @pytest.mark.parametrize("p,a", [(3, 5), (7, 3), (65537, 1)])
