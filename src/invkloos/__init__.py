@@ -7,9 +7,9 @@ verification suites (suites) and the command line (cli).
 """
 
 from .cyclotomic import CycloRational, SumValue, embed_complex, reduce_mod_phi
-from .expsum import (CharacterTuple, LaurentPoly, e_sum, gauss_formula_parts,
-                     gauss_sum, ik_laurent, kloosterman_sum, kloosterman_sums,
-                     tn_transform, toric_sum, tower_sums)
+from .expsum import (CharacterTuple, LaurentPoly, b_class, e_sum,
+                     gauss_formula_parts, gauss_sum, ik_laurent, kloosterman_sum,
+                     kloosterman_sums, tn_transform, toric_sum, tower_sums)
 from .gf import ExtensionMaps, FieldTable, build_field, field_maps
 from .lfun import (LFactorization, alpha_hodge_slopes, complex_weights,
                    lfunction_pipeline, newton_polygon, newton_to_elementary,

@@ -23,8 +23,8 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    products do not depend on b and are built once per call
                    for every tuple, grouped by Gauss index
 * tower_sums       untwisted S_n(b) over F_{q^k} for many b, priced by
-                   check_tower: one count array per (F_{q^k}, n) shifted
-                   per b, from y (1 - y) at n = 1, two FFTs at n >= 2
+                   check_tower: one count array per (F_{q^k}, n), from
+                   y (1 - y) at n = 1, two FFTs at n >= 2, served per class
 
 The enumerating sums visit each point once however many character tuples
 they are given: a tuple only selects a point's bucket sum_i j_i dlog x_i,
@@ -33,6 +33,12 @@ sequence of C tuples, a twisted sum returns that stack, one int64 (C, p, m)
 array with row c the histogram of tuple c (m = 1 when every tuple is
 trivial), for cyclotomic.reduce_counts and embed_counts to check whole;
 given one tuple (or None), it returns that row as a SumValue.
+
+For c in F_p^*, s -> c s shows S_n(b c^(n+1)) is S_n(b) with trace bucket
+t moved to t/c (sigma_{1/c} on Q(zeta_p)), so tower_sums serves only one
+representative per F_p^*-class of b (b_class) and moves the others in O(p).
+Served histograms stay in _TOWER for the process, 8p bytes each; a count
+array (8 B per element of F_{q^k}) lives for one call only.
 """
 
 from __future__ import annotations
@@ -324,7 +330,7 @@ def tn_transform(F: FieldTable, n: int, b: int, chi=None):
 
 
 # ----------------------------------------------------------------------
-# untwisted tower sums: one count array per (F_{q^k}, n), shifted per b
+# untwisted tower sums: one count array per (F_{q^k}, n), served per class of b
 # ----------------------------------------------------------------------
 
 def check_transform(Q: int, n: int) -> float:
@@ -405,27 +411,44 @@ def check_tower(F: FieldTable, k: int, n: int) -> None:
         check_transform(F.q ** k, n)
 
 
+#: served histograms of class representatives, keyed (p, a, k, n, rep)
+_TOWER: dict[tuple[int, int, int, int, int], np.ndarray] = {}
+
+
+def b_class(F: FieldTable, n: int, b: int) -> tuple[int, int]:
+    """(rep, c), b = rep c^(n+1) with c in F_p^* and rep = g^(dlog b mod h),
+    h = gcd(n+1, p-1) (q-1)/(p-1) the number of classes."""
+    _validate_b(F, b)
+    s, G = (F.q - 1) // (F.p - 1), math.gcd(n + 1, F.p - 1)
+    d, m = int(F.dlog[b]), (F.p - 1) // G
+    e = d // (G * s) * pow((n + 1) // G, -1, m) % m    # (n+1) e = G (d // h) mod p-1
+    return int(F.exp[d % (G * s)]), int(F.exp[s * e % (F.q - 1)])
+
+
 def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> list[SumValue]:
     """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower.
 
     x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
     w = 1/s, hist[tr w] sums A[dlog b + (n+1) dlog w] (int64).  A depends on
     (F_{q^k}, n) only: _pair_counts at n = 1, _sum_one_counts at n >= 2,
-    and one count array serves every b.
+    built when a class representative (b_class) is not yet in _TOWER; then
+    hist_b[u] = hist_rep[c u mod p].
     """
-    for b in bs:
-        _validate_b(F, b)
+    cls = [b_class(F, n, b) for b in bs]
     check_tower(F, k, n)
-    maps = field_maps(F, k)
-    E, M = maps.ext, maps.ext.q - 1
-    A = _pair_counts(E) if n == 1 else _sum_one_counts(E, n)[0]
-
-    def value(b: int) -> SumValue:
-        hist = np.zeros(E.p, dtype=np.int64)
-        u = ((n + 1) * E.dlog[1:] + int(E.dlog[maps.embed_tab[b]])) % M
-        np.add.at(hist, E.tr_abs[1:], A[u])
-        return SumValue.from_hist(E.p, hist)
-    return [value(b) for b in bs]
+    p, a = F.p, F.a
+    cold = [r for r in dict.fromkeys(r for r, _ in cls) if (p, a, k, n, r) not in _TOWER]
+    if cold:
+        maps = field_maps(F, k)
+        E, M = maps.ext, maps.ext.q - 1
+        A = _pair_counts(E) if n == 1 else _sum_one_counts(E, n)[0]
+        for r in cold:
+            hist = np.zeros(p, dtype=np.int64)
+            u = ((n + 1) * E.dlog[1:] + int(E.dlog[maps.embed_tab[r]])) % M
+            np.add.at(hist, E.tr_abs[1:], A[u])
+            _TOWER[p, a, k, n, r] = hist
+    return [SumValue.from_hist(p, _TOWER[p, a, k, n, r][c * np.arange(p) % p])
+            for r, c in cls]
 
 
 # ----------------------------------------------------------------------

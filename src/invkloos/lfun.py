@@ -3,11 +3,12 @@
 The generating function exp(sum_k S_k T^k / k) of the sums over the
 extension tower F_{q^k} is rational; its interesting part is a degree-2n
 polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path
-(lfunction_pipeline, for one b or a whole family of b at once):
+(lfunction_pipeline, for one b or a whole family of b at once), run once
+per F_p^*-class of b (expsum.b_class) on its representative:
 
-  1. read the tower once: one expsum.tower_sums call per k in 1..2n and
-     per held-out k, shared by every b (one count array per k; the largest
-     k is priced, by table cap and rounding bound, before any sum);
+  1. read the tower: one expsum.tower_sums call per k in 1..2n and per
+     held-out k (the largest k is priced, by table cap and rounding
+     bound, before any sum is computed or cache read);
   2. power sums S*_k = q^k S_{k,n}(b) + (q^k - 1)^n, exact in Z[zeta_p];
   3. sign-normalize to root power sums P_k = (-1)^n S*_k and subtract the
      two known trivial reciprocal roots 1 and q;
@@ -15,17 +16,21 @@ polynomial P(T) = prod (1 - alpha_i T).  Reconstruction path
      remaining 2n roots beta_i, hence prod (1 - beta_i T);
   5. rescale T -> T/q (alpha_i = beta_i / q) and assert integrality.
 
-The q-adic Newton polygon of P and the complex magnitudes of its
-reciprocal roots implement the slope / weight checks; held-out power
-sums (read from the same tower pass) validate the assembled rational
-function end to end.
+b = rep c^(n+1) then has P_b = sigma_{1/c}(P_rep) (galois), the same
+Newton polygon (one prime lies above p) and the complex roots of its own
+coefficients.  _CLASSES keeps each representative's LFactorization and
+held-out predictions for the process: O(n) elements of Q(zeta_p).  The
+q-adic Newton polygon of P and the complex magnitudes of its reciprocal
+roots implement the slope / weight checks; the held-out power sums of
+every b (bucket moves of its representative's) validate the assembled
+rational function end to end.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Integral
 
@@ -33,7 +38,7 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import check_tower, tower_sums
+from .expsum import _TOWER, b_class, check_tower, tower_sums
 from .gf import FieldTable, prime_factors
 
 ROOT_RESIDUAL_TOL = 1e-6    # complex_weights: largest residual at a root, relative
@@ -85,20 +90,12 @@ def newton_to_elementary(ps: list[CycloRational]) -> list[CycloRational]:
 
 
 def elementary_to_power(es: list[CycloRational], K: int) -> list[CycloRational]:
-    """Power sums p_1..p_K of the roots with elementary symmetric es."""
-    if K == 0:
-        return []
-    p = es[0].p
-    d = len(es)
+    """Power sums p_1..p_K of the roots with elementary symmetric es:
+    p_k = sum_{i=1..min(k,d)} (-1)^(i-1) e_i p_{k-i}, with p_0 read as k."""
     ps: list[CycloRational] = []
     for k in range(1, K + 1):
-        acc = CycloRational.zero(p)
-        for i in range(1, min(k, d) + 1):
-            if k - i >= 1:
-                acc = acc + es[i - 1] * ps[k - i - 1] * ((-1) ** (i - 1))
-        if k <= d:
-            acc = acc + es[k - 1] * ((-1) ** (k - 1) * k)
-        ps.append(acc)
+        ps.append(sum((es[i - 1] * (ps[k - i - 1] if i < k else k) * (-1) ** (i - 1)
+                       for i in range(1, min(k, len(es)) + 1)), CycloRational.zero(es[0].p)))
     return ps
 
 
@@ -213,20 +210,18 @@ def complex_weights(coeffs) -> tuple[list[float], list[complex]]:
     return sorted(abs(a) for a in alphas), list(alphas)
 
 
-def predicted_power_sum(lf: LFactorization, k: int) -> CycloRational:
-    """S_k implied by the assembled rational function, exactly.
+def predicted_power_sum(lf: LFactorization, ks: Sequence[int]) -> list[CycloRational]:
+    """S_k implied by the assembled rational function for every k >= 1 in
+    ks, exactly, from one elementary_to_power pass up to max(ks).
 
     From -T d/dT log: S_k = -sign (sum_r m_r q^(e_r k) + sum_i alpha_i^k),
     with the alpha power sums taken from P's coefficients by Newton's
     identities.
     """
-    p = lf.P_coeffs[0].p
     es = [lf.P_coeffs[i] * ((-1) ** i) for i in range(1, len(lf.P_coeffs))]
-    psums = elementary_to_power(es, k)
-    acc = psums[k - 1] if k >= 1 else CycloRational.zero(p)
-    for e, m in lf.trivial_part:
-        acc = acc + m * lf.q ** (e * k)
-    return acc * (-lf.sign)
+    psums = elementary_to_power(es, max(ks, default=0))
+    return [(psums[k - 1] + sum(m * lf.q ** (e * k) for e, m in lf.trivial_part))
+            * (-lf.sign) for k in ks]
 
 
 def alpha_hodge_slopes(n: int) -> list[Fraction]:
@@ -238,6 +233,11 @@ def alpha_hodge_slopes(n: int) -> list[Fraction]:
     return out
 
 
+#: per F_p^*-class of b, keyed (p, a, n, rep): (LFactorization, {k: S_k})
+_CLASSES: dict[tuple[int, int, int, int],
+               tuple[LFactorization, dict[int, CycloRational]]] = {}
+
+
 def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
                        heldout: Sequence[int] = ()):
     """tower sums -> strip trivial roots -> weights -> held-out check.
@@ -247,10 +247,10 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
     1 are refused, the cost of the largest k, held-out ones included, is
     checked before any sum is computed (expsum.check_tower), and p | n+1
     is refused: the facet determinants +-(n+1) vanish mod p, the Laurent
-    polynomial degenerates and the degree-2n shape of P no longer holds.
-    Each k in 1..2n and each held-out k is read from the tower once for
-    every b; a held-out sum must equal its prediction exactly in Z[zeta_p]
-    or the call raises, since this is the strongest end-to-end signal.
+    polynomial degenerates and the degree-2n shape of P no longer holds;
+    all three before any cache is read.  Each held-out sum of each b must
+    equal sigma_{1/c} of its class's prediction exactly in Z[zeta_p], or
+    the call raises and the class is dropped from both caches.
     """
     if any(k < 1 for k in heldout):
         raise ValueError(f"held-out k must be >= 1, got {heldout}")
@@ -262,20 +262,35 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
             "claims do not apply")
     one = isinstance(b, Integral)
     bs = [b] if one else list(b)
-    sums = {k: [reduce_mod_phi(v) for v in tower_sums(F, k, n, bs)]
+    cls = [b_class(F, n, bi) for bi in bs]
+    classes = {rep: _CLASSES.get((F.p, F.a, n, rep)) for rep, _ in cls}
+    cold = [rep for rep, entry in classes.items() if entry is None]
+    # rows: the cold representatives, then at a held-out k every b
+    sums = {k: [reduce_mod_phi(v) for v in tower_sums(F, k, n, cold + bs * (k in heldout))]
             for k in sorted({*range(1, 2 * n + 1), *heldout})}
+    for i, rep in enumerate(cold):
+        star = [F.q ** k * sums[k][i] + (F.q ** k - 1) ** n for k in range(1, 2 * n + 1)]
+        classes[rep] = (strip_trivial_roots(star, n, F.q, b=rep), {})
+    for rep, (lf, preds) in classes.items():
+        new = [k for k in dict.fromkeys(heldout) if k not in preds]
+        classes[rep] = (lf, {**preds, **dict(zip(new, predicted_power_sum(lf, new)))})
     out = []
-    for i, bi in enumerate(bs):
-        star = [F.q ** k * sums[k][i] + (F.q ** k - 1) ** n
-                for k in range(1, 2 * n + 1)]
-        lf = strip_trivial_roots(star, n, F.q, b=bi)
-        results = []
+    for i, (bi, (rep, c)) in enumerate(zip(bs, cls)):
+        lf, preds = classes[rep]
+        j = pow(c, -1, F.p)
+        if c != 1:
+            coeffs = tuple(x.galois(j) for x in lf.P_coeffs)
+            lf = replace(lf, b=bi, P_coeffs=coeffs,
+                         complex_roots=tuple(complex_weights(coeffs)[1]))
         for k in heldout:
-            predicted, observed = predicted_power_sum(lf, k), sums[k][i]
+            predicted, observed = preds[k].galois(j), sums[k][len(cold) + i]
             if predicted != observed:
+                _CLASSES.pop((F.p, F.a, n, rep), None)
+                for key in [t for t in _TOWER if t[:2] == (F.p, F.a) and t[3:] == (n, rep)]:
+                    del _TOWER[key]
                 raise VerificationError(
                     f"held-out power sum mismatch at k={k}: "
                     f"predicted {predicted!r}, computed {observed!r}")
-            results.append(HeldoutResult(k, True))
-        out.append((lf, results))
+        out.append((lf, [HeldoutResult(k, True) for k in heldout]))
+    _CLASSES.update(((F.p, F.a, n, rep), entry) for rep, entry in classes.items())
     return out[0] if one else out

@@ -1,4 +1,5 @@
 import cmath
+import math
 import time
 import tracemalloc
 from itertools import product
@@ -11,7 +12,7 @@ from invkloos.cyclotomic import (SumValue, embed_complex, embed_counts,
                                  reduce_counts, reduce_mod_phi)
 from invkloos import expsum, suites
 from invkloos.errors import BudgetExceeded, VerificationError
-from invkloos.expsum import (CharacterTuple, LaurentPoly, check_transform,
+from invkloos.expsum import (CharacterTuple, LaurentPoly, b_class, check_transform,
                              e_sum, gauss_formula_parts, gauss_sum, ik_laurent,
                              kloosterman_sum, kloosterman_sums, tn_transform,
                              toric_sum, tower_sums, _pair_counts,
@@ -744,6 +745,29 @@ def test_gauss_transform_matches_enumeration(p, a, n, kmax):
             assert np.array_equal(_pair_counts(E), _sum_one_counts(E, 1)[0]), k
 
 
+# the cells on which S_n(b c^(n+1)) = sigma_{1/c} S_n(b) was first checked
+CLASS_CELLS = [(7, 1, 3, 2), (5, 1, 4, 1), (3, 2, 2, 1), (3, 2, 3, 2),
+               (2, 3, 2, 2), (11, 1, 3, 1), (13, 1, 2, 3), (5, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("p,a,k,n", CLASS_CELLS)
+def test_class_served_tower_sums_equal_direct_serving(p, a, k, n, direct_serve):
+    F = build_field(p, a)
+    bs = range(1, F.q)
+    h = math.gcd(n + 1, p - 1) * (F.q - 1) // (p - 1)
+    classes = [b_class(F, n, b) for b in bs]
+    for b, (rep, c) in zip(bs, classes):
+        assert 0 < c < p and F.mul(rep, F.power(c, n + 1)) == b
+        assert rep == F.exp[F.dlog[b] % h]
+    assert len({rep for rep, _ in classes}) == h
+    family = tower_sums(F, k, n, bs)
+    assert sorted(key[4] for key in expsum._TOWER) == sorted({rep for rep, _ in classes})
+    backwards = [tower_sums(F, k, n, [b])[0] for b in reversed(bs)][::-1]
+    for b, v, w in zip(bs, family, backwards, strict=True):
+        want = direct_serve(F, k, n, b).tolist()
+        assert v.counts[:, 0].tolist() == w.counts[:, 0].tolist() == want, b
+
+
 # n = 1 sums two digit rows, which pass int16 once 2(p-1) > 32767; at
 # p = 65537 the digits and traces themselves do
 @pytest.mark.parametrize("p", [16411, 65537])
@@ -784,6 +808,7 @@ def test_pair_count_tower_sum_peak_memory_per_element():
     # array, one index row and its gathered counts (8 B each)
     F = build_field(3, 1)
     v0, = tower_sums(F, 12, 1, [1])         # tables and lazy maps built first
+    expsum._TOWER.clear()                   # and b = 1 is served again below
     tracemalloc.start()
     try:
         v, = tower_sums(F, 12, 1, [1])

@@ -1,16 +1,17 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from invkloos import expsum, suites
+from invkloos import cli, expsum, lfun, suites
 from invkloos.cli import lfactorization_to_json
-from invkloos.cyclotomic import CycloRational, embed_complex, reduce_mod_phi
+from invkloos.cyclotomic import CycloRational, SumValue, embed_complex, reduce_mod_phi
 from invkloos.errors import BudgetExceeded, DegenerateError, VerificationError
 from invkloos.expsum import tower_sums
 from invkloos.gf import build_field
-from invkloos.lfun import (alpha_hodge_slopes, complex_weights,
+from invkloos.lfun import (HeldoutResult, alpha_hodge_slopes, complex_weights,
                            elementary_to_power, lfunction_pipeline, lower_hull,
                            newton_polygon, newton_to_elementary,
                            predicted_power_sum, strip_trivial_roots)
@@ -82,14 +83,16 @@ def test_power_sums_refuses_degenerate_characteristic(monkeypatch):
 def test_over_cap_table_refused_before_any_enumeration(monkeypatch):
     # F_{3^17} and F_{8209^2} are over the table cap while their points are
     # within the point cap: the refusal must come before any smaller k
-    # enumerates
+    # enumerates, also when (p, n) = (3, 1) already has both classes cached
+    F = build_field(3, 1)
+    lfunction_pipeline(F, 1, [1, 2], heldout=[3])
+    assert len(lfun._CLASSES) == 2
     kernel_calls = []
     for name in ("kloosterman_sum", "_inverted_hist", "_sum_one_counts",
                  "_pair_counts"):
         real = getattr(expsum, name)
         monkeypatch.setattr(expsum, name, lambda *a, _real=real, **kw:
                             kernel_calls.append(a) or _real(*a, **kw))
-    F = build_field(3, 1)
     with pytest.raises(BudgetExceeded, match="table cap") as ei:
         lfunction_pipeline(F, 1, 1, heldout=[13, 17])
     assert ei.value.estimate == 3 ** 17
@@ -288,7 +291,11 @@ def test_heldout_on_training_range_is_consistent():
 def test_predicted_power_sum_matches_known_value():
     F = build_field(3, 1)
     lf, _ = lfunction_pipeline(F, 1, 1)
-    assert predicted_power_sum(lf, 1) == C(3, -1)
+    assert predicted_power_sum(lf, [1]) == [C(3, -1)]
+    # one pass serves held-out k in any order, each as its own pass would
+    sums = [reduce_mod_phi(tower_sums(F, k, 1, [1])[0]) for k in (5, 1, 3)]
+    assert predicted_power_sum(lf, [5, 1, 3]) == sums == \
+        [predicted_power_sum(lf, [k])[0] for k in (5, 1, 3)]
 
 
 @pytest.mark.parametrize("bad", [{1, 2, 3, 4}, {2}])
@@ -332,7 +339,8 @@ def test_thm1_nonordinary_raise_fails_its_case(monkeypatch):
 def test_thm1_reads_each_tower_sum_once(monkeypatch, n, p):
     # every b of (n, p) shares one count array per k = 1..2n and held-out
     # k, where one pipeline call per b built (p - 1) x 5 at (2, 7); n = 1
-    # counts pairs and enumerates nothing
+    # counts pairs and enumerates nothing; only class representatives are
+    # served
     builds, enumerated = [], []
     for name in ("_pair_counts", "_sum_one_counts"):
         real = getattr(expsum, name)
@@ -342,12 +350,21 @@ def test_thm1_reads_each_tower_sum_once(monkeypatch, n, p):
         real = getattr(expsum, name)
         monkeypatch.setattr(expsum, name, lambda *a, _real=real, **kw:
                             enumerated.append(a) or _real(*a, **kw))
+    served = []
+
+    class Served(dict):                     # one store per served histogram
+        def __setitem__(self, key, hist):
+            served.append(key[2])
+            super().__setitem__(key, hist)
+    monkeypatch.setattr(expsum, "_TOWER", Served())
     rep = suites.suite_thm1(grid=((n, p),))
     assert rep.verdict == "pass"
     ks = sorted({*range(1, 2 * n + 1), *suites.HELDOUT[(n, p)]})
     assert builds == ([("_pair_counts", p ** k) for k in ks] if n == 1 else
                       [("_sum_one_counts", p ** k, n) for k in ks])
     assert enumerated == []
+    # the p - 1 values of b fall into gcd(n+1, p-1) classes, one serve each
+    assert served == [k for k in ks for _ in range(math.gcd(n + 1, p - 1))]
 
 
 @pytest.mark.parametrize("n,p", [(1, 5), (2, 7), (3, 5)])
@@ -358,3 +375,74 @@ def test_pipeline_family_equals_per_b_calls(n, p):
     assert [lfactorization_to_json(*pair) for pair in family] == \
         [lfactorization_to_json(*lfunction_pipeline(F, n, b, heldout=ks))
          for b in range(1, p)]
+
+
+@pytest.mark.parametrize("target", ["predicted_power_sum", "tower_sums"])
+def test_heldout_mismatch_caches_nothing_and_raises_again(monkeypatch, target):
+    # a wrong prediction, or a wrong held-out sum, fails every call: the
+    # failing class keeps no reconstruction and no served histogram
+    real = getattr(lfun, target)
+
+    def wrong(*a, **kw):
+        out = real(*a, **kw)
+        if target == "predicted_power_sum":
+            return [x + 1 for x in out]
+        return [v + 1 if a[1] == 3 else v for v in out]     # the k = 3 sums
+    monkeypatch.setattr(lfun, target, wrong)
+    F = build_field(5, 1)
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="k=3"):
+            lfunction_pipeline(F, 1, range(1, 5), heldout=[3])
+        assert lfun._CLASSES == {}
+        assert not [key for key in expsum._TOWER if key[4] == 1]   # b = 1's class
+    monkeypatch.undo()
+    warm = lfunction_pipeline(F, 1, range(1, 5), heldout=[3])
+    lfun._CLASSES.clear()
+    expsum._TOWER.clear()
+    assert [lfactorization_to_json(*pair) for pair in warm] == \
+        [lfactorization_to_json(*pair)
+         for pair in lfunction_pipeline(F, 1, range(1, 5), heldout=[3])]
+
+
+def _lfun_json(capsys, p, a, n, b, ks):
+    assert cli.main(["lfun", "--p", str(p), "--a", str(a), "--n", str(n),
+                     "--b", str(b), "--heldout", ks, "--out", "json"]) == 0
+    return capsys.readouterr().out
+
+
+# sigma_c and sigma_{1/c} differ by sigma_{c^2}, which fixes every sum when
+# c^2 is a root of unity of order dividing 2 gcd(n+1, p-1): at (1, 5), (2, 7),
+# (3, 5) and q = 9 every c does, so (1, 7) and (2, 13) tell the two apart
+@pytest.mark.parametrize("p,a,n,ks", [(5, 1, 1, "3,4"), (7, 1, 2, "5"),
+                                      (5, 1, 3, "7"), (3, 2, 1, "3,4"),
+                                      (7, 1, 1, "3"), (13, 1, 2, "")])
+def test_lfun_json_is_the_same_cold_warm_and_in_any_order(capsys, direct_serve,
+                                                         p, a, n, ks):
+    F = build_field(p, a)
+    bs, heldout = range(1, F.q), [int(k) for k in ks.split(",") if k]
+
+    def cold_caches():
+        lfun._CLASSES.clear()
+        expsum._TOWER.clear()
+    # the per-b oracle: sums served for b itself, P rebuilt from them alone
+    oracle = []
+    for b in bs:
+        sums = {k: reduce_mod_phi(SumValue.from_hist(p, direct_serve(F, k, n, b)))
+                for k in [*range(1, 2 * n + 1), *heldout]}
+        lf = strip_trivial_roots([F.q ** k * sums[k] + (F.q ** k - 1) ** n
+                                  for k in range(1, 2 * n + 1)], n, F.q, b=b)
+        assert predicted_power_sum(lf, heldout) == [sums[k] for k in heldout]
+        oracle.append(json.dumps(lfactorization_to_json(
+            lf, [HeldoutResult(k, True) for k in heldout]), sort_keys=True) + "\n")
+    cold = []
+    for b in bs:
+        cold_caches()
+        cold.append(_lfun_json(capsys, p, a, n, b, ks))
+    cold_caches()
+    forward = [_lfun_json(capsys, p, a, n, b, ks) for b in bs]
+    cold_caches()
+    backward = [_lfun_json(capsys, p, a, n, b, ks) for b in reversed(bs)][::-1]
+    cold_caches()
+    family = [json.dumps(lfactorization_to_json(*pair), sort_keys=True) + "\n"
+              for pair in lfunction_pipeline(F, n, bs, heldout=heldout)]
+    assert cold == forward == backward == family == oracle

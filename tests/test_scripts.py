@@ -45,3 +45,11 @@ def test_bound_margins_stdout_is_pinned():
     out = _run("bound_margins.py", "--q", "3,4,5,7,8,9", "--n", "1,2")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "648f58be74c905c2682b0152bdc411f3fffffeeb02a11b82b99b84010f24de0f"
+
+
+def test_slope_survey_stdout_is_pinned():
+    # sha256 of the n = 1, 2 survey to p = 13, recorded while every b ran
+    # its own reconstruction; the survey reads whole families of b
+    out = _run("slope_survey.py", "--n", "1,2", "--pmax", "13")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4c80f5b204db936c2bfeec7623507899cd3ca8a9516f702e132b7e57f202fb4d"
