@@ -34,8 +34,7 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 _TERM_FACTOR = re.compile(r"^(?:(\d+)|x(\d+)(?:\^(-?\d+))?)$")
 
 
-def parse_laurent_text(text: str, field: FieldTable,
-                       n_vars: int | None = None) -> LaurentPoly:
+def parse_laurent_text(text: str, field: FieldTable) -> LaurentPoly:
     """Parse the grammar `c*x1^e1*...*xn^en` joined by + or -.
 
     Exponents may be negative; coefficients are integers reduced into the
@@ -70,7 +69,7 @@ def parse_laurent_text(text: str, field: FieldTable,
                 start = i + 1
         i += 1
 
-    seen_vars = 0
+    nv = 0                                    # highest variable index seen
     raw_terms = []
     for sgn, off, body in chunks:
         coeff = 1
@@ -88,18 +87,15 @@ def parse_laurent_text(text: str, field: FieldTable,
                     raise ParseError(f"variable index must be >= 1 at offset {off}")
                 e = int(m.group(3)) if m.group(3) else 1
                 exps[v - 1] = exps.get(v - 1, 0) + e
-                seen_vars = max(seen_vars, v)
+                nv = max(nv, v)
         c = coeff % field.p
         if sgn < 0:
             c = field.neg(c)
         raw_terms.append((c, exps))
-    nv = n_vars if n_vars is not None else seen_vars
     if nv == 0:
         raise ParseError("polynomial has no variables")
     merged: dict[tuple[int, ...], int] = {}
     for c, exps in raw_terms:
-        if any(v >= nv for v in exps):
-            raise ParseError(f"variable index beyond declared {nv} variables")
         key = tuple(exps.get(i, 0) for i in range(nv))
         merged[key] = field.add(merged.get(key, 0), c)
     terms = tuple((c, e) for e, c in sorted(merged.items()) if c != 0)
@@ -167,7 +163,7 @@ def _frac_pair(x: Fraction) -> list[int]:
 def sumvalue_to_json(v: SumValue) -> dict:
     z = embed_complex(v)
     return {
-        "p": v.p, "m": v.m, "denom": v.denom,
+        "p": v.p, "m": v.m, "denom": 1,
         "entries": [list(e) for e in v.entries()],
         "complex": [z.real, z.imag],
     }
@@ -357,7 +353,7 @@ def cmd_sum(args) -> int:
         kind = "T" if args.tn else "S"
         print(f"{_field_header(F)}  chi={chi.indices if chi else 'untwisted'}")
         print(f"{kind}_{args.n}(b={args.b}, k={args.k}) = {v}")
-        if v.m == 1 and v.denom == 1:
+        if v.m == 1:
             print(f"in Z[zeta_{F.p}]: {reduce_mod_phi(v)!r}")
         print(f"complex: {embed_complex(v):.6f}")
     return EXIT_PASS

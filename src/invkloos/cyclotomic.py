@@ -2,15 +2,16 @@
 
 Two representations:
 
-* SumValue: an element of (1/d) Z[zeta_p, zeta_m] stored as one (p, m)
-  int64 array that the value owns; entry (t, j) counts zeta_p^t zeta_m^j.
-  This is the natural output of an enumeration kernel (d = 1) and of the
-  Gauss-sum closed form (d = q(q-1)).  A step that could leave int64
-  checks its bound in Python ints and raises OverflowError.  Equality
-  reduces mod Phi_p (minus the last row) and mod Phi_m (times R_m, whose
-  row j is y^j mod Phi_m(y)); since gcd(p, m) = 1 the reduced grid
-  is a Z-basis representation of Z[zeta_p] (x) Z[zeta_m].  reduce_counts
-  and embed_counts take whole (..., p, m) stacks, one value per row.
+* SumValue: one row of a kernel stack, an element of Z[zeta_p, zeta_m]
+  stored as one (p, m) int64 array that the value owns; entry (t, j)
+  counts zeta_p^t zeta_m^j.  reduce_counts and embed_counts take whole
+  (..., p, m) stacks, one value per row, and are the only way values are
+  compared or evaluated.  reduce_counts reduces mod Phi_p (minus the last
+  row) and mod Phi_m (times R_m, whose row j is y^j mod Phi_m(y)); since
+  gcd(p, m) = 1 the reduced grid is a Z-basis representation of
+  Z[zeta_p] (x) Z[zeta_m], so two values are equal exactly when their
+  images are.  Where int64 could wrap it raises OverflowError, its bound
+  checked in Python ints.
 
 * CycloRational: an element of Q(zeta_p) as p-1 integer numerators on
   1, zeta, ..., zeta^(p-2) over one denominator, in lowest terms; a
@@ -68,16 +69,6 @@ def _vp(n: int, p: int) -> int:
 # SumValue
 # ----------------------------------------------------------------------
 
-def _amax(C: np.ndarray) -> int:
-    """max |C| as a Python int (exact at -2^63); 0 for an empty array."""
-    return max(int(C.max(initial=0)), -int(C.min(initial=0)))
-
-
-def _fits(bound: int, what: str) -> None:
-    if bound >= 2 ** 63:
-        raise OverflowError(f"{what}: entries up to {bound} overflow int64")
-
-
 @lru_cache(maxsize=None)
 def _phi_powers(m: int) -> tuple[np.ndarray, int]:
     """R_m, whose row j holds y^j mod Phi_m(y) on 1, y, ..., y^(phi(m)-1),
@@ -102,7 +93,9 @@ def reduce_counts(C: np.ndarray) -> np.ndarray:
     mod Phi_p (each row minus the last), then mod Phi_m (@ R_m).  A value
     is zero exactly when its image is; OverflowError where int64 could wrap."""
     R, grow = _phi_powers(C.shape[-1])
-    _fits(2 * _amax(C) * grow, "reduction")
+    bound = 2 * max(int(C.max(initial=0)), -int(C.min(initial=0))) * grow
+    if bound >= 2 ** 63:
+        raise OverflowError(f"reduction: entries up to {bound} overflow int64")
     return (C[..., :-1, :] - C[..., -1:, :]) @ R
 
 
@@ -110,132 +103,64 @@ def embed_counts(C: np.ndarray) -> np.ndarray:
     """(..., p, m) counts at zeta_p = e^(2 pi i/p), zeta_m = e^(2 pi i/m), as
     complex128 of shape (...): inner products of length m, then p, as
     ufunc sums (a BLAS matmul would page in its buffers).  Absolute error at
-    most (2 (p + m) + 40) 2^-53 mass: a tabled root is within 17 ulps (its
-    argument 2 pi j/m is rounded twice) and the inner products add
-    sqrt2 (p + m) (Higham, *Accuracy and Stability*, §3.1, Lemma 3.5).  So
+    most (2 (p + m) + 40) 2^-53 mass, the mass being a row's sum |C|: a
+    tabled root is within 17 ulps (its argument 2 pi j/m is rounded twice)
+    and the inner products add sqrt2 (p + m) (Higham, *Accuracy and Stability*, §3.1, Lemma 3.5).  So
     below mass * 1e-14 while p + m <= 25 (q <= 13) and entries are < 2^53."""
     p, m = C.shape[-2:]
     return ((C * np.array(_roots(m))).sum(axis=-1) * np.array(_roots(p))).sum(axis=-1)
 
 
 class SumValue:
-    """Histogram representation of an element of (1/denom) Z[zeta_p, zeta_m]."""
+    """One (p, m) row of a kernel stack: an element of Z[zeta_p, zeta_m]
+    whose cell (t, j) counts zeta_p^t zeta_m^j."""
 
-    __slots__ = ("p", "m", "counts", "denom")
+    __slots__ = ("p", "m", "counts")
 
-    def __init__(self, p: int, m: int = 1, counts=None, denom: int = 1):
+    def __init__(self, p: int, m: int = 1, counts=None):
         if math.gcd(p, m) != 1:
             raise ValueError("additive and multiplicative conductors must be coprime")
-        if denom <= 0:
-            raise ValueError("denominator must be positive")
         self.p = p
         self.m = m
         self.counts = (np.zeros((p, m), dtype=np.int64) if counts is None
                        else np.array(counts, dtype=np.int64))
         if self.counts.shape != (p, m):
             raise ValueError(f"counts of shape {self.counts.shape}, expected {(p, m)}")
-        self.denom = denom
-
-    # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int, m: int = 1) -> "SumValue":
-        return cls(p, m)
-
-    @classmethod
-    def integer(cls, p: int, n: int, m: int = 1) -> "SumValue":
-        return cls.unit(p, m, coeff=n)
-
-    @classmethod
-    def unit(cls, p: int, m: int, t: int = 0, j: int = 0, coeff: int = 1) -> "SumValue":
-        _fits(abs(coeff), "coefficient")
-        v = cls(p, m)
-        v.counts[t % p, j % m] = coeff
-        return v
-
-    @classmethod
-    def from_hist(cls, p: int, hist, m: int = 1, denom: int = 1) -> "SumValue":
+    def from_hist(cls, p: int, hist, m: int = 1) -> "SumValue":
         """From a (p, m) histogram, or a length-p one when m = 1 (copied)."""
         arr = np.asarray(hist)
-        return cls(p, m, arr[:, None] if arr.ndim == 1 else arr, denom)
-
-    # -- structure -------------------------------------------------------
-
-    def mass(self) -> int:
-        return sum(map(abs, self.counts.ravel().tolist()))
+        return cls(p, m, arr[:, None] if arr.ndim == 1 else arr)
 
     def entries(self) -> list[tuple[int, int, int]]:
         """The nonzero cells (t, j, count), row-major, as Python ints."""
         ts, js = np.nonzero(self.counts)
         return list(zip(ts.tolist(), js.tolist(), self.counts[ts, js].tolist()))
 
-    def promote(self, new_m: int) -> "SumValue":
-        """Reinterpret with conductor new_m (requires m | new_m)."""
-        if new_m % self.m:
-            raise ValueError(f"cannot promote conductor {self.m} to {new_m}")
-        if new_m == self.m:
-            return self
-        out = np.zeros((self.p, new_m), dtype=np.int64)
-        out[:, ::new_m // self.m] = self.counts
-        return SumValue(self.p, new_m, out, self.denom)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "SumValue":
-        if isinstance(other, int):
-            other = SumValue.integer(self.p, other)
-        if self.p != other.p:
-            raise ValueError("additive conductor mismatch")
-        m = math.lcm(self.m, other.m)
-        d = math.lcm(self.denom, other.denom)
-        sa, sb = d // self.denom, d // other.denom
-        _fits(_amax(self.counts) * sa + _amax(other.counts) * sb, "sum")
-        return SumValue(self.p, m, self.promote(m).counts * sa
-                        + other.promote(m).counts * sb, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SumValue":
-        return self.scale(-1)
-
-    def __sub__(self, other) -> "SumValue":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "SumValue":
-        return (-self) + other
-
-    def scale(self, c: int) -> "SumValue":
-        _fits(_amax(self.counts) * abs(c), "scale")
-        return SumValue(self.p, self.m, self.counts * c, self.denom)
-
-    # -- canonical form and equality --------------------------------------
-
     def is_zero(self) -> bool:
         return not reduce_counts(self.counts).any()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (int, SumValue)):
-            return NotImplemented
-        return (self - other).is_zero()
+        if not isinstance(other, SumValue):
+            raise TypeError(f"a SumValue compares only with a SumValue, not {other!r}")
+        if (self.p, self.m) != (other.p, other.m):
+            raise ValueError(f"conductors {(self.p, self.m)} and {(other.p, other.m)} differ")
+        return np.array_equal(reduce_counts(self.counts), reduce_counts(other.counts))
 
     __hash__ = None
 
-    # -- numerics ----------------------------------------------------------
-
     def embed(self) -> complex:
         """Evaluate at zeta_p = e^(2 pi i/p), zeta_m = e^(2 pi i/m), within
-        embed_counts' bound: mass() * 1e-14 while p + m <= 25."""
-        return complex(embed_counts(self.counts)) / self.denom
+        embed_counts' bound: mass * 1e-14 while p + m <= 25."""
+        return complex(embed_counts(self.counts))
 
     def __repr__(self):
         nz = self.entries()
         body = " + ".join(f"{c}*z{self.p}^{t}*w{self.m}^{j}" for t, j, c in nz[:6])
         if len(nz) > 6:
             body += " + ..."
-        if not nz:
-            body = "0"
-        d = f"/{self.denom}" if self.denom != 1 else ""
-        return f"SumValue({body}){d}"
+        return f"SumValue({body or '0'})"
 
 
 # ----------------------------------------------------------------------
@@ -447,14 +372,12 @@ class CycloRational:
 # ----------------------------------------------------------------------
 
 def reduce_mod_phi(v: SumValue) -> CycloRational:
-    """Canonical image of a conductor-1 SumValue in Q(zeta_p).
-
-    Uses zeta^(p-1) = -1 - zeta - ... - zeta^(p-2); integer inputs with
-    denominator 1 give integer outputs.
+    """Canonical image of a conductor-1 SumValue in Z[zeta_p] (a
+    CycloRational with denominator 1), by zeta^(p-1) = -1 - ... - zeta^(p-2).
     """
     if v.m != 1:
         raise ValueError(f"value has multiplicative conductor {v.m}, expected 1")
-    return CycloRational._from_length_p(v.p, v.counts[:, 0].tolist(), v.denom)
+    return CycloRational._from_length_p(v.p, v.counts[:, 0].tolist())
 
 
 def embed_complex(v) -> complex:

@@ -415,6 +415,12 @@ def check_tower(F: FieldTable, k: int, n: int) -> None:
 _TOWER: dict[tuple[int, int, int, int, int], np.ndarray] = {}
 
 
+def _drop_class(F: FieldTable, n: int, rep: int) -> None:
+    """Remove the served histograms of one class from _TOWER, at every k."""
+    for key in [t for t in _TOWER if t[:2] == (F.p, F.a) and t[3:] == (n, rep)]:
+        del _TOWER[key]
+
+
 def b_class(F: FieldTable, n: int, b: int) -> tuple[int, int]:
     """(rep, c), b = rep c^(n+1) with c in F_p^* and rep = g^(dlog b mod h),
     h = gcd(n+1, p-1) (q-1)/(p-1) the number of classes."""

@@ -38,7 +38,7 @@ import numpy as np
 
 from .cyclotomic import CycloRational, reduce_mod_phi
 from .errors import DegenerateError, VerificationError
-from .expsum import _TOWER, b_class, check_tower, tower_sums
+from .expsum import _drop_class, b_class, check_tower, tower_sums
 from .gf import FieldTable, prime_factors
 
 ROOT_RESIDUAL_TOL = 1e-6    # complex_weights: largest residual at a root, relative
@@ -177,16 +177,15 @@ def strip_trivial_roots(star: list[CycloRational], n: int, q: int, *,
     npg = newton_polygon(coeffs, q)
     trivial = [(0, n + 1)] + [(j - 1, math.comb(n, j) * (-1) ** (j - 1))
                               for j in range(2, n + 1)]
-    _, roots = complex_weights(coeffs)
     return LFactorization(
         n=n, q=q, p=p, b=b, sign=(-1) ** (n + 1),
         P_coeffs=tuple(coeffs), np_points=npg.points, slopes=npg.slopes,
         coefficients_rational=all(c.is_rational() for c in coeffs),
-        trivial_part=tuple(trivial), complex_roots=tuple(roots))
+        trivial_part=tuple(trivial), complex_roots=tuple(complex_weights(coeffs)))
 
 
-def complex_weights(coeffs) -> tuple[list[float], list[complex]]:
-    """Magnitudes (sorted) and values of the complex reciprocal roots.
+def complex_weights(coeffs) -> list[complex]:
+    """The complex reciprocal roots alpha_i of P(T) = sum_k coeffs[k] T^k.
 
     Root finding at double precision on the embedded polynomial; degrees
     here are at most 12 so the companion-matrix roots are reliable, but an
@@ -198,7 +197,7 @@ def complex_weights(coeffs) -> tuple[list[float], list[complex]]:
     if deg > 12:
         raise ValueError("degree above the double-precision comfort zone (12)")
     if deg == 0:
-        return [], []
+        return []
     roots = np.roots(emb[::-1])
     scale = max(abs(c) for c in emb)
     for r in roots:
@@ -206,8 +205,7 @@ def complex_weights(coeffs) -> tuple[list[float], list[complex]]:
         if res > ROOT_RESIDUAL_TOL * scale * max(1.0, abs(r)) ** deg:
             raise ArithmeticError(
                 f"ill-conditioned root cluster: residual {res:.2e} at {r}")
-    alphas = [1 / r for r in roots]
-    return sorted(abs(a) for a in alphas), list(alphas)
+    return [1 / r for r in roots]
 
 
 def predicted_power_sum(lf: LFactorization, ks: Sequence[int]) -> list[CycloRational]:
@@ -281,13 +279,12 @@ def lfunction_pipeline(F: FieldTable, n: int, b: int | Sequence[int], *,
         if c != 1:
             coeffs = tuple(x.galois(j) for x in lf.P_coeffs)
             lf = replace(lf, b=bi, P_coeffs=coeffs,
-                         complex_roots=tuple(complex_weights(coeffs)[1]))
+                         complex_roots=tuple(complex_weights(coeffs)))
         for k in heldout:
             predicted, observed = preds[k].galois(j), sums[k][len(cold) + i]
             if predicted != observed:
                 _CLASSES.pop((F.p, F.a, n, rep), None)
-                for key in [t for t in _TOWER if t[:2] == (F.p, F.a) and t[3:] == (n, rep)]:
-                    del _TOWER[key]
+                _drop_class(F, n, rep)
                 raise VerificationError(
                     f"held-out power sum mismatch at k={k}: "
                     f"predicted {predicted!r}, computed {observed!r}")
