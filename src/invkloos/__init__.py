@@ -6,7 +6,7 @@ and Newton polygons (lfun), lattice polytopes and Hodge data (polytope),
 verification suites (suites) and the command line (cli).
 """
 
-from .cyclotomic import CycloRational, SumValue, embed_complex, reduce_mod_phi
+from .cyclotomic import CycloRational, embed_complex, reduce_mod_phi
 from .expsum import (CharacterTuple, LaurentPoly, b_class, e_sum,
                      gauss_formula_parts, gauss_sum, ik_laurent, kloosterman_sum,
                      kloosterman_sums, tn_transform, toric_sum, tower_sums)

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cyclotomic import SumValue, embed_complex, reduce_mod_phi
+from .cyclotomic import embed_complex, reduce_mod_phi
 from .errors import BudgetExceeded, DegenerateError, ParseError, VerificationError
 from .expsum import (CharacterTuple, LaurentPoly, gauss_sum, kloosterman_sum,
                      tn_transform, toric_sum)
@@ -160,13 +160,24 @@ def _frac_pair(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def sumvalue_to_json(v: SumValue) -> dict:
-    z = embed_complex(v)
+def sumvalue_to_json(row) -> dict:
+    """The "sum" object of one (p, m) count row: its nonzero cells
+    [t, j, count] row-major, and its complex embedding."""
+    ts, js = row.nonzero()
+    z = embed_complex(row)
     return {
-        "p": v.p, "m": v.m, "denom": 1,
-        "entries": [list(e) for e in v.entries()],
+        "p": row.shape[0], "m": row.shape[1], "denom": 1,
+        "entries": [list(e) for e in zip(ts.tolist(), js.tolist(), row[ts, js].tolist())],
         "complex": [z.real, z.imag],
     }
+
+
+def _sum_text(obj: dict) -> str:
+    """A "sum" object as the tables print it: its first six cells."""
+    body = " + ".join(f"{c}*z{obj['p']}^{t}*w{obj['m']}^{j}" for t, j, c in obj["entries"][:6])
+    if len(obj["entries"]) > 6:
+        body += " + ..."
+    return f"SumValue({body or '0'})"
 
 
 def lfactorization_to_json(lf, heldout_results) -> dict:
@@ -327,13 +338,13 @@ def cmd_field(args) -> int:
 
 def cmd_gauss(args) -> int:
     F = build_field(args.p, args.a)
-    v = gauss_sum(F, args.j)
-    obj = sumvalue_to_json(v)
+    obj = sumvalue_to_json(gauss_sum(F, args.j))
     if args.out == "json":
         print(json.dumps(obj, sort_keys=True))
     else:
-        print(f"{_field_header(F)}  G(chi_{args.j}) = {v}")
-        print(f"complex: {embed_complex(v):.6f}  |G| = {abs(embed_complex(v)):.6f}")
+        z = complex(*obj["complex"])
+        print(f"{_field_header(F)}  G(chi_{args.j}) = {_sum_text(obj)}")
+        print(f"complex: {z:.6f}  |G| = {abs(z):.6f}")
     return EXIT_PASS
 
 
@@ -343,7 +354,7 @@ def cmd_sum(args) -> int:
     F = build_field(args.p, args.a)
     chi = _parse_chi(args.chi, F.q, args.n + 1) if args.chi else None
     if args.tn:
-        v = tn_transform(F, args.n, args.b, chi)
+        v = tn_transform(F, args.n, args.b, None if chi is None else [chi])[0]
     else:
         v = kloosterman_sum(F, args.k, args.n, args.b, chi)
     obj = sumvalue_to_json(v)
@@ -352,10 +363,10 @@ def cmd_sum(args) -> int:
     else:
         kind = "T" if args.tn else "S"
         print(f"{_field_header(F)}  chi={chi.indices if chi else 'untwisted'}")
-        print(f"{kind}_{args.n}(b={args.b}, k={args.k}) = {v}")
-        if v.m == 1:
-            print(f"in Z[zeta_{F.p}]: {reduce_mod_phi(v)!r}")
-        print(f"complex: {embed_complex(v):.6f}")
+        print(f"{kind}_{args.n}(b={args.b}, k={args.k}) = {_sum_text(obj)}")
+        if obj["m"] == 1:
+            print(f"in Z[zeta_{F.p}]: {reduce_mod_phi(v[:, 0])!r}")
+        print(f"complex: {complex(*obj['complex']):.6f}")
     return EXIT_PASS
 
 
@@ -363,14 +374,13 @@ def cmd_toric(args) -> int:
     base = build_field(args.p, args.a) if args.p else None
     F, f = parse_laurent(args.poly, base)
     chi = _parse_chi(args.chi, F.q, f.n_vars) if args.chi else None
-    v = toric_sum(F, args.k, f, chi)
+    obj = sumvalue_to_json(toric_sum(F, args.k, f, None if chi is None else [chi])[0])
     if args.out == "json":
-        print(json.dumps({"poly": laurent_to_json(F, f),
-                          "value": sumvalue_to_json(v)}, sort_keys=True))
+        print(json.dumps({"poly": laurent_to_json(F, f), "value": obj}, sort_keys=True))
     else:
         print(f"{_field_header(F)}  k={args.k}  terms={len(f.terms)}")
-        print(f"S*_k = {v}")
-        print(f"complex: {embed_complex(v):.6f}")
+        print(f"S*_k = {_sum_text(obj)}")
+        print(f"complex: {complex(*obj['complex']):.6f}")
     return EXIT_PASS
 
 

@@ -2,12 +2,12 @@
 
 Two representations:
 
-* SumValue: one row of a kernel stack, an element of Z[zeta_p, zeta_m]
-  stored as one (p, m) int64 array that the value owns; entry (t, j)
-  counts zeta_p^t zeta_m^j.  reduce_counts and embed_counts take whole
-  (..., p, m) stacks, one value per row, and are the only way values are
-  compared or evaluated.  reduce_counts reduces mod Phi_p (minus the last
-  row) and mod Phi_m (times R_m, whose row j is y^j mod Phi_m(y)); since
+* Count arrays: an element of Z[zeta_p, zeta_m] is a (p, m) int64 array
+  whose cell (t, j) counts zeta_p^t zeta_m^j, and a kernel returns a
+  (..., p, m) stack of them, one value per row.  reduce_counts and
+  embed_counts take whole stacks and are the only way values are compared
+  or evaluated.  reduce_counts reduces mod Phi_p (minus the last row) and
+  mod Phi_m (times R_m, whose row j is y^j mod Phi_m(y)); since
   gcd(p, m) = 1 the reduced grid is a Z-basis representation of
   Z[zeta_p] (x) Z[zeta_m], so two values are equal exactly when their
   images are.  Where int64 could wrap it raises OverflowError, its bound
@@ -19,7 +19,8 @@ Two representations:
   Z[zeta_p] = Z[pi], pi = zeta_p - 1 Eisenstein: ord_pi(sum_j c_j pi^j) =
   min_j ((p-1) v_p(c_j) + j) over j < p-1, in O(p^2) integer operations.
   The field norm (ord_pi(x) = v_p(Norm(x))) is the independent check.
-  No floating point enters any valuation.
+  No floating point enters any valuation.  reduce_mod_phi takes a length-p
+  count row (m = 1) to its CycloRational.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _vp(n: int, p: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# SumValue
+# count arrays
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -91,8 +92,12 @@ def _roots(m: int) -> tuple[complex, ...]:
 def reduce_counts(C: np.ndarray) -> np.ndarray:
     """Canonical images of (..., p, m) counts in Z[zeta_p] (x) Z[zeta_m]:
     mod Phi_p (each row minus the last), then mod Phi_m (@ R_m).  A value
-    is zero exactly when its image is; OverflowError where int64 could wrap."""
-    R, grow = _phi_powers(C.shape[-1])
+    is zero exactly when its image is; OverflowError where int64 could wrap,
+    ValueError unless gcd(p, m) = 1."""
+    p, m = C.shape[-2:]
+    if math.gcd(p, m) != 1:
+        raise ValueError(f"conductors p = {p} and m = {m} are not coprime")
+    R, grow = _phi_powers(m)
     bound = 2 * max(int(C.max(initial=0)), -int(C.min(initial=0))) * grow
     if bound >= 2 ** 63:
         raise OverflowError(f"reduction: entries up to {bound} overflow int64")
@@ -109,58 +114,6 @@ def embed_counts(C: np.ndarray) -> np.ndarray:
     below mass * 1e-14 while p + m <= 25 (q <= 13) and entries are < 2^53."""
     p, m = C.shape[-2:]
     return ((C * np.array(_roots(m))).sum(axis=-1) * np.array(_roots(p))).sum(axis=-1)
-
-
-class SumValue:
-    """One (p, m) row of a kernel stack: an element of Z[zeta_p, zeta_m]
-    whose cell (t, j) counts zeta_p^t zeta_m^j."""
-
-    __slots__ = ("p", "m", "counts")
-
-    def __init__(self, p: int, m: int = 1, counts=None):
-        if math.gcd(p, m) != 1:
-            raise ValueError("additive and multiplicative conductors must be coprime")
-        self.p = p
-        self.m = m
-        self.counts = (np.zeros((p, m), dtype=np.int64) if counts is None
-                       else np.array(counts, dtype=np.int64))
-        if self.counts.shape != (p, m):
-            raise ValueError(f"counts of shape {self.counts.shape}, expected {(p, m)}")
-
-    @classmethod
-    def from_hist(cls, p: int, hist, m: int = 1) -> "SumValue":
-        """From a (p, m) histogram, or a length-p one when m = 1 (copied)."""
-        arr = np.asarray(hist)
-        return cls(p, m, arr[:, None] if arr.ndim == 1 else arr)
-
-    def entries(self) -> list[tuple[int, int, int]]:
-        """The nonzero cells (t, j, count), row-major, as Python ints."""
-        ts, js = np.nonzero(self.counts)
-        return list(zip(ts.tolist(), js.tolist(), self.counts[ts, js].tolist()))
-
-    def is_zero(self) -> bool:
-        return not reduce_counts(self.counts).any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SumValue):
-            raise TypeError(f"a SumValue compares only with a SumValue, not {other!r}")
-        if (self.p, self.m) != (other.p, other.m):
-            raise ValueError(f"conductors {(self.p, self.m)} and {(other.p, other.m)} differ")
-        return np.array_equal(reduce_counts(self.counts), reduce_counts(other.counts))
-
-    __hash__ = None
-
-    def embed(self) -> complex:
-        """Evaluate at zeta_p = e^(2 pi i/p), zeta_m = e^(2 pi i/m), within
-        embed_counts' bound: mass * 1e-14 while p + m <= 25."""
-        return complex(embed_counts(self.counts))
-
-    def __repr__(self):
-        nz = self.entries()
-        body = " + ".join(f"{c}*z{self.p}^{t}*w{self.m}^{j}" for t, j, c in nz[:6])
-        if len(nz) > 6:
-            body += " + ..."
-        return f"SumValue({body or '0'})"
 
 
 # ----------------------------------------------------------------------
@@ -371,21 +324,18 @@ class CycloRational:
 # conversions
 # ----------------------------------------------------------------------
 
-def reduce_mod_phi(v: SumValue) -> CycloRational:
-    """Canonical image of a conductor-1 SumValue in Z[zeta_p] (a
-    CycloRational with denominator 1), by zeta^(p-1) = -1 - ... - zeta^(p-2).
+def reduce_mod_phi(row: np.ndarray) -> CycloRational:
+    """Canonical image of a length-p count row (conductor m = 1) in Z[zeta_p]
+    (a CycloRational with denominator 1), by zeta^(p-1) = -1 - ... - zeta^(p-2).
     """
-    if v.m != 1:
-        raise ValueError(f"value has multiplicative conductor {v.m}, expected 1")
-    return CycloRational._from_length_p(v.p, v.counts[:, 0].tolist())
+    if row.ndim != 1:
+        raise ValueError(f"need a length-p count row (conductor m = 1), got shape {row.shape}")
+    return CycloRational._from_length_p(len(row), row.tolist())
 
 
 def embed_complex(v) -> complex:
-    """Complex embedding of a SumValue or CycloRational.
-
-    Error bound: mass * 1e-14 for SumValue histograms with p + m <= 25
-    (embed_counts).
-    """
-    if isinstance(v, (SumValue, CycloRational)):
+    """Complex embedding of a CycloRational or of one (p, m) count row,
+    the latter within embed_counts' bound: mass * 1e-14 while p + m <= 25."""
+    if isinstance(v, CycloRational):
         return v.embed()
-    return complex(v)
+    return complex(embed_counts(v))

@@ -26,13 +26,14 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    check_tower: one count array per (F_{q^k}, n), from
                    y (1 - y) at n = 1, two FFTs at n >= 2, served per class
 
-The enumerating sums visit each point once however many character tuples
-they are given: a tuple only selects a point's bucket sum_i j_i dlog x_i,
-so all tuples fill one exact int64 bincount per chunk of points.  Given a
-sequence of C tuples, a twisted sum returns that stack, one int64 (C, p, m)
-array with row c the histogram of tuple c (m = 1 when every tuple is
-trivial), for cyclotomic.reduce_counts and embed_counts to check whole;
-given one tuple (or None), it returns that row as a SumValue.
+Every sum is returned as int64 counts (cyclotomic): gauss_sum one (p, q-1)
+row, tower_sums one (len(bs), p) array, and the twisted sums a stack.  The
+enumerating sums visit each point once however many character tuples they
+are given: a tuple only selects a point's bucket sum_i j_i dlog x_i, so all
+tuples fill one exact int64 bincount per chunk of points.  Given a sequence
+of C tuples (None: one trivial tuple), a twisted sum returns one int64
+(C, p, m) array with row c the histogram of tuple c (m = 1 when every tuple
+is trivial), for cyclotomic.reduce_counts and embed_counts to check whole.
 
 For c in F_p^*, s -> c s shows S_n(b c^(n+1)) is S_n(b) with trace bucket
 t moved to t/c (sigma_{1/c} on Q(zeta_p)), so tower_sums serves only one
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import SumValue
 from .errors import BudgetExceeded, VerificationError
 from .gf import TABLE_CAP, FieldTable, check_table_cap, digit_dtype, field_maps
 
@@ -144,9 +144,9 @@ def _gauss_hists(F: FieldTable, js) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=cells).reshape(len(js), p, M)
 
 
-def gauss_sum(F: FieldTable, j: int) -> SumValue:
-    """Exact histogram of sum_{x != 0} zeta_{q-1}^(j dlog x) zeta_p^(tr x)."""
-    return SumValue.from_hist(F.p, _gauss_hists(F, [j])[0], m=F.q - 1)
+def gauss_sum(F: FieldTable, j: int) -> np.ndarray:
+    """Exact (p, q-1) histogram of sum_{x != 0} zeta_{q-1}^(j dlog x) zeta_p^(tr x)."""
+    return _gauss_hists(F, [j])[0]
 
 
 # ----------------------------------------------------------------------
@@ -203,21 +203,16 @@ def _char_hists(J: np.ndarray, width: int, M: int, chunks, nmasks: int = 1):
     return [np.broadcast_to(h, (C, width, m)) for h in hists]
 
 
-def _one(p: int, stack: np.ndarray) -> SumValue:
-    """The SumValue of a one-row stack (conductor 1 for an untwisted row)."""
-    return SumValue.from_hist(p, stack[0], m=stack.shape[2])
-
-
-def _rows(chi, count: int, q: int, Q: int) -> tuple[np.ndarray, bool]:
-    """(len(chis), count) int64 indices of chis lifted to F_Q, and whether
-    chi was one tuple: one CharacterTuple, None (trivial) or a sequence."""
-    one = chi is None or isinstance(chi, CharacterTuple)
-    chis = [CharacterTuple.trivial(count) if chi is None else chi] if one else chi
+def _rows(chis, count: int, q: int, Q: int) -> np.ndarray:
+    """(len(chis), count) int64 indices of chis lifted to F_Q; None is one
+    trivial tuple."""
+    if chis is None:
+        chis = [CharacterTuple.trivial(count)]
     for c in chis:
         if len(c) != count:
             raise ValueError(f"need {count} characters, got {len(c)}")
     return np.array([c.lifted(q, Q) for c in chis],
-                    dtype=np.int64).reshape(len(chis), count), one
+                    dtype=np.int64).reshape(len(chis), count)
 
 
 # ----------------------------------------------------------------------
@@ -262,17 +257,16 @@ def _validate_b(F: FieldTable, b: int) -> None:
         raise ValueError(f"b = {b} is not a unit of the base field (need 0 < b < {F.q})")
 
 
-def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chi
-                   ) -> tuple[np.ndarray, bool]:
-    """_rows of chi, after checking n, k and b and pricing points and cells."""
+def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chis) -> np.ndarray:
+    """_rows of chis, after checking n, k and b and pricing points and cells."""
     _check_positive(n=n, k=k)
     _validate_b(F, b)
     Q = F.q ** k
-    J, one = _rows(chi, n + 1, F.q, Q)
+    J = _rows(chis, n + 1, F.q, Q)
     check_points((Q - 1) ** n)
     if J.any():
         _check_cells(len(J) * (F.p + 1) * (Q - 1), f"{len(J)} twisted sums over F_{Q}")
-    return J, one
+    return J
 
 
 def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
@@ -287,7 +281,7 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
     returns the (len(chis), p, m) stack, m = q^k - 1, or 1 when every chi is
     trivial (a read-only broadcast of one row).
     """
-    J, _ = _plan_inverted(F, k, n, b, list(chis))
+    J = _plan_inverted(F, k, n, b, list(chis))
     maps = field_maps(F, k)
     E = maps.ext
     d_last = int(E.dlog[maps.embed_tab[b]])
@@ -295,24 +289,25 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
 
 
 def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
-                    chi: CharacterTuple | None = None) -> SumValue:
-    """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums' row."""
+                    chi: CharacterTuple | None = None) -> np.ndarray:
+    """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums'
+    (p, m) row."""
     chis = [CharacterTuple.trivial(n + 1) if chi is None else chi]
-    return _one(F.p, kloosterman_sums(F, k, n, b, chis))
+    return kloosterman_sums(F, k, n, b, chis)[0]
 
 
-def tn_transform(F: FieldTable, n: int, b: int, chi=None):
+def tn_transform(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
     """The product-locus-1 companion sum T_n(chi, b), computed two ways.
 
     Direct definition: product of the n+1 variables equals 1 and psi is
     evaluated at b/(x_1 + ... + x_{n+1}).  Also computed through
     S_n(chi, b^-(n+1)) shifted by chi_1...chi_{n+1}(b): x = b y maps the
     one point set onto the other bucket for bucket, so the two exact
-    histograms must be equal cell for cell or the call raises.  chi is one
-    CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
-    giving a stack as kloosterman_sums does; each side is one pass.
+    histograms must be equal cell for cell or the call raises.  Returns the
+    (len(chis), p, m) stack as kloosterman_sums does (None: one trivial
+    tuple); each side is one pass.
     """
-    J, one = _plan_inverted(F, 1, n, b, chi)
+    J = _plan_inverted(F, 1, n, b, chis)
     M = F.q - 1
     direct = _inverted_hist(F, n, 0, F.tr_quotient(b), J)
     b_target = F.power(b, -(n + 1)) if M > 1 else 1
@@ -325,8 +320,7 @@ def tn_transform(F: FieldTable, n: int, b: int, chi=None):
         raise VerificationError(
             "transform mismatch between the direct sum and its "
             "reciprocal-parameter expression (implementation bug)")
-    direct = direct[:, :F.p]
-    return _one(F.p, direct) if one else direct
+    return direct[:, :F.p]
 
 
 # ----------------------------------------------------------------------
@@ -431,14 +425,15 @@ def b_class(F: FieldTable, n: int, b: int) -> tuple[int, int]:
     return int(F.exp[d % (G * s)]), int(F.exp[s * e % (F.q - 1)])
 
 
-def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> list[SumValue]:
-    """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower.
+def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> np.ndarray:
+    """Untwisted S_n(b) over F_{q^k} for every b in bs, priced by check_tower,
+    as one new (len(bs), p) int64 array, row i the histogram of bs[i].
 
     x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
     w = 1/s, hist[tr w] sums A[dlog b + (n+1) dlog w] (int64).  A depends on
     (F_{q^k}, n) only: _pair_counts at n = 1, _sum_one_counts at n >= 2,
     built when a class representative (b_class) is not yet in _TOWER; then
-    hist_b[u] = hist_rep[c u mod p].
+    hist_b[u] = hist_rep[c u mod p], one gather for every b.
     """
     cls = [b_class(F, n, b) for b in bs]
     check_tower(F, k, n)
@@ -453,8 +448,9 @@ def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> list[SumValu
             u = ((n + 1) * E.dlog[1:] + int(E.dlog[maps.embed_tab[r]])) % M
             np.add.at(hist, E.tr_abs[1:], A[u])
             _TOWER[p, a, k, n, r] = hist
-    return [SumValue.from_hist(p, _TOWER[p, a, k, n, r][c * np.arange(p) % p])
-            for r, c in cls]
+    hists = np.array([_TOWER[p, a, k, n, r] for r, _ in cls], dtype=np.int64).reshape(-1, p)
+    cs = np.array([c for _, c in cls], dtype=np.int64)
+    return hists[np.arange(len(cls))[:, None], cs[:, None] * np.arange(p) % p]
 
 
 # ----------------------------------------------------------------------
@@ -475,14 +471,14 @@ def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
     return acc
 
 
-def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None):
+def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     """Twisted toric exponential sum of f over (F_{q^k}^*)^n, exactly.
 
     sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
-    histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i).  chi is
-    one CharacterTuple (None: untwisted), giving one SumValue, or a
-    sequence of them, giving a stack as kloosterman_sums does, from one
-    enumeration in which each tuple is one more key row.
+    histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i), for
+    every tuple in chis (None: one trivial tuple): the (len(chis), p, m)
+    stack as kloosterman_sums returns it, from one enumeration in which
+    each tuple is one more key row.
 
     The first variable x_v whose exponents all lie in {0, 1} and whose
     lifted character is trivial in every tuple is summed out: with
@@ -498,7 +494,7 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None):
     _check_positive(k=k)
     Q, p = F.q ** k, F.p
     M = Q - 1
-    J, one = _rows(chi, f.n_vars, F.q, Q)
+    J = _rows(chis, f.n_vars, F.q, Q)
     v = next((i for i in range(f.n_vars) if not J[:, i].any()
               and all(e[i] in (0, 1) for e in f.exponents())), None)
     rest = [i for i in range(f.n_vars) if i != v]
@@ -524,7 +520,7 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chi=None):
     hist, *z = _char_hists(J, p, M, chunks(), 1 if v is None else 2)
     if z:
         hist = Q * z[0] - hist + (Q // p) * (hist - z[0]).sum(axis=1, keepdims=True)
-    return _one(p, hist) if one else hist
+    return hist
 
 
 def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
@@ -552,21 +548,20 @@ def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
     return LaurentPoly(nv, tuple(terms))
 
 
-def e_sum(F: FieldTable, n: int, b: int, chi=None):
+def e_sum(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
     """The auxiliary (n+2)-variable toric sum E_n(chi, b).
 
     Twist (chi_1 conj(chi_{n+1}), ..., chi_n conj(chi_{n+1}), 1, 1); it
     satisfies q S_n = -(q-1)^n chi_1(b) + chi_1(b) E_n when all characters
-    agree and q S_n = chi_{n+1}(b) E_n otherwise.  chi is one
-    CharacterTuple (None: untwisted), giving one SumValue, or a sequence,
-    giving a stack: the distinct twists are the key rows of one toric_sum,
-    and x_{n+1}, trivial in every twist, is summed out.
+    agree and q S_n = chi_{n+1}(b) E_n otherwise.  Returns the
+    (len(chis), p, m) stack (None: one trivial tuple): the distinct twists
+    are the key rows of one toric_sum, and x_{n+1}, trivial in every twist,
+    is summed out.
     """
-    J, one = _rows(chi, n + 1, F.q, F.q)
+    J = _rows(chis, n + 1, F.q, F.q)
     twists = [CharacterTuple.reduced(list(j[:n] - j[n]) + [0, 0], F.q) for j in J]
     row = {t: i for i, t in enumerate(dict.fromkeys(twists))}
-    out = toric_sum(F, 1, ik_laurent(F, n, b), list(row))[[row[t] for t in twists]]
-    return _one(F.p, out) if one else out
+    return toric_sum(F, 1, ik_laurent(F, n, b), list(row))[[row[t] for t in twists]]
 
 
 # ----------------------------------------------------------------------
@@ -598,8 +593,7 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
         _validate_b(F, b)
     Q = F.q ** k
     M, p, N = Q - 1, F.p, F.p * (Q - 1)
-    J, _ = _rows([CharacterTuple.trivial(n + 1)] if chis is None else chis,
-                 n + 1, F.q, Q)
+    J = _rows(chis, n + 1, F.q, Q)
     if M ** (n + 4) >= 2 ** 63:
         raise BudgetExceeded(f"Gauss-sum products over F_{Q}, n = {n}: mass "
                              f"{M}^{n + 4} overflows int64", estimate=M ** (n + 4))

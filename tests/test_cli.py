@@ -147,6 +147,35 @@ def test_cli_lfun_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout, in both output forms, recorded while every
+# single value was a SumValue object: the tables keep its "SumValue(...)"
+# rendering and the JSON its literal "denom": 1
+@pytest.mark.parametrize("argv, json_digest, table_digest", [
+    (("sum", "--p", "7", "--n", "2", "--b", "3", "--k", "2"),
+     "3ca678649112071885b856efc7ea10eff041f564d1896c8201ad3cc199b34a3e",
+     "c71ef2971d77e2f782a768ddb64d212cb1eebc219612b32e87e1ccff00861ba9"),
+    (("sum", "--p", "7", "--n", "2", "--b", "3", "--tn"),
+     "0c0aee1b1ea094e8311a46d40634ee279472c20d50c4ef8174708db3e286b902",
+     "3f2173f149b43bee22a90d2412d1b1e0d95750705defa475ce5f1e94e2c88d91"),
+    (("sum", "--p", "5", "--n", "1", "--b", "2", "--chi", "1,2"),
+     "2f5e40f46efc1244bcdbcbd7bee7bea6bffb43e9e02b74ebc0ed4f9e29974bea",
+     "fd8d3a4f45d409259120fcb0b17959372d8f8aab182024c654650c9f090c792f"),
+    (("gauss", "--p", "7", "--j", "2"),
+     "2c147fcc34858f305efaa3b21964c493e811ae8b5cf988b50933bbceb48cba62",
+     "390b87619f2ffedc9f44e115e93b3dc966f2fff4f3d45c573c6dc0bf9343e8ec"),
+    (("toric", "--poly", "x1+x2+2*x1^-1*x2^-1", "--p", "3"),
+     "15def314f6901e47434853615df8682bded8856618beb2cb4a2548967f086968",
+     "f203fdf46ed2d798b61b295db2081d322fe0b56b1b3ae5bab2f1d533275ca42f"),
+], ids=["sum-p7-n2-b3-k2", "sum-p7-n2-b3-tn", "sum-p5-n1-b2-chi12", "gauss-p7-j2",
+        "toric-p3"])
+def test_cli_single_value_bytes_are_pinned(capsys, argv, json_digest, table_digest):
+    for out_form, digest in (("json", json_digest), ("table", table_digest)):
+        code = main([*argv, "--out", out_form])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), out_form
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out_form
+
+
 # sha256 of the whole stdout, recorded before the tower route moved into
 # expsum.tower_sums (one count array per (p, k) in place of one per b)
 @pytest.mark.parametrize("argv, digest", [
