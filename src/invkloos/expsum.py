@@ -35,6 +35,12 @@ of C tuples (None: one trivial tuple), a twisted sum returns one int64
 (C, p, m) array with row c the histogram of tuple c (m = 1 when every tuple
 is trivial), for cyclotomic.reduce_counts and embed_counts to check whole.
 
+toric_sum gathers each term c x^v of a chunk by one np.take of digit rows at
+its unreduced exponent dlog c + sum_i v_i e_i, M = q^k - 1: -e_i enters as
+M - e_i, and v_i e_i is reduced mod M once per chunk only for |v_i| >= 2, so
+the table has (r + 1) M rows for r enumerated variables.  A part's T terms
+add in digit_dtype(T (p-1)), then one % p.
+
 For c in F_p^*, s -> c s shows S_n(b c^(n+1)) is S_n(b) with trace bucket
 t moved to t/c (sigma_{1/c} on Q(zeta_p)), so tower_sums serves only one
 representative per F_p^*-class of b (b_class) and moves the others in O(p).
@@ -206,8 +212,7 @@ def _char_hists(J: np.ndarray, width: int, M: int, chunks, nmasks: int = 1):
 def _rows(chis, count: int, q: int, Q: int) -> np.ndarray:
     """(len(chis), count) int64 indices of chis lifted to F_Q; None is one
     trivial tuple."""
-    if chis is None:
-        chis = [CharacterTuple.trivial(count)]
+    chis = [CharacterTuple.trivial(count)] if chis is None else list(chis)
     for c in chis:
         if len(c) != count:
             raise ValueError(f"need {count} characters, got {len(c)}")
@@ -244,9 +249,9 @@ def _inverted_hist(E: FieldTable, n: int, d_last: int, TQ: np.ndarray,
     def chunks():
         for _, exps in _toric_chunks(M, n):
             e_last = (d_last - sum(exps)) % M
-            sd = DIG[EXP[e_last]]
+            sd = np.take(DIG, EXP[e_last], axis=0)
             for e in exps:
-                sd += DIG[EXP[e]]
+                sd += np.take(DIG, EXP[e], axis=0)
             sd %= p
             yield TQ[_pack(sd, p)], exps + [e_last], (None,)
     return _char_hists(J, p + 1, M, chunks())[0]
@@ -270,7 +275,7 @@ def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chis) -> np.ndarray:
 
 
 def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
-                     chis: Sequence[CharacterTuple]) -> np.ndarray:
+                     chis: Sequence[CharacterTuple] | None = None) -> np.ndarray:
     """Inverted n-variable Kloosterman sums S_n(chi, b) over F_{q^k}, exactly,
     for every chi in chis from one enumeration of the torus.
 
@@ -278,10 +283,10 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
     s = x_1 + ... + x_n + b/(x_1 ... x_n), skips s = 0 and accumulates
     psi(Tr(1/s)); each chi only picks the bucket sum_i j_i dlog x_i of a
     point.  Priced (points, histogram cells) before any table is built;
-    returns the (len(chis), p, m) stack, m = q^k - 1, or 1 when every chi is
-    trivial (a read-only broadcast of one row).
+    returns the (len(chis), p, m) stack (None: one trivial tuple), m = q^k - 1,
+    or 1 when every chi is trivial (a read-only broadcast of one row).
     """
-    J = _plan_inverted(F, k, n, b, list(chis))
+    J = _plan_inverted(F, k, n, b, chis)
     maps = field_maps(F, k)
     E = maps.ext
     d_last = int(E.dlog[maps.embed_tab[b]])
@@ -292,8 +297,7 @@ def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
                     chi: CharacterTuple | None = None) -> np.ndarray:
     """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums'
     (p, m) row."""
-    chis = [CharacterTuple.trivial(n + 1) if chi is None else chi]
-    return kloosterman_sums(F, k, n, b, chis)[0]
+    return kloosterman_sums(F, k, n, b, None if chi is None else [chi])[0]
 
 
 def tn_transform(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
@@ -457,18 +461,14 @@ def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> np.ndarray:
 # toric sums
 # ----------------------------------------------------------------------
 
-def _digit_sum(E: FieldTable, terms, exps, L: int) -> np.ndarray:
-    """(L, a) digits mod p of sum c x^v over terms (dlog c, v) at the chunk."""
-    M = E.q - 1
-    acc = np.zeros((L, E.a), dtype=np.int32)
+def _digit_sum(tab: np.ndarray, terms, cols, L: int, p: int) -> np.ndarray:
+    """Packed encodings of sum c x^v over terms (dlog c, v) at the chunk: row
+    dlog c + sum_i cols[i, v_i] of tab per term, summed, then one % p."""
+    acc = np.zeros((L, tab.shape[1]), dtype=tab.dtype)
     for dc, v in terms:
-        dl = np.full(L, dc, dtype=np.int64)
-        for vi, ei in zip(v, exps):
-            if vi:
-                dl += vi * ei
-        acc += E.digits[E.exp[dl % M]]
-    acc %= E.p
-    return acc
+        acc += np.take(tab, sum((cols[i, vi] for i, vi in enumerate(v) if vi), dc), axis=0)
+    acc %= p
+    return _pack(acc, p)
 
 
 def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
@@ -489,7 +489,10 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     so only the other n - 1 coordinates are enumerated and priced.  The
     histogram stays the point count: x' with A = 0 puts Q - 1 points in
     bucket Tr C, x' with A != 0 puts Q/p - [s = 0] in bucket Tr C + s.
-    Without such a variable the whole torus is enumerated.
+    Without such a variable the whole torus is enumerated.  The digit rows
+    of the terms come from one table of (r + 1) (Q - 1) rows for the r
+    enumerated variables: built from Q - 1 gathered rows, it peaks at r + 2
+    times the field's digit table, on top of the chunks.
     """
     _check_positive(k=k)
     Q, p = F.q ** k, F.p
@@ -512,11 +515,19 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
         parts[0 if v is None else e[v]].append(
             (int(E.dlog[maps.embed_tab[c]]), [e[i] for i in rest]))
 
+    # tab[e] = digits of g^e for e < (r + 1) M: every column lies in [0, M]
+    dt = digit_dtype(max(map(len, parts)) * (p - 1))
+    tab = np.tile(np.take(E.digits, E.exp, axis=0).astype(dt, copy=False),
+                  (len(rest) + 1, 1))
+    keys = {(i, vi) for _, vec in parts[0] + parts[1] for i, vi in enumerate(vec) if vi}
+
     def chunks():               # buckets Tr C; the x' with A(x') = 0
         for L, exps in _toric_chunks(M, len(rest)):
-            t = E.tr_abs[_pack(_digit_sum(E, parts[0], exps, L), p)]
+            cols = {(i, vi): exps[i] if vi == 1 else M - exps[i] if vi == -1
+                    else vi * exps[i] % M for i, vi in keys}
+            t = E.tr_abs[_digit_sum(tab, parts[0], cols, L, p)]
             yield t, exps, (None,) if v is None else (
-                None, ~_digit_sum(E, parts[1], exps, L).any(axis=1))
+                None, _digit_sum(tab, parts[1], cols, L, p) == 0)
     hist, *z = _char_hists(J, p, M, chunks(), 1 if v is None else 2)
     if z:
         hist = Q * z[0] - hist + (Q // p) * (hist - z[0]).sum(axis=1, keepdims=True)

@@ -59,24 +59,20 @@ def det_int(rows: list[list[int]] | tuple) -> int:
 
 
 def frac_rank(rows) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+    """Rank over Q of integer rows by fraction-free (Bareiss) elimination:
+    every entry stays a minor of the input, so each division is exact."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(top[c] * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev, rank = top[c], rank + 1
     return rank
 
 

@@ -368,6 +368,15 @@ def test_key_arrays_stay_within_the_chunk(monkeypatch):
     assert len(sizes) == 2 * 16 * 2 and max(sizes) <= 40
 
 
+def test_kloosterman_sums_reads_none_as_one_trivial_tuple():
+    F = build_field(5, 1)
+    for n in (1, 2):
+        trivial = kloosterman_sums(F, 1, n, 3, [CharacterTuple.trivial(n + 1)])
+        assert kloosterman_sums(F, 1, n, 3, None).tolist() == trivial.tolist()
+        assert kloosterman_sums(F, 1, n, 3).tolist() == trivial.tolist()
+        assert kloosterman_sum(F, 1, n, 3).tolist() == trivial[0].tolist()
+
+
 def test_reciprocal_trace_table_is_built_once_per_field(monkeypatch):
     F = build_field(11, 1)
     maps = field_maps(F, 2)
@@ -444,6 +453,12 @@ CONST_PLUS_X1X2 = LaurentPoly(2, ((2, (0, 0)), (1, (1, 1))))
 ONLY_CONST = LaurentPoly(2, ((2, (0, 0)),))
 # x_1 is the only variable with exponents in {0, 1}
 X1X2_PLUS_X2_INV = LaurentPoly(2, ((1, (1, 1)), (1, (0, -1))))
+# exponents +-2 and +-3 and a constant term: no variable is summed out, and
+# every variable enters some term through a reduced column v e mod M
+POWERS_AND_CONST = LaurentPoly(3, ((1, (2, -3, 0)), (1, (0, 3, -2)),
+                                   (1, (-2, 0, 3)), (1, (0, 0, 0))))
+# x_3 (x_1^2 + x_2^-3 + 1): x_3 is summed out and the C part is empty
+EMPTY_C = LaurentPoly(3, ((1, (2, 0, 1)), (1, (0, -3, 1)), (1, (0, 0, 1))))
 
 
 @pytest.mark.parametrize("q,k,f,chi", [
@@ -457,6 +472,10 @@ X1X2_PLUS_X2_INV = LaurentPoly(2, ((1, (1, 1)), (1, (0, -1))))
     (5, 1, ONLY_CONST, None), (3, 2, ONLY_CONST, (0, 1)),
     (5, 1, X1X2_PLUS_X2_INV, (1, 0)), (5, 1, X1X2_PLUS_X2_INV, (0, 3)),
     (3, 2, X1X2_PLUS_X2_INV, (1, 1)), (3, 2, X1X2_PLUS_X2_INV, None),
+    # F_8 and F_27: digit rows of length 3
+    (2, 3, POWERS_AND_CONST, None), (2, 3, EMPTY_C, None),
+    (3, 3, POWERS_AND_CONST, (1, 0, 1)), (3, 3, EMPTY_C, None),
+    (3, 3, EMPTY_C, (1, 1, 0)),
 ])
 def test_toric_matches_whole_torus_enumeration(q, k, f, chi):
     F = build_field(q, 1)
@@ -504,6 +523,44 @@ def test_toric_budget_prices_the_enumerated_points(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         toric_sum(F, 1, X1X2_PLUS_X2_INV)
     assert exc.value.estimate == 4
+
+
+def test_toric_chunks_with_reduced_columns(monkeypatch):
+    # several chunks, each evaluating columns v e mod M with |v| >= 2
+    F8, F27 = build_field(2, 1), build_field(3, 1)
+    f2 = LaurentPoly(2, ((1, (2, -3)), (2, (-2, 1)), (1, (0, 0))))
+    chi = CharacterTuple((1, 1))
+    want = [_torus_hist(F8, 3, POWERS_AND_CONST), _torus_hist(F27, 3, f2, chi)]
+    lengths = []
+    real = expsum._toric_chunks
+    monkeypatch.setattr(expsum, "_toric_chunks", lambda M, n: (
+        lengths.append(c[0]) or c for c in real(M, n)))
+    monkeypatch.setattr(expsum, "_CHUNK", 16)
+    assert toric_sum(F8, 3, POWERS_AND_CONST)[0].tolist() == want[0]
+    assert len(lengths) == 22 and sum(lengths) == 7 ** 3          # 343 points
+    lengths.clear()
+    monkeypatch.setattr(expsum, "_CHUNK", 64)
+    assert toric_sum(F27, 3, f2, [chi])[0].tolist() == want[1]
+    assert len(lengths) == 11 and sum(lengths) == 26 ** 2         # 676 points
+
+
+def test_toric_digit_table_peak_memory(monkeypatch):
+    # one enumerated variable: the (1 + 1) M-row table and the M gathered
+    # rows it is tiled from are the peak, 3 times the field's digit table;
+    # the chunks (here 1024 points) add little beside them
+    F = build_field(3, 1)
+    f = LaurentPoly(1, ((1, (2,)), (1, (-3,))))
+    want = toric_sum(F, 10, f)                  # tables and lazy maps built first
+    E = field_maps(F, 10).ext
+    monkeypatch.setattr(expsum, "_CHUNK", 1 << 10)
+    tracemalloc.start()
+    try:
+        got = toric_sum(F, 10, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * E.digits.nbytes + 2 ** 16, peak / E.digits.nbytes
+    assert np.array_equal(got, want)
 
 
 def test_toric_negative_exponents_classical_kloosterman():

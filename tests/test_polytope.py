@@ -323,6 +323,45 @@ def test_facial_inclusion_exclusion_of_weight_counts(n):
 # diagonal theory
 # ----------------------------------------------------------------------
 
+def _fraction_rank(rows):
+    """Rank over Q by Gauss-Jordan elimination in Fractions: the oracle for
+    polytope.frac_rank's fraction-free elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c] / m[rank][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.integers(1, 7), st.data())
+def test_frac_rank_matches_fraction_elimination(cols, data):
+    row = st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=7))
+    # integer combinations of the drawn rows make deficient ranks common
+    for w in data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                         max_size=len(rows)), max_size=4)):
+        rows.append([sum(c * r[j] for c, r in zip(w, rows)) for j in range(cols)])
+    assert polytope.frac_rank(rows) == _fraction_rank(rows)
+
+
+def test_frac_rank_examples():
+    assert polytope.frac_rank([]) == 0
+    assert polytope.frac_rank([[0, 0], [0, 0]]) == 0
+    assert polytope.frac_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
+    assert polytope.frac_rank([[0, 3], [5, 0], [7, 7]]) == 2
+    big = 10 ** 30
+    assert polytope.frac_rank([[big, big + 1], [3 * big, 3 * big + 3]]) == 1
+    assert polytope.frac_rank([[big, 1], [1, 0]]) == 2
+
+
 def test_det_int_and_hnf():
     assert det_int([[1, 2], [3, 4]]) == -2
     assert det_int([[2, 0], [0, 3]]) == 6
