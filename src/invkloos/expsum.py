@@ -492,7 +492,8 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     Without such a variable the whole torus is enumerated.  The digit rows
     of the terms come from one table of (r + 1) (Q - 1) rows for the r
     enumerated variables: built from Q - 1 gathered rows, it peaks at r + 2
-    times the field's digit table, on top of the chunks.
+    times the field's digit table, on top of the chunks.  At r = 0 (one
+    point) the table holds only the terms' own rows.
     """
     _check_positive(k=k)
     Q, p = F.q ** k, F.p
@@ -508,17 +509,19 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     maps = field_maps(F, k)
     E = maps.ext
 
-    parts = ([], [])            # terms of C (x_v absent) and of A (x_v^1)
+    parts, dcs = ([], []), []   # terms of C (x_v absent) and of A (x_v^1)
     for c, e in f.terms:
         if not 0 < c < F.q:
             raise ValueError(f"coefficient {c} is not a unit of the base field")
+        dcs.append(int(E.dlog[maps.embed_tab[c]]))
         parts[0 if v is None else e[v]].append(
-            (int(E.dlog[maps.embed_tab[c]]), [e[i] for i in rest]))
+            (dcs[-1] if rest else len(dcs) - 1, [e[i] for i in rest]))
 
-    # tab[e] = digits of g^e for e < (r + 1) M: every column lies in [0, M]
+    # tab[e] = digits of g^e for e < (r + 1) M: every column lies in [0, M];
+    # at one point (r = 0) tab[j] = digits of term j's coefficient instead
     dt = digit_dtype(max(map(len, parts)) * (p - 1))
-    tab = np.tile(np.take(E.digits, E.exp, axis=0).astype(dt, copy=False),
-                  (len(rest) + 1, 1))
+    tab = np.tile(np.take(E.digits, E.exp if rest else E.exp[dcs], axis=0)
+                  .astype(dt, copy=False), (len(rest) + 1, 1))
     keys = {(i, vi) for _, vec in parts[0] + parts[1] for i, vi in enumerate(vec) if vi}
 
     def chunks():               # buckets Tr C; the x' with A(x') = 0

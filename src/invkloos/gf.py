@@ -6,11 +6,15 @@ first; 0 encodes the zero element.  Construction is deterministic: the
 modulus is the lexicographically smallest monic irreducible of degree a
 over Z/p (coefficients compared from the constant term upward) and the
 generator g is the generating element with the smallest integer
-encoding.  Bootstrapping computes in F_p[t]/(f) with a x a matrices over
-Z/p: Rabin's irreducibility test and the generator's order test take
+encoding.  Bootstrapping computes in F_p[t]/(f) with a x a int64 matrices
+over Z/p: Rabin's irreducibility test and the generator's order test take
 powers of companion and multiplication matrices, and the absolute traces
 of the power basis are the power sums of f's roots, from Newton's
-identities.
+identities.  The exp/dlog blocks multiply in float64 through BLAS, exactly:
+entries lie in [0, p-1] and TABLE_CAP keeps dot products a(p-1)^2 < 2^52
+(p < 2^26 at a = 1, p <= 2^13 at a >= 2), so every partial sum and FMA,
+in any order, is an integer below 2^53; _mod_p's floor(x/p) is exact for
+x < 2^52 (rounding reaches k+1 only at x >= 2^53 - p); encodings stay < q.
 
 Multiplication and powers go through exp/dlog tables, so per-element
 cost inside enumeration kernels is a handful of table lookups; addition
@@ -52,6 +56,11 @@ def _mulmat(x: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     for _ in range(len(c) - 1):
         rows.append(rows[-1] @ c % p)
     return np.array(rows, dtype=np.int64)
+
+
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for float64 integers 0 <= x < 2^52 (exact: module docstring)."""
+    return x - p * np.floor(x / p)
 
 
 def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -137,11 +146,8 @@ class FieldTable:
     """
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.a = a
-        self.q = p ** a
-        self.modulus = modulus
-        q = self.q
+        self.p, self.a, self.modulus = p, a, modulus
+        q = self.q = p ** a
         m_order = q - 1
         self._pows = np.array([p ** i for i in range(a)], dtype=np.int64)
         c = _companion(modulus, p)
@@ -158,29 +164,27 @@ class FieldTable:
 
         # exp/dlog in blocks of B <= 1024 rows (bigger ones only grow peak
         # memory): mat, which multiplies by g, then by g^2, g^4, ... doubles
-        # g^0..g^(B-1); then it multiplies by g^B per block
+        # g^0..g^(B-1); then it multiplies by g^B per block, in float64
+        assert a * (p - 1) ** 2 < 1 << 52, "float64 blocks would not be exact"
         B = 1 << min(10, (m_order - 1).bit_length())
-        blk = np.eye(1, a, dtype=np.int64)
+        mat, pows = mat.astype(np.float64), self._pows.astype(np.float64)
+        blk = np.eye(1, a)
         while len(blk) < B:
-            blk = np.vstack([blk, (blk @ mat) % p])
-            mat = (mat @ mat) % p
-        exp = np.zeros(m_order, dtype=np.int64)
-        dlog = np.full(q, -1, dtype=np.int64)
+            blk = np.vstack([blk, _mod_p(blk @ mat, p)])
+            mat = _mod_p(mat @ mat, p)
+        exp = self.exp = np.zeros(m_order, dtype=np.int64)
+        dlog = self.dlog = np.full(q, -1, dtype=np.int64)
         for s in range(0, m_order, B):
-            enc = (blk @ self._pows)[:m_order - s]
-            exp[s:s + B] = enc
-            dlog[enc] = np.arange(s, s + len(enc))
-            blk = (blk @ mat) % p
+            exp[s:s + B] = (blk @ pows)[:m_order - s]
+            dlog[exp[s:s + B]] = np.arange(s, min(s + B, m_order))
+            blk = _mod_p(blk @ mat, p)
         assert (dlog[1:] >= 0).all(), "generator order mismatch"
-        self.exp = exp
-        self.dlog = dlog
 
         # digit matrix: digit i of x runs through 0..p-1 in blocks of p^i
-        digits = np.empty((q, a), dtype=digit_dtype(p))
+        digits = self.digits = np.empty((q, a), dtype=digit_dtype(p))
         for i in range(a):
             digits.reshape(p ** (a - 1 - i), p, p ** i, a)[..., i] = \
                 np.arange(p)[:, None]
-        self.digits = digits
 
         # absolute trace on the power basis: tr(t^j) = sum_i t^(j p^i) is
         # the power sum P_j of the modulus' roots t^(p^i), by Newton's
@@ -189,12 +193,12 @@ class FieldTable:
         for k in range(1, a):
             tr_basis.append(-(k * modulus[a - k] + sum(
                 modulus[a - i] * tr_basis[k - i] for i in range(1, k))) % p)
-        # column by column, no (q, a) int64 copy; dt holds a (p-1)^2
-        dt = digit_dtype(a * p * p)
-        tr = np.zeros(q, dtype=dt)
-        for j in np.flatnonzero(tr_basis):
-            tr += digits[:, j] * dt.type(tr_basis[j])
-        self.tr_abs = (tr % p).astype(digits.dtype)
+        # linear in the digits: an outer sum per digit, the last one outermost
+        tr = np.zeros(1, dtype=digit_dtype(2 * p))
+        for j in range(a):
+            col = (np.arange(p) * tr_basis[j] % p).astype(tr.dtype)
+            tr = ((col[:, None] + tr[None, :]) % p).ravel()
+        self.tr_abs = tr.astype(digits.dtype, copy=False)
 
     def modulus_str(self) -> str:
         def mono(i, c):
@@ -211,10 +215,9 @@ class FieldTable:
     # -- arithmetic (scalars or numpy arrays) ----------------------------
 
     def add(self, x, y):
-        if isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer)):
-            d = (self.digits[x].astype(np.int64) + self.digits[y]) % self.p
-            return int(d @ self._pows)
         d = (self.digits[x].astype(np.int64) + self.digits[y]) % self.p
+        if isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer)):
+            return int(d @ self._pows)
         return d @ self._pows
 
     def neg(self, x):
@@ -299,8 +302,7 @@ def build_field(p: int, a: int) -> FieldTable:
     if key in _FIELDS:
         return _FIELDS[key]
     check_table_cap(p, a)
-    field = FieldTable(p, a, smallest_irreducible(p, a))
-    _FIELDS[key] = field
+    field = _FIELDS[key] = FieldTable(p, a, smallest_irreducible(p, a))
     return field
 
 
@@ -340,8 +342,7 @@ def field_maps(base: FieldTable, k: int) -> ExtensionMaps:
         return _MAPS[key]
     p, q = base.p, base.q
     if k == 1:
-        maps = ExtensionMaps(base, base, 1, np.arange(q, dtype=np.int64))
-        _MAPS[key] = maps
+        maps = _MAPS[key] = ExtensionMaps(base, base, 1, np.arange(q, dtype=np.int64))
         return maps
     ext = build_field(p, base.a * k)
     M = ext.q - 1
@@ -386,6 +387,5 @@ def field_maps(base: FieldTable, k: int) -> ExtensionMaps:
     assert (d % s == 0).all() and (np.bincount(d // s) == 1).all(), \
         "embedding is not onto the subfield F_q"
 
-    maps = ExtensionMaps(base, ext, k, embed_tab)
-    _MAPS[key] = maps
+    maps = _MAPS[key] = ExtensionMaps(base, ext, k, embed_tab)
     return maps

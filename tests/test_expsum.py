@@ -449,6 +449,8 @@ def _torus_hist(F, k, f, chi=None):
 X_PLUS_2_OVER_X = LaurentPoly(1, ((1, (1,)), (2, (-1,))))
 X2_PLUS_X_INV = LaurentPoly(1, ((1, (2,)), (1, (-1,))))
 X = LaurentPoly(1, ((1, (1,)),))
+# x is summed out and nothing is left to enumerate; C = 2
+X_PLUS_2 = LaurentPoly(1, ((1, (1,)), (2, (0,))))
 CONST_PLUS_X1X2 = LaurentPoly(2, ((2, (0, 0)), (1, (1, 1))))
 ONLY_CONST = LaurentPoly(2, ((2, (0, 0)),))
 # x_1 is the only variable with exponents in {0, 1}
@@ -476,6 +478,8 @@ EMPTY_C = LaurentPoly(3, ((1, (2, 0, 1)), (1, (0, -3, 1)), (1, (0, 0, 1))))
     (2, 3, POWERS_AND_CONST, None), (2, 3, EMPTY_C, None),
     (3, 3, POWERS_AND_CONST, (1, 0, 1)), (3, 3, EMPTY_C, None),
     (3, 3, EMPTY_C, (1, 1, 0)),
+    # one point: nothing left to enumerate
+    (5, 1, X_PLUS_2, None), (3, 2, X_PLUS_2, None),
 ])
 def test_toric_matches_whole_torus_enumeration(q, k, f, chi):
     F = build_field(q, 1)
@@ -561,6 +565,23 @@ def test_toric_digit_table_peak_memory(monkeypatch):
         tracemalloc.stop()
     assert peak <= 3 * E.digits.nbytes + 2 ** 16, peak / E.digits.nbytes
     assert np.array_equal(got, want)
+
+
+def test_toric_one_point_gathers_only_the_terms_rows():
+    # x summed out over F_{3^12}: no variable is left to enumerate, so no
+    # (Q - 1)-row digit table is built; psi(Tr x) over x != 0 puts Q/3 - 1
+    # points in bucket 0 and Q/3 in each other bucket
+    F = build_field(3, 1)
+    toric_sum(F, 12, X)                         # tables and lazy maps built first
+    E = field_maps(F, 12).ext
+    tracemalloc.start()
+    try:
+        got = toric_sum(F, 12, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E.digits.nbytes / 64, peak / E.digits.nbytes
+    assert got.tolist() == [[[3 ** 11 - 1], [3 ** 11], [3 ** 11]]]
 
 
 def test_toric_negative_exponents_classical_kloosterman():

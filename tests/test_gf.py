@@ -359,17 +359,22 @@ def _table_digest(F):
 
 
 # sha256 of (modulus, g) and the four tables with their dtypes and shapes,
-# recorded with the per-polynomial construction these tables replaced
+# recorded with the per-polynomial construction these tables replaced;
+# (3, 11), (5, 7) and (7, 6), the largest tables the benchmark builds, with
+# the int64 exp/dlog blocks that the float64 ones replaced
 TABLE_DIGESTS = {
     (2, 1): "0c3b36a13009d9a390ac7c3ccbb5565680fe22e0f32cc99d786cbb549e66db56",
     (2, 12): "4be5dd262cc3c426d2c7af2bfc71071c8cf69436a37f2b4bca82f25cbffdd94b",
     (2, 16): "cbba97c9cd578c893dbaec1149726f4150243fb85c90397db1912640dfc0bc20",
     (3, 7): "8eda8da38aa565cd4a656002ea810fc7d41b1203557d963bc35c0993cdbaf12a",
     (3, 10): "855bd51dc0b34d217a8246d6ff4fa675b87cd59380a1e6a24e7f433aa6180959",
+    (3, 11): "7b19fb47badf0886ae73a41c35d96ee013ac78a8936822b3d8fb7122e680da2a",
     (5, 5): "d1b4cc430fa3cf9623443302e825db7cab8f32aa8c307630d90f4138436e98af",
     (5, 6): "0415f4722fd1ecb1b7a56d20fa9d8d8a99473872233c0dd0c91f4c0883772107",
+    (5, 7): "6660c57b29e27d0b24d56f7ec911bba6771e17244f054a9b70014d25b48babf5",
     (7, 4): "caec3709697c9ff147f84759ce7413fc2c4f75e5b34652981c88c6fa49922f0f",
     (7, 5): "aa751cbaa1f5b0f0407fa750855e4f71a184c730398105a333b257bbe333f199",
+    (7, 6): "1b5fc76b8c7cb2b030643127ab33d838fafd1c827f83797e1a424cd2e5777f88",
     (13, 4): "1d326d7e46a33fbb96ac020ee80738954d1524fcba50ecc9f47dd0be5e9658b2",
     (41, 3): "22df59e582eff8568cf3da1f90ef4140e5f71863054cb80763a588daf044ee03",
     (53, 3): "54f1bb93cf70233f3718fcc42ee3da90fd98a8e4afeabd3450e02cf88a1970bb",
@@ -389,8 +394,9 @@ def test_is_prime():
 
 
 def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
-    # the trace goes column by column and the digits are filled in place,
-    # so no (q, a) or q-sized int64 temporary adds to the tables
+    # the trace is built by outer sums in the digits' dtype and the digits
+    # are filled in place, so no (q, a) or q-sized int64 temporary adds to
+    # the tables
     monkeypatch.setattr(gf, "_FIELDS", {})
     monkeypatch.setattr(gf, "_MAPS", {})
     tracemalloc.start()
@@ -403,6 +409,22 @@ def test_table_build_peak_is_a_small_multiple_of_the_tables(monkeypatch):
     tables = sum(arr.nbytes for arr in (
         E.exp, E.dlog, E.tr_abs, E.digits, m.embed_tab))
     assert peak < 1.2 * tables
+
+
+def test_float_blocks_are_exact_under_the_table_cap():
+    # for every a, the largest p with p^a <= TABLE_CAP: a dot product of a
+    # digits with matrix entries, at most a (p-1)^2, stays below 2^52, and
+    # the float64 reduction agrees with % p up to there
+    for a in range(1, 27):
+        p = next(x for x in range(round(gf.TABLE_CAP ** (1 / a)) + 1, 1, -1)
+                 if x ** a <= gf.TABLE_CAP and is_prime(x))
+        top = a * (p - 1) ** 2
+        assert top < 1 << 52
+        xs = [x + d for x in (top, top // p * p, (1 << 52) - 1,
+                              ((1 << 52) - 1) // p * p)
+              for d in (-p, -1, 0, 1, p) if 0 <= x + d < 1 << 52]
+        got = gf._mod_p(np.array(xs, dtype=np.float64), p)
+        assert got.tolist() == [float(x % p) for x in xs], (p, a)
 
 
 @pytest.mark.parametrize("p,a", [(3, 5), (7, 3), (65537, 1)])
