@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from .cyclotomic import embed_complex, reduce_mod_phi
 from .errors import BudgetExceeded, DegenerateError, ParseError, VerificationError
-from .expsum import (CharacterTuple, LaurentPoly, gauss_sum, kloosterman_sum,
-                     tn_transform, toric_sum)
+from .expsum import LaurentPoly, gauss_sum, kloosterman_sum, tn_transform, toric_sum
 from .gf import FieldTable, build_field, field_maps
 from .lfun import lfunction_pipeline
 from .polytope import build_polytope, hodge_data, ik_polytope
@@ -300,14 +299,15 @@ SCHEMAS = {
 # subcommands
 # ----------------------------------------------------------------------
 
-def _parse_chi(spec: str, q: int, expected: int) -> CharacterTuple:
+def _parse_chi(spec: str, q: int, expected: int) -> tuple[int, ...]:
+    """The comma list of character indices, each reduced mod q - 1."""
     try:
-        idx = tuple(int(x) for x in spec.split(","))
+        idx = tuple(int(x) % (q - 1) for x in spec.split(","))
     except ValueError:
         raise ParseError(f"cannot parse character indices {spec!r}")
     if len(idx) != expected:
         raise ParseError(f"need {expected} character indices, got {len(idx)}")
-    return CharacterTuple.reduced(idx, q)
+    return idx
 
 
 def _field_header(F: FieldTable) -> str:
@@ -362,7 +362,7 @@ def cmd_sum(args) -> int:
         print(json.dumps(obj, sort_keys=True))
     else:
         kind = "T" if args.tn else "S"
-        print(f"{_field_header(F)}  chi={chi.indices if chi else 'untwisted'}")
+        print(f"{_field_header(F)}  chi={chi or 'untwisted'}")
         print(f"{kind}_{args.n}(b={args.b}, k={args.k}) = {_sum_text(obj)}")
         if obj["m"] == 1:
             print(f"in Z[zeta_{F.p}]: {reduce_mod_phi(v[:, 0])!r}")
@@ -470,8 +470,8 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_out(sp):
-    sp.add_argument("--out", choices=("json", "csv", "table"), default="table")
+def _add_out(sp, *extra):
+    sp.add_argument("--out", choices=("json", *extra, "table"), default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="field for text polynomials")
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--kmax", type=int, help="weight range k (default dim*D)")
-    _add_out(sp)
+    _add_out(sp, "csv")
     sp.set_defaults(fn=cmd_polytope)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "cor1 and thm1 pair it with --n)")
     sp.add_argument("--n", help="comma list of n values")
     sp.add_argument("--b", help="comma list of b values (thm1 only)")
-    _add_out(sp)
+    _add_out(sp, "csv")
     sp.set_defaults(fn=cmd_verify)
     return ap
 

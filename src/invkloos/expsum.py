@@ -30,10 +30,13 @@ Every sum is returned as int64 counts (cyclotomic): gauss_sum one (p, q-1)
 row, tower_sums one (len(bs), p) array, and the twisted sums a stack.  The
 enumerating sums visit each point once however many character tuples they
 are given: a tuple only selects a point's bucket sum_i j_i dlog x_i, so all
-tuples fill one exact int64 bincount per chunk of points.  Given a sequence
-of C tuples (None: one trivial tuple), a twisted sum returns one int64
-(C, p, m) array with row c the histogram of tuple c (m = 1 when every tuple
-is trivial), for cyclotomic.reduce_counts and embed_counts to check whole.
+tuples fill one exact int64 bincount per chunk of points.  A batch of C
+tuples is one (C, count) int64 index array against the fixed generator of
+F_q (any sequence of C tuples is read as one; None: one trivial tuple),
+reduced mod q - 1 and lifted to F_{q^k} only after the call is priced.  A
+twisted sum returns one int64 (C, p, m) array with row c the histogram of
+tuple c (m = 1 when every tuple is trivial), for cyclotomic.reduce_counts
+and embed_counts to check whole.
 
 toric_sum gathers each term c x^v of a chunk by one np.take of digit rows at
 its unreduced exponent dlog c + sum_i v_i e_i, M = q^k - 1: -e_i enters as
@@ -77,29 +80,10 @@ def _check_positive(**degrees: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
-class CharacterTuple:
-    """Multiplicative characters as exponents against the fixed generator.
-
-    Index 0 is the trivial character.  Over F_{q^k} each character acts
-    through composition with the norm, i.e. via index j * (q^k-1)/(q-1).
-    """
-    indices: tuple[int, ...]
-
-    @classmethod
-    def trivial(cls, count: int) -> "CharacterTuple":
-        return cls((0,) * count)
-
-    @classmethod
-    def reduced(cls, indices, q: int) -> "CharacterTuple":
-        return cls(tuple(int(j) % (q - 1) for j in indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def lifted(self, q: int, ext_q: int) -> tuple[int, ...]:
-        step = (ext_q - 1) // (q - 1)
-        return tuple((j % (q - 1)) * step % (ext_q - 1) for j in self.indices)
+class CharacterTuple(tuple):
+    """One tuple of multiplicative character indices against the fixed
+    generator, index 0 trivial; a row of the (C, count) index arrays that
+    the twisted sums take."""
 
 
 @dataclass(frozen=True)
@@ -209,15 +193,18 @@ def _char_hists(J: np.ndarray, width: int, M: int, chunks, nmasks: int = 1):
     return [np.broadcast_to(h, (C, width, m)) for h in hists]
 
 
-def _rows(chis, count: int, q: int, Q: int) -> np.ndarray:
-    """(len(chis), count) int64 indices of chis lifted to F_Q; None is one
-    trivial tuple."""
-    chis = [CharacterTuple.trivial(count)] if chis is None else list(chis)
-    for c in chis:
-        if len(c) != count:
-            raise ValueError(f"need {count} characters, got {len(c)}")
-    return np.array([c.lifted(q, Q) for c in chis],
-                    dtype=np.int64).reshape(len(chis), count)
+def _rows(chis, count: int, q: int) -> np.ndarray:
+    """(C, count) int64 indices of the C tuples in chis, reduced mod q - 1;
+    None is one trivial tuple.  Over F_Q = F_{q^k} index j acts through the
+    norm, as j (Q-1)/(q-1): callers lift only after pricing, so that Q - 1
+    is known to fit in int64."""
+    if chis is None:
+        return np.zeros((1, count), dtype=np.int64)
+    J = np.array(chis if isinstance(chis, np.ndarray) else list(chis), dtype=np.int64)
+    J = J.reshape(0, count) if J.shape == (0,) else J
+    if J.ndim != 2 or J.shape[1] != count:
+        raise ValueError(f"need {count} characters per tuple, got shape {J.shape}")
+    return J % (q - 1)
 
 
 # ----------------------------------------------------------------------
@@ -263,19 +250,19 @@ def _validate_b(F: FieldTable, b: int) -> None:
 
 
 def _plan_inverted(F: FieldTable, k: int, n: int, b: int, chis) -> np.ndarray:
-    """_rows of chis, after checking n, k and b and pricing points and cells."""
+    """_rows of chis lifted to F_{q^k}, after checking n, k and b and pricing
+    points and cells."""
     _check_positive(n=n, k=k)
     _validate_b(F, b)
     Q = F.q ** k
-    J = _rows(chis, n + 1, F.q, Q)
+    J = _rows(chis, n + 1, F.q)
     check_points((Q - 1) ** n)
     if J.any():
         _check_cells(len(J) * (F.p + 1) * (Q - 1), f"{len(J)} twisted sums over F_{Q}")
-    return J
+    return J * ((Q - 1) // (F.q - 1))
 
 
-def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
-                     chis: Sequence[CharacterTuple] | None = None) -> np.ndarray:
+def kloosterman_sums(F: FieldTable, k: int, n: int, b: int, chis=None) -> np.ndarray:
     """Inverted n-variable Kloosterman sums S_n(chi, b) over F_{q^k}, exactly,
     for every chi in chis from one enumeration of the torus.
 
@@ -283,7 +270,7 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
     s = x_1 + ... + x_n + b/(x_1 ... x_n), skips s = 0 and accumulates
     psi(Tr(1/s)); each chi only picks the bucket sum_i j_i dlog x_i of a
     point.  Priced (points, histogram cells) before any table is built;
-    returns the (len(chis), p, m) stack (None: one trivial tuple), m = q^k - 1,
+    returns the (C, p, m) stack (None: one trivial tuple), m = q^k - 1,
     or 1 when every chi is trivial (a read-only broadcast of one row).
     """
     J = _plan_inverted(F, k, n, b, chis)
@@ -293,8 +280,7 @@ def kloosterman_sums(F: FieldTable, k: int, n: int, b: int,
     return _inverted_hist(E, n, d_last, maps.tr_inv, J)[:, :E.p]
 
 
-def kloosterman_sum(F: FieldTable, k: int, n: int, b: int,
-                    chi: CharacterTuple | None = None) -> np.ndarray:
+def kloosterman_sum(F: FieldTable, k: int, n: int, b: int, chi=None) -> np.ndarray:
     """S_n(chi, b) over F_{q^k}, untwisted for chi None: kloosterman_sums'
     (p, m) row."""
     return kloosterman_sums(F, k, n, b, None if chi is None else [chi])[0]
@@ -308,7 +294,7 @@ def tn_transform(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
     S_n(chi, b^-(n+1)) shifted by chi_1...chi_{n+1}(b): x = b y maps the
     one point set onto the other bucket for bucket, so the two exact
     histograms must be equal cell for cell or the call raises.  Returns the
-    (len(chis), p, m) stack as kloosterman_sums does (None: one trivial
+    (C, p, m) stack as kloosterman_sums does (None: one trivial
     tuple); each side is one pass.
     """
     J = _plan_inverted(F, 1, n, b, chis)
@@ -476,12 +462,12 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
 
     sum over the torus of prod_i chi_i(N(x_i)) * psi(Tr f(x)), as the
     histogram of the torus points by (Tr f(x), sum_i j_i dlog x_i), for
-    every tuple in chis (None: one trivial tuple): the (len(chis), p, m)
+    every tuple in chis (None: one trivial tuple): the (C, p, m)
     stack as kloosterman_sums returns it, from one enumeration in which
     each tuple is one more key row.
 
     The first variable x_v whose exponents all lie in {0, 1} and whose
-    lifted character is trivial in every tuple is summed out: with
+    character index is 0 in every tuple is summed out: with
     f = x_v A(x') + C(x') and Q = q^k,
 
         sum_{x_v != 0} psi(Tr f) = psi(Tr C) (Q [A = 0] - 1),
@@ -498,7 +484,7 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     _check_positive(k=k)
     Q, p = F.q ** k, F.p
     M = Q - 1
-    J = _rows(chis, f.n_vars, F.q, Q)
+    J = _rows(chis, f.n_vars, F.q)
     v = next((i for i in range(f.n_vars) if not J[:, i].any()
               and all(e[i] in (0, 1) for e in f.exponents())), None)
     rest = [i for i in range(f.n_vars) if i != v]
@@ -506,8 +492,9 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     check_points(M ** len(rest))
     if J.any():
         _check_cells(len(J) * p * M, f"{len(J)} twisted toric sums over F_{Q}")
-    maps = field_maps(F, k)
+    maps = field_maps(F, k)     # refuses Q over the table cap
     E = maps.ext
+    J = J * (M // (F.q - 1))
 
     parts, dcs = ([], []), []   # terms of C (x_v absent) and of A (x_v^1)
     for c, e in f.terms:
@@ -568,14 +555,15 @@ def e_sum(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
     Twist (chi_1 conj(chi_{n+1}), ..., chi_n conj(chi_{n+1}), 1, 1); it
     satisfies q S_n = -(q-1)^n chi_1(b) + chi_1(b) E_n when all characters
     agree and q S_n = chi_{n+1}(b) E_n otherwise.  Returns the
-    (len(chis), p, m) stack (None: one trivial tuple): the distinct twists
+    (C, p, m) stack (None: one trivial tuple): the distinct twists
     are the key rows of one toric_sum, and x_{n+1}, trivial in every twist,
     is summed out.
     """
-    J = _rows(chis, n + 1, F.q, F.q)
-    twists = [CharacterTuple.reduced(list(j[:n] - j[n]) + [0, 0], F.q) for j in J]
-    row = {t: i for i, t in enumerate(dict.fromkeys(twists))}
-    return toric_sum(F, 1, ik_laurent(F, n, b), list(row))[[row[t] for t in twists]]
+    J = _rows(chis, n + 1, F.q)
+    twists = np.zeros((len(J), n + 2), dtype=np.int64)
+    twists[:, :n] = J[:, :n] - J[:, n:]
+    rows, inv = np.unique(twists % (F.q - 1), axis=0, return_inverse=True)
+    return toric_sum(F, 1, ik_laurent(F, n, b), rows)[inv]
 
 
 # ----------------------------------------------------------------------
@@ -583,10 +571,9 @@ def e_sum(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
-                        chis: Sequence[CharacterTuple] | None = None
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+                        chis=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """S_n(chi, b) over F_{q^k} for every chi in chis (None: the trivial
-    tuple), as (main, rest) per b in bs: two (len(chis), p, M) int64 stacks,
+    tuple), as (main, rest) per b in bs: two (C, p, M) int64 stacks,
     M = q^k - 1, with S_n(chi, b) = main / q^k + rest / (q^k M) row for row.
 
     main is -M^n chi_1(b) for a tuple of equal characters, else 0; rest is
@@ -598,7 +585,7 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
     unit depends on b: the M Gauss sums, their squares and every tuple's M
     products of n+3 of them (int64 cyclic convolutions on Z/p x Z/M = Z/pM,
     refused when their mass M^(n+4) reaches 2^63, then when their
-    (len(chis) (n+1) + 1) M (pM)^2 multiply-adds exceed POINT_CAP) are
+    (C (n+1) + 1) M (pM)^2 multiply-adds exceed POINT_CAP) are
     built once per call, the rows that take g(r) next by one product with
     its circulant, and each b costs one shift and add.  An oracle for
     kloosterman_sums that shares no enumeration code with it.
@@ -607,12 +594,13 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
         _validate_b(F, b)
     Q = F.q ** k
     M, p, N = Q - 1, F.p, F.p * (Q - 1)
-    J = _rows(chis, n + 1, F.q, Q)
+    J = _rows(chis, n + 1, F.q)
     if M ** (n + 4) >= 2 ** 63:
         raise BudgetExceeded(f"Gauss-sum products over F_{Q}, n = {n}: mass "
                              f"{M}^{n + 4} overflows int64", estimate=M ** (n + 4))
     check_points((len(J) * (n + 1) + 1) * M * N * N,
                  f"Gauss-sum oracle over F_{Q}, n = {n}", "multiply-adds")
+    J = J * (M // (F.q - 1))
     maps = field_maps(F, k)
     E = maps.ext
     d_neg1 = int(E.dlog[E.neg(1)])

@@ -316,7 +316,7 @@ class ExtensionMaps:
     embedding of the base field, pinned to the smallest root of the base
     generator's minimal polynomial.  Relative traces and norms are not
     tabulated: sums reach F_q through tr_abs, and characters lift through
-    the norm by index arithmetic (CharacterTuple.lifted).
+    the norm by index arithmetic: j becomes j (q^k - 1)/(q - 1).
     """
     base: FieldTable
     ext: FieldTable

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -74,53 +74,6 @@ def frac_rank(rows) -> int:
             m[i] = [(top[c] * x - f * y) // prev for x, y in zip(m[i], top)]
         prev, rank = top[c], rank + 1
     return rank
-
-
-def invert_matrix(rows) -> list[list[Fraction]]:
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(i == j) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [r[n:] for r in m]
-
-
-def hnf_diagonal(rows) -> list[int]:
-    """Diagonal of a lower-triangular column form of an integer matrix.
-
-    Column operations only, so the column lattice is preserved; the box
-    prod [0, h_ii) is then a transversal of Z^n modulo that lattice.
-    """
-    n = len(rows)
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    for i in range(n):
-        while True:
-            nz = [j for j in range(i, n) if cols[j][i] != 0]
-            if not nz:
-                raise ValueError("singular matrix")
-            jmin = min(nz, key=lambda j: abs(cols[j][i]))
-            cols[i], cols[jmin] = cols[jmin], cols[i]
-            done = True
-            for j in range(i + 1, n):
-                if cols[j][i] != 0:
-                    f = cols[j][i] // cols[i][i]
-                    cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
-                    if cols[j][i] != 0:
-                        done = False
-            if done:
-                break
-        if cols[i][i] < 0:
-            cols[i] = [-a for a in cols[i]]
-    return [cols[i][i] for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -452,16 +405,10 @@ class SolutionGroup:
     """Solutions of M r = 0 (mod 1) with r in [0,1)^n.
 
     An abelian group of order |det M| under coordinatewise addition mod 1;
-    elements are listed in sorted order, with the subgroup of order prime
-    to p extracted."""
+    elements are listed in sorted order."""
     matrix: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[Fraction, ...], ...]
-    prime_to_p: tuple[tuple[Fraction, ...], ...]
     p: int
-
-    @staticmethod
-    def norm(r) -> Fraction:
-        return sum(r, Fraction(0))
 
 
 def diagonal_nondegenerate(M, p: int) -> bool:
@@ -476,37 +423,40 @@ def diagonal_nondegenerate(M, p: int) -> bool:
 def ordinary_test(M, p: int) -> tuple[SolutionGroup, bool]:
     """Stickelberger stability test on the solution group of M.
 
-    Enumerates S = {r in [0,1)^n : M r integral} through a transversal of
-    Z^n modulo the column lattice of M, extracts the prime-to-p part, and
-    returns True iff the coordinate-sum norm is stable under r -> {p r}
-    on that part.
+    S = {r in [0,1)^n : M r integral} is {x/N : x in (Z/N)^n, M x = 0 mod N},
+    N = |det M|: the numerators are generated by the columns of
+    sign(det M) adj(M) = N M^-1 and closed by a breadth-first search.  x has
+    order N / gcd(N, x_1, ..., x_n); returns True iff the coordinate sum is
+    stable under r -> {p r}, i.e. sum x_i = sum (p x_i mod N), on the
+    elements of order prime to p.
     """
     d = det_int(M)
     if d == 0:
         raise ValueError("vertex matrix is singular")
     if abs(d) > DET_CAP:
         raise BudgetExceeded(f"|det| = {abs(d)} over the cap {DET_CAP}")
-    n = len(M)
-    minv = invert_matrix(M)
-    diag = hnf_diagonal(M)
-    elements = []
-    for rep in product(*(range(h) for h in diag)):
-        r = tuple((sum(minv[i][j] * rep[j] for j in range(n))) % 1
-                  for i in range(n))
-        elements.append(r)
-    elements = sorted(set(elements))
-    assert len(elements) == abs(d), "solution group order != |det|"
+    n, N = len(M), abs(d)
 
-    def order(r) -> int:
-        return math.lcm(*(x.denominator for x in r))
+    def cofactor(i: int, j: int) -> int:
+        minor = [[x for c, x in enumerate(row) if c != j]
+                 for r, row in enumerate(M) if r != i]
+        return (-1) ** (i + j) * det_int(minor) if n > 1 else 1
 
-    prime_part = tuple(r for r in elements if math.gcd(order(r), p) == 1)
-    stable = all(
-        sum(r, Fraction(0)) == sum(((p * x) % 1 for x in r), Fraction(0))
-        for r in prime_part)
-    group = SolutionGroup(tuple(tuple(row) for row in M),
-                          tuple(elements), prime_part, p)
-    return group, stable
+    # column i of adj(M) holds the cofactors of row i of M
+    gens = [tuple(d // N * cofactor(i, j) % N for j in range(n)) for i in range(n)]
+    seen = {(0,) * n}
+    queue = list(seen)
+    for x in queue:                 # appended to while read: breadth first
+        for g in gens:
+            y = tuple((a + b) % N for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    assert len(seen) == N, "solution group order != |det|"
+    stable = all(sum(x) == sum(p * a % N for a in x) for x in seen
+                 if math.gcd(N // math.gcd(N, *x), p) == 1)
+    elements = tuple(tuple(Fraction(a, N) for a in x) for x in sorted(seen))
+    return SolutionGroup(tuple(tuple(row) for row in M), elements, p), stable
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,28 @@ def test_cli_polytope_json_schema_and_csv(capsys):
     assert out.splitlines()[0] == "x,y_num,y_den"
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3"], ["gauss", "--p", "7", "--j", "2"],
+    ["sum", "--p", "3", "--n", "1", "--b", "1"], ["toric", "--poly", "x1", "--p", "5"],
+    ["lfun", "--p", "3", "--n", "1", "--b", "1"]], ids=lambda argv: argv[0])
+def test_cli_csv_is_refused_where_it_is_not_implemented(capsys, argv):
+    assert main([*argv, "--out", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
+
+def test_cli_verify_csv_has_one_row_per_case(capsys):
+    code, out = run(capsys, "verify", "prop31", "--n", "1,2", "--out", "json")
+    cases = json.loads(out)["cases"]
+    code_csv, out = run(capsys, "verify", "prop31", "--n", "1,2", "--out", "csv")
+    assert code == code_csv == 0
+    lines = out.splitlines()
+    assert lines[0] == "suite,case,status,lhs,rhs,detail"
+    assert len(lines) == 1 + len(cases) > 1
+    for line, case in zip(lines[1:], cases):
+        assert line.startswith(f"prop31,{case['name']},{case['status']},")
+
+
 def test_cli_verify_json_schema(capsys):
     code, out = run(capsys, "verify", "prop31", "--n", "1,2",
                     "--out", "json")
@@ -283,6 +305,11 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 2                                    # parse error
     code, _ = run(capsys, "gauss", "--p", "65537", "--j", "1")
     assert code == 3                                    # over the table cap
+    for argv in (["sum", "--p", "5", "--n", "1", "--b", "1", "--k", "30", "--chi", "1,0"],
+                 ["toric", "--poly", "x1+x2", "--p", "5", "--k", "30", "--chi", "1,0"]):
+        assert main(argv) == 3, argv                    # refused before any lift
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget refusal" in captured.err, argv
     huge = tmp_path / "huge.json"                       # D = 226759569
     huge.write_text(json.dumps({"vertices": [
         [-2, -3, -1, 0], [-1, 2, -1, 3], [0, 0, 0, 0], [1, -3, 3, 0],

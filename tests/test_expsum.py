@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import time
 import tracemalloc
@@ -213,7 +214,7 @@ def _inverted_points(F, k, n, b, product_is_b=True):
 def _points_hist(F, k, points, chi):
     """Counts of the points by (bucket, sum_i j_i dlog x_i), m = 1 untwisted."""
     M = F.q ** k - 1
-    lifted = chi.lifted(F.q, F.q ** k)
+    lifted = [j % (F.q - 1) * (M // (F.q - 1)) for j in chi]
     m = M if any(lifted) else 1
     hist = [[0] * m for _ in range(F.p)]
     for t, dl in points:
@@ -222,7 +223,9 @@ def _points_hist(F, k, points, chi):
 
 
 def _all_chis(q, count):
-    return [CharacterTuple(t) for t in product(range(q - 1), repeat=count)]
+    """Every count-tuple of characters of F_q as one (C, count) index array."""
+    return np.array(list(product(range(q - 1), repeat=count)),
+                    dtype=np.int64).reshape(-1, count)
 
 
 def _pad(hist, m):
@@ -268,7 +271,7 @@ def test_one_chi_wrapper_is_an_element_of_the_batch(q, n, k):
         batch = kloosterman_sums(F, k, n, b, chis)
         for i in (0, 1, len(chis) // 2, len(chis) - 1):
             one = kloosterman_sum(F, k, n, b, chis[i])
-            assert one.shape == (F.p, M if any(chis[i].indices) else 1)
+            assert one.shape == (F.p, M if chis[i].any() else 1)
             assert _at_conductor(one, M).tolist() == batch[i].tolist()
         assert _at_conductor(kloosterman_sum(F, k, n, b), M).tolist() == \
             batch[0].tolist()
@@ -304,8 +307,7 @@ def test_batched_e_sum_matches_enumeration(q, n):
         batch = e_sum(F, n, b, chis)
         want = {}
         for chi, v in zip(chis, batch.tolist()):
-            twist = CharacterTuple.reduced(
-                [chi.indices[i] - chi.indices[n] for i in range(n)] + [0, 0], q)
+            twist = tuple((chi[:n] - chi[n]) % (q - 1)) + (0, 0)
             if twist not in want:
                 want[twist] = _pad(_torus_hist(F, 1, f, twist), q - 1)
             assert v == want[twist], (b, chi)
@@ -316,8 +318,7 @@ def test_batched_toric_rows_match_single_calls():
     F = build_field(5, 1)
     chis = _all_chis(5, 2)
     for f in (X1X2_PLUS_X2_INV, CONST_PLUS_X1X2, ik_laurent(F, 1, 3)):
-        rows = chis if f.n_vars == 2 else [CharacterTuple(c.indices + (0,))
-                                            for c in chis]
+        rows = np.pad(chis, ((0, 0), (0, f.n_vars - 2)))
         for chi, v in zip(rows, toric_sum(F, 1, f, rows).tolist()):
             assert v == _pad(_torus_hist(F, 1, f, chi), 4), (f, chi)
 
@@ -371,7 +372,7 @@ def test_key_arrays_stay_within_the_chunk(monkeypatch):
 def test_kloosterman_sums_reads_none_as_one_trivial_tuple():
     F = build_field(5, 1)
     for n in (1, 2):
-        trivial = kloosterman_sums(F, 1, n, 3, [CharacterTuple.trivial(n + 1)])
+        trivial = kloosterman_sums(F, 1, n, 3, [(0,) * (n + 1)])
         assert kloosterman_sums(F, 1, n, 3, None).tolist() == trivial.tolist()
         assert kloosterman_sums(F, 1, n, 3).tolist() == trivial.tolist()
         assert kloosterman_sum(F, 1, n, 3).tolist() == trivial[0].tolist()
@@ -430,8 +431,8 @@ def _torus_hist(F, k, f, chi=None):
     evaluated element by element with the field's scalar arithmetic."""
     maps = field_maps(F, k)
     E, M = maps.ext, maps.ext.q - 1
-    chi = chi or CharacterTuple.trivial(f.n_vars)
-    lifted = chi.lifted(F.q, E.q)
+    chi = (0,) * f.n_vars if chi is None else chi
+    lifted = [j % (F.q - 1) * (M // (F.q - 1)) for j in chi]
     m = M if any(lifted) else 1
     hist = [[0] * m for _ in range(E.p)]
     for xs in product(range(1, E.q), repeat=f.n_vars):
@@ -455,6 +456,7 @@ CONST_PLUS_X1X2 = LaurentPoly(2, ((2, (0, 0)), (1, (1, 1))))
 ONLY_CONST = LaurentPoly(2, ((2, (0, 0)),))
 # x_1 is the only variable with exponents in {0, 1}
 X1X2_PLUS_X2_INV = LaurentPoly(2, ((1, (1, 1)), (1, (0, -1))))
+X1_PLUS_X2 = LaurentPoly(2, ((1, (1, 0)), (1, (0, 1))))
 # exponents +-2 and +-3 and a constant term: no variable is summed out, and
 # every variable enters some term through a reduced column v e mod M
 POWERS_AND_CONST = LaurentPoly(3, ((1, (2, -3, 0)), (1, (0, 3, -2)),
@@ -496,8 +498,7 @@ def test_e_sum_twists_match_whole_torus_enumeration(q, n):
     for b in range(1, q):
         f = ik_laurent(F, n, b)
         for idx in product(range(q - 1), repeat=n + 1):
-            twist = CharacterTuple.reduced(
-                [idx[i] - idx[n] for i in range(n)] + [0, 0], q)
+            twist = tuple((idx[i] - idx[n]) % (q - 1) for i in range(n)) + (0, 0)
             assert e_sum(F, n, b, [CharacterTuple(idx)])[0].tolist() == \
                 _torus_hist(F, 1, f, twist)
 
@@ -825,10 +826,87 @@ def test_galois_action_consistency_p3_n1():
 # character tuples and Laurent polynomials
 # ----------------------------------------------------------------------
 
+# sha256 over the shapes and int64 bytes of the twisted kernels' stacks,
+# recorded while every tuple was a CharacterTuple lifted one at a time:
+# F_3, F_4, F_5, F_7, F_9, n = 1, 2, every tuple and None, b = 1 and q - 1,
+# k = 1 and 2 (the Gauss-sum oracle where its products stay cheap)
+STACK_DIGEST = "a40a8cc0b2163fdedadb758a6659e261de1c6d07b8d1974c85535d0a71646d22"
+
+
+def test_twisted_stacks_are_pinned():
+    h = hashlib.sha256()
+
+    def put(a):
+        a = np.ascontiguousarray(a)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    for q in (3, 4, 5, 7, 9):
+        F = _field(q)
+        bs = (1, q - 1)
+        for n in (1, 2):
+            for chis in (_all_chis(q, n + 1), None):
+                for b in bs:
+                    put(tn_transform(F, n, b, chis))
+                    put(e_sum(F, n, b, chis))
+                for k in (1, 2):
+                    for b in bs:
+                        put(kloosterman_sums(F, k, n, b, chis))
+                    C, M = 1 if chis is None else len(chis), q ** k - 1
+                    if (C * (n + 1) + 1) * M * (F.p * M) ** 2 <= 3 * 10 ** 7:
+                        for main, rest in gauss_formula_parts(F, k, n, bs, chis):
+                            put(main)
+                            put(rest)
+        for k in (1, 2):
+            for chis in (_all_chis(q, 2), None):
+                put(toric_sum(F, k, X1X2_PLUS_X2_INV, chis))
+            put(toric_sum(F, k, ik_laurent(F, 1, q - 1)))
+    assert h.hexdigest() == STACK_DIGEST
+
+
+def test_every_batch_form_gives_the_same_stacks():
+    F, n, b = build_field(5, 1), 1, 2
+    rows = [(0, 0), (1, 3), (6, -1), (2, 2)]
+    forms = (lambda: rows, lambda: [CharacterTuple(t) for t in rows],
+             lambda: np.array(rows, dtype=np.int64), lambda: (t for t in rows))
+    kernels = (lambda c: kloosterman_sums(F, 2, n, b, c),
+               lambda c: tn_transform(F, n, b, c),
+               lambda c: e_sum(F, n, b, c),
+               lambda c: toric_sum(F, 1, X1X2_PLUS_X2_INV, c),
+               lambda c: np.concatenate(gauss_formula_parts(F, 1, n, [b], c)[0]))
+    for kernel in kernels:
+        want = kernel(forms[0]())
+        for form in forms[1:]:
+            got = kernel(form())
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the empty batch: no rows, one column; a wrong width is refused
+    assert kloosterman_sums(F, 1, n, b, []).shape == (0, F.p, 1)
+    assert e_sum(F, n, b, np.zeros((0, 2), dtype=np.int64)).shape == (0, F.p, 1)
+    for bad in ([(1, 2, 3)], [(1, 2), (1,)], np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            kloosterman_sums(F, 1, n, b, bad)
+        with pytest.raises(ValueError):
+            toric_sum(F, 1, X1X2_PLUS_X2_INV, bad)
+
+
+def test_twisted_kernels_refuse_before_lifting_to_a_huge_field():
+    # (5^30 - 1)/4 overflows int64: the lift must wait for the refusal
+    F, chis = build_field(5, 1), [CharacterTuple((1, 0))]
+    calls = (lambda: kloosterman_sums(F, 30, 1, 1, chis),
+             lambda: toric_sum(F, 30, X1_PLUS_X2, chis),
+             lambda: gauss_formula_parts(F, 30, 1, [1], chis))
+    for call in calls:
+        with pytest.raises(BudgetExceeded):
+            call()
+    assert (5, 30) not in _FIELDS
+
+
 def test_character_tuple_reduction_and_lift():
-    chi = CharacterTuple.reduced((7, -1, 0), 5)
-    assert chi.indices == (3, 3, 0)
-    assert chi.lifted(5, 25) == (18, 18, 0)
+    # indices are read mod q - 1 = 4 and act over F_25 as 6 j
+    F = build_field(5, 1)
+    assert expsum._rows([(7, -1, 0)], 3, 5).tolist() == [[3, 3, 0]]
+    got = kloosterman_sums(F, 2, 2, 3, [(7, -1, 0)])[0].tolist()
+    assert got == kloosterman_sums(F, 2, 2, 3, [(3, 3, 0)])[0].tolist()
+    assert got == _points_hist(F, 2, _inverted_points(F, 2, 2, 3), (3, 3, 0))
 
 
 def test_laurent_poly_validation():

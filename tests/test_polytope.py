@@ -4,16 +4,15 @@ from itertools import accumulate, product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from invkloos import polytope
 from invkloos.errors import BudgetExceeded
 from invkloos.expsum import LaurentPoly, ik_laurent
 from invkloos.gf import build_field
 from invkloos.polytope import (build_polytope, det_int, diagonal_nondegenerate,
-                               facial_ordinary, hnf_diagonal, hodge_data,
-                               ik_polytope, ik_vertices, invert_matrix,
-                               ordinary_test, weight)
+                               facial_ordinary, hodge_data, ik_polytope,
+                               ik_vertices, ordinary_test, weight)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +279,24 @@ def test_box_cap_refusal(monkeypatch):
         hodge_data(ik, -1)
 
 
+def invert_matrix(rows) -> list[list[Fraction]]:
+    n = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(i == j) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [r[n:] for r in m]
+
+
 def _left_inverse(cols):
     """Integer A and d > 0 with A V = d I, V the matrix whose columns are
     cols (linearly independent): d times (V^T V)^-1 V^T, solved exactly."""
@@ -366,8 +383,6 @@ def test_det_int_and_hnf():
     assert det_int([[1, 2], [3, 4]]) == -2
     assert det_int([[2, 0], [0, 3]]) == 6
     assert det_int([[1, 1], [2, 2]]) == 0
-    diag = hnf_diagonal([[2, 1], [0, 3]])
-    assert math.prod(diag) == 6
 
 
 def test_diagonal_nondegenerate_examples():
@@ -414,6 +429,23 @@ def test_ordinary_iff_p_congruent_1():
     for p in (2, 3, 5):
         group, stable = ordinary_test([[1, 0], [0, 1]], p)
         assert stable and group.elements == ((Fraction(0), Fraction(0)),)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)),
+       st.sampled_from([2, 3, 5, 7]))
+def test_solution_group_matches_brute_force(m, p):
+    # every z in [0, N)^n with M z = 0 (mod N), over N, and the stability
+    # verdict from the definition on those r of order prime to p
+    N = abs(det_int(m))
+    assume(0 < N and N ** len(m) <= 20000)
+    want = sorted(tuple(Fraction(x, N) for x in z)
+                  for z in product(range(N), repeat=len(m))
+                  if all(sum(a * x for a, x in zip(row, z)) % N == 0 for row in m))
+    group, stable = ordinary_test(m, p)
+    assert list(group.elements) == want
+    assert stable == all(sum(r) == sum(p * x % 1 for x in r) for r in want
+                         if math.lcm(*(x.denominator for x in r)) % p)
 
 
 def test_segment_group():
