@@ -24,7 +24,7 @@ Covered sums, all with values in Z[zeta_p, zeta_m] histograms:
                    for every tuple, grouped by Gauss index
 * tower_sums       untwisted S_n(b) over F_{q^k} for many b, priced by
                    check_tower: one count array per (F_{q^k}, n), from
-                   y (1 - y) at n = 1, two FFTs at n >= 2, served per class
+                   y (1 - y) at n = 1, two FFTs at n >= 2, walked per class
 
 Every sum is returned as int64 counts (cyclotomic): gauss_sum one (p, q-1)
 row, tower_sums one (len(bs), p) array, and the twisted sums a stack.  The
@@ -48,7 +48,8 @@ For c in F_p^*, s -> c s shows S_n(b c^(n+1)) is S_n(b) with trace bucket
 t moved to t/c (sigma_{1/c} on Q(zeta_p)), so tower_sums serves only one
 representative per F_p^*-class of b (b_class) and moves the others in O(p).
 Served histograms stay in _TOWER for the process, 8p bytes each; a count
-array (8 B per element of F_{q^k}) lives for one call only.
+array (8 B per element of F_{q^k}) lives for one call, which serves every
+class over an a = 1 base (n+1 or fewer) and the classes asked for over a > 1.
 """
 
 from __future__ import annotations
@@ -343,6 +344,15 @@ def check_transform(Q: int, n: int) -> float:
     return bound
 
 
+def _walk(X: np.ndarray, start: int, step: int) -> np.ndarray:
+    """X[(start + step e) mod M] for e < M = len(X): at most step + 1 strided slices."""
+    M, i, parts = len(X), start % len(X), []
+    while (left := M - sum(map(len, parts))) > 0:
+        parts.append(X[i::step][:left])
+        i = (i + step * len(parts[-1])) % M
+    return np.concatenate(parts)
+
+
 def _sum_one_counts(E: FieldTable, n: int) -> tuple[np.ndarray, float]:
     """A[d] = #{y in torus^(n+1): sum y = 1, prod y = g^d}, max |A_float - A|.
 
@@ -354,11 +364,11 @@ def _sum_one_counts(E: FieldTable, n: int) -> tuple[np.ndarray, float]:
     Q, M = E.q, E.q - 1
     bound = check_transform(Q, n)
     G = np.fft.fft(np.exp(2j * np.pi / E.p * np.arange(E.p))[E.tr_abs[E.exp]])
-    P = G[(n + 1) * np.arange(M) % M]
+    P = _walk(G, 0, n + 1)
     np.conj(P, out=P)
     for _ in range(n + 1):
         P *= G
-    del G                       # peak 40 B/element: G, P and the index array
+    del G                       # peak 32 B/element: G and P
     A_float = (float(M ** n) + np.fft.ifft(P, out=P).real) / Q   # (M^n + C)/Q
     del P
     A = np.rint(A_float).astype(np.int64)
@@ -420,24 +430,25 @@ def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> np.ndarray:
     as one new (len(bs), p) int64 array, row i the histogram of bs[i].
 
     x = s y with s = sum x gives S = sum_s psi(1/s) A(b s^-(n+1)), so with
-    w = 1/s, hist[tr w] sums A[dlog b + (n+1) dlog w] (int64).  A depends on
-    (F_{q^k}, n) only: _pair_counts at n = 1, _sum_one_counts at n >= 2,
-    built when a class representative (b_class) is not yet in _TOWER; then
-    hist_b[u] = hist_rep[c u mod p], one gather for every b.
+    w = 1/s = g^e, hist[tr w] sums A[dlog b + (n+1) e] (int64), a _walk of A.
+    A depends on (F_{q^k}, n) only: _pair_counts at n = 1, _sum_one_counts at
+    n >= 2, built when a class representative (b_class) is not in _TOWER,
+    then serving every class at a = 1 (F.exp[:gcd(n+1, p-1)]), the asked
+    ones at a > 1; hist_b[u] = hist_rep[c u mod p], one gather for every b.
     """
     cls = [b_class(F, n, b) for b in bs]
     check_tower(F, k, n)
     p, a = F.p, F.a
-    cold = [r for r in dict.fromkeys(r for r, _ in cls) if (p, a, k, n, r) not in _TOWER]
-    if cold:
+    if any((p, a, k, n, r) not in _TOWER for r, _ in cls):
         maps = field_maps(F, k)
-        E, M = maps.ext, maps.ext.q - 1
+        E = maps.ext
         A = _pair_counts(E) if n == 1 else _sum_one_counts(E, n)[0]
-        for r in cold:
-            hist = np.zeros(p, dtype=np.int64)
-            u = ((n + 1) * E.dlog[1:] + int(E.dlog[maps.embed_tab[r]])) % M
-            np.add.at(hist, E.tr_abs[1:], A[u])
-            _TOWER[p, a, k, n, r] = hist
+        t = E.tr_abs[E.exp]                     # hist[tr g^e] += A[dlog r + (n+1) e]
+        for r in F.exp[:math.gcd(n + 1, p - 1)].tolist() if a == 1 else [r for r, _ in cls]:
+            if (p, a, k, n, r) not in _TOWER:   # a = 1: every class; a > 1: those asked
+                hist = np.zeros(p, dtype=np.int64)
+                np.add.at(hist, t, _walk(A, int(E.dlog[maps.embed_tab[r]]), n + 1))
+                _TOWER[p, a, k, n, r] = hist
     hists = np.array([_TOWER[p, a, k, n, r] for r, _ in cls], dtype=np.int64).reshape(-1, p)
     cs = np.array([c for _, c in cls], dtype=np.int64)
     return hists[np.arange(len(cls))[:, None], cs[:, None] * np.arange(p) % p]

@@ -18,9 +18,9 @@ x < 2^52 (rounding reaches k+1 only at x >= 2^53 - p); encodings stay < q.
 
 Multiplication and powers go through exp/dlog tables, so per-element
 cost inside enumeration kernels is a handful of table lookups; addition
-goes through a precomputed digit matrix so it vectorizes with numpy.
-Tables are immutable after construction and cached per field, so every
-caller in a process shares one copy.
+goes through the digit matrix, built on first read (never on the tower
+route), so it vectorizes with numpy.  Tables are immutable once built
+and cached per field, so every caller in a process shares one copy.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class FieldTable:
       exp      (q-1,) exp[e] = g^e
       dlog     (q,)   dlog[exp[e]] = e, dlog[0] = -1
       tr_abs   (q,)   absolute trace to Z/p
-      digits   (q, a) base-p digit matrix (coefficient vectors)
+      digits   (q, a) base-p digit matrix, built on first read
     exp and dlog are int64; digits and tr_abs use digit_dtype(p), the
     narrowest of int16 and wider that holds p.
     """
@@ -180,12 +180,6 @@ class FieldTable:
             blk = _mod_p(blk @ mat, p)
         assert (dlog[1:] >= 0).all(), "generator order mismatch"
 
-        # digit matrix: digit i of x runs through 0..p-1 in blocks of p^i
-        digits = self.digits = np.empty((q, a), dtype=digit_dtype(p))
-        for i in range(a):
-            digits.reshape(p ** (a - 1 - i), p, p ** i, a)[..., i] = \
-                np.arange(p)[:, None]
-
         # absolute trace on the power basis: tr(t^j) = sum_i t^(j p^i) is
         # the power sum P_j of the modulus' roots t^(p^i), by Newton's
         # identities P_k = -(k c_{a-k} + sum_{i<k} c_{a-i} P_{k-i}), P_0 = a
@@ -198,7 +192,16 @@ class FieldTable:
         for j in range(a):
             col = (np.arange(p) * tr_basis[j] % p).astype(tr.dtype)
             tr = ((col[:, None] + tr[None, :]) % p).ravel()
-        self.tr_abs = tr.astype(digits.dtype, copy=False)
+        self.tr_abs = tr.astype(digit_dtype(p), copy=False)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """The digit matrix, on first read: digit i runs through 0..p-1 in blocks of p^i."""
+        p, a = self.p, self.a
+        digits = np.empty((self.q, a), dtype=digit_dtype(p))
+        for i in range(a):
+            digits.reshape(p ** (a - 1 - i), p, p ** i, a)[..., i] = np.arange(p)[:, None]
+        return digits
 
     def modulus_str(self) -> str:
         def mono(i, c):

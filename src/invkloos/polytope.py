@@ -404,11 +404,16 @@ def hodge_data(P: PolytopeData, k_max: int | None = None) -> HodgeData:
 class SolutionGroup:
     """Solutions of M r = 0 (mod 1) with r in [0,1)^n.
 
-    An abelian group of order |det M| under coordinatewise addition mod 1;
-    elements are listed in sorted order."""
+    An abelian group of order N = |det M| under coordinatewise addition
+    mod 1, kept as the numerators N r; elements: the r, sorted, as Fractions."""
     matrix: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    N: int
     p: int
+
+    @property
+    def elements(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, self.N) for a in x) for x in sorted(self.numerators))
 
 
 def diagonal_nondegenerate(M, p: int) -> bool:
@@ -455,8 +460,7 @@ def ordinary_test(M, p: int) -> tuple[SolutionGroup, bool]:
     assert len(seen) == N, "solution group order != |det|"
     stable = all(sum(x) == sum(p * a % N for a in x) for x in seen
                  if math.gcd(N // math.gcd(N, *x), p) == 1)
-    elements = tuple(tuple(Fraction(a, N) for a in x) for x in sorted(seen))
-    return SolutionGroup(tuple(tuple(row) for row in M), elements, p), stable
+    return SolutionGroup(tuple(tuple(row) for row in M), tuple(queue), N, p), stable
 
 
 @dataclass(frozen=True)
@@ -499,5 +503,5 @@ def facial_ordinary(f: LaurentPoly, p: int) -> FacialOrdinaryReport:
         group, stable = ordinary_test(m, p)
         verdicts.append(FacetVerdict(fac, det_int(m),
                                      diagonal_nondegenerate(m, p), stable,
-                                     len(group.elements)))
+                                     group.N))
     return FacialOrdinaryReport(tuple(verdicts), all(v.ordinary for v in verdicts))

@@ -367,6 +367,29 @@ def test_thm1_reads_each_tower_sum_once(monkeypatch, n, p):
     assert served == [k for k in ks for _ in range(math.gcd(n + 1, p - 1))]
 
 
+@pytest.mark.parametrize("p,n", [(7, 1), (7, 2), (13, 2)])
+def test_per_b_pipeline_builds_one_count_array_per_k(monkeypatch, p, n):
+    # the first b serves every class at each k, so the later calls, one per
+    # b and each of a class not yet reconstructed, build nothing
+    builds = []
+    for name in ("_pair_counts", "_sum_one_counts"):
+        real = getattr(expsum, name)
+        monkeypatch.setattr(expsum, name, lambda E, *a, _real=real:
+                            builds.append(E.q) or _real(E, *a))
+    F = build_field(p, 1)
+    ks = range(1, 2 * n + 2)
+    for b in range(1, p):
+        lfunction_pipeline(F, n, b, heldout=(2 * n + 1,))
+    assert builds == [p ** k for k in ks]
+    h = math.gcd(n + 1, p - 1)
+    assert sorted(expsum._TOWER) == sorted((p, 1, k, n, int(r)) for k in ks
+                                           for r in F.exp[:h])
+    for k in (1, 2):
+        for b, v in zip(range(1, p), tower_sums(F, k, n, range(1, p)), strict=True):
+            assert v.tolist() == expsum.kloosterman_sum(F, k, n, b)[:, 0].tolist()
+    assert len(builds) == len(ks)
+
+
 @pytest.mark.parametrize("n,p", [(1, 5), (2, 7), (3, 5)])
 def test_pipeline_family_equals_per_b_calls(n, p):
     F = build_field(p, 1)

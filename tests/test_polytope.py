@@ -465,6 +465,18 @@ def test_facial_ordinary_matches_congruence():
             assert len(rep.facets) == 2
 
 
+def test_facial_ordinary_builds_no_fractions(monkeypatch):
+    # the verdict and the group order come from the integer numerators; the
+    # sorted Fraction elements are built only when read
+    def unread(self):
+        raise AssertionError("SolutionGroup.elements read on the verdict path")
+    monkeypatch.setattr(polytope.SolutionGroup, "elements", property(unread))
+    for n, p in [(1, 3), (2, 7), (2, 5), (3, 5)]:
+        rep = facial_ordinary(ik_laurent(build_field(p, 1), n, 1), p)
+        assert rep.ordinary == (p % (n + 1) == 1)
+        assert [v.group_order for v in rep.facets] == [abs(v.det) for v in rep.facets]
+
+
 def test_facial_ordinary_single_variable():
     for p in (2, 3, 5):
         F = build_field(p, 1)
