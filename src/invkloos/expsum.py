@@ -38,11 +38,12 @@ twisted sum returns one int64 (C, p, m) array with row c the histogram of
 tuple c (m = 1 when every tuple is trivial), for cyclotomic.reduce_counts
 and embed_counts to check whole.
 
-toric_sum gathers each term c x^v of a chunk by one np.take of digit rows at
-its unreduced exponent dlog c + sum_i v_i e_i, M = q^k - 1: -e_i enters as
-M - e_i, and v_i e_i is reduced mod M once per chunk only for |v_i| >= 2, so
-the table has (r + 1) M rows for r enumerated variables.  A part's T terms
-add in digit_dtype(T (p-1)), then one % p.
+Both enumerating kernels walk the torus as a grid (_toric_chunks): each
+variable's exponents are one arange(M) vector on its own axis, M = q^k - 1,
+and -e, v e mod M and j e mod M are taken on those vectors.  A term c x^v
+costs one broadcast add of its unreduced row dlog c + sum_i v_i e_i < (r+1) M
+and one take of digit rows.  A sum of T terms' digits is reduced mod p by a
+lookup table of T (p-1) + 1 entries, or by % once that reaches _CHUNK.
 
 For c in F_p^*, s -> c s shows S_n(b c^(n+1)) is S_n(b) with trace bucket
 t moved to t/c (sigma_{1/c} on Q(zeta_p)), so tower_sums serves only one
@@ -57,6 +58,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -149,44 +151,48 @@ _CHUNK = 1 << 18
 
 
 def _toric_chunks(M: int, nvars: int):
-    """(length, exponent columns) of (Z/M)^nvars in chunks; one point if nvars = 0."""
-    total = M ** nvars
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        exps = []
-        for _ in range(nvars - 1):
-            exps.append(idx % M)
-            idx = idx // M
-        yield stop - start, exps + [idx][:nvars]    # the last column is < M
+    """(shape, exponents) of (Z/M)^nvars as a grid, in chunks of at most
+    _CHUNK points; ((), []), one point, at nvars = 0.  Each exponent is an
+    int64 array with the chunk's dimensions, of length 1 off its own axis:
+    the trailing variables that fit run over arange(M) whole, the leading
+    axis is a slab of the one before them, and any further out are fixed."""
+    if nvars == 0:
+        yield (), []
+        return
+    whole = next(w for w in range(nvars - 1, -1, -1) if M ** w <= _CHUNK)
+    slab, e = min(M, _CHUNK // M ** whole), np.arange(M, dtype=np.int64)
+    axes = [e.reshape((1,) * i + (M,) + (1,) * (whole - i)) for i in range(1, whole + 1)]
+    for outer in product(range(M), repeat=nvars - 1 - whole):
+        fixed = [np.full((1,) * (whole + 1), x) for x in outer]
+        for s in range(0, M, slab):
+            lead = e[s:s + slab].reshape((-1,) + (1,) * whole)
+            yield (len(lead),) + (M,) * whole, fixed + [lead] + axes
 
 
-def _char_hists(J: np.ndarray, width: int, M: int, chunks, nmasks: int = 1):
+def _char_hists(J: np.ndarray, twisted: bool, width: int, M: int, chunks, nmasks: int = 1):
     """(rows, width, m) histograms summed over chunks, one per point mask.
 
-    chunks yields (buckets t < width, exponent columns, nmasks masks, None
-    meaning every point).  Row c, cell (t, u) counts the points with bucket
-    t and sum_i J[c, i] e_i = u mod M, exactly in int64.  m = M when some
-    row of J is twisted; otherwise m = 1 and one row serves every row (a
-    broadcast view).  The (rows x points) key array of one bincount stays
-    within _CHUNK by splitting the rows.
+    chunks yields (buckets t < width on a grid chunk, the exponents of the
+    columns of J as _toric_chunks gives them, nmasks masks, None meaning
+    every point).  Row c, cell (t, u) counts the points with bucket t and
+    sum_i J[c, i] e_i = u mod M, exactly in int64: each term is reduced on
+    its exponent vector, their sum by one take.  m = M for a twisted batch;
+    otherwise J is zero, m = 1 and one row serves every row (a broadcast
+    view).  Rows are split so that one bincount's keys stay within _CHUNK.
     """
-    C, twisted = len(J), J.any()
-    m = M if twisted else 1
-    hists = [np.zeros((C if twisted else 1, width, m), dtype=np.int64)
-             for _ in range(nmasks)]
+    C, m = len(J), M if twisted else 1
+    hists = [np.zeros((C if twisted else 1, width, m), dtype=np.int64) for _ in range(nmasks)]
+    if twisted:                 # columns that move u; sums of them reduced by mod
+        live, mod = J.any(axis=0).tolist(), np.arange(J.shape[1] * M) % M
     for t, cols, masks in chunks:
-        step = _CHUNK // len(t) if twisted else 1       # len(t) <= _CHUNK
+        step = _CHUNK // t.size if twisted else 1       # t.size <= _CHUNK
         for c0 in range(0, len(hists[0]), step):
             Jg = J[c0:c0 + step]
             key = t
             if twisted:
-                u = np.zeros((len(Jg), len(t)), dtype=np.int64)
-                for j, e in zip(Jg.T, cols):
-                    if j.any():
-                        u += j[:, None] * e
-                        u %= M
-                key = (np.arange(len(Jg))[:, None] * width + t) * M + u
+                u = mod.take(sum(np.multiply.outer(j, e) % M
+                                 for j, e, on in zip(Jg.T, cols, live) if on))
+                key = (np.arange(len(Jg)).reshape((-1,) + (1,) * t.ndim) * width + t) * M + u
             for h, mask in zip(hists, masks):
                 g = h[c0:c0 + step]
                 g += np.bincount((key if mask is None else key[..., mask]).ravel(),
@@ -208,41 +214,60 @@ def _rows(chis, count: int, q: int) -> np.ndarray:
     return J % (q - 1)
 
 
+def _digit_table(E: FieldTable, T: int, copies: int, idx=None):
+    """(tab, lut) for sums of T terms: tab[e] = digits of g^e, e < copies (q-1)
+    (idx given: of g^idx, once), in digit_dtype(T (p-1)); lut[s] = s mod p for
+    s <= T (p-1), None where that would take _CHUNK entries or more."""
+    top = T * (E.p - 1)
+    dt = digit_dtype(top)
+    lut = np.arange(top + 1, dtype=dt) % E.p if top < _CHUNK else None
+    return np.concatenate([E.digits.take(E.exp if idx is None else E.exp[idx], axis=0)
+                           .astype(dt, copy=False)] * copies), lut
+
+
+def _digit_sum(E: FieldTable, tab, lut, terms, exps, shape) -> np.ndarray:
+    """Packed encodings of sum c x^v over terms (dlog c, v) on a grid chunk
+    of this shape: per term, one broadcast add of the exponent vectors (-e
+    as M - e, v e mod M for |v| >= 2) gives a row below (len(exps) + 1) M,
+    and one take of tab; the sum is reduced mod p in place, by lut if given."""
+    M, p = E.q - 1, E.p
+    sd = np.zeros(shape + tab.shape[1:], dtype=tab.dtype)
+    for dc, v in terms:
+        row = dc
+        for e, vi in zip(exps, v):
+            if vi:
+                row = (e if vi == 1 else M - e if vi == -1 else vi * e % M) + row
+        sd += tab.take(row, axis=0)
+    if lut is None:
+        sd %= p
+    else:                       # every sum is in range: clip, unlike raise, writes out unbuffered
+        lut.take(sd, out=sd, mode="clip")
+    s = sd[..., -1].astype(np.int64)
+    for i in range(sd.shape[-1] - 2, -1, -1):
+        s *= p
+        s += sd[..., i]
+    return s
+
+
 # ----------------------------------------------------------------------
 # the inverted-sum enumeration kernel
 # ----------------------------------------------------------------------
 
-def _pack(sd: np.ndarray, p: int) -> np.ndarray:
-    s = sd[:, -1].astype(np.int64)
-    for i in range(sd.shape[1] - 2, -1, -1):
-        s *= p
-        s += sd[:, i]
-    return s
-
-
-def _inverted_hist(E: FieldTable, n: int, d_last: int, TQ: np.ndarray,
-                   J: np.ndarray):
-    """_char_hists of the inverted sum over the whole torus, one row per
-    row of lifted character indices J, buckets TQ[s] (p at s = 0).
-
-    Free variables x_1..x_n run over the torus by exponent, in flat chunks;
-    the dependent variable is x_last = exp(d_last) / (x_1 ... x_n) and
-    s = x_1 + ... + x_n + x_last.  Digit rows of the n+1 variables are
-    summed before one reduction mod p, in a dtype that holds (n+1)(p-1).
-    """
+def _inverted_hist(E: FieldTable, n: int, d_last: int, TQ: np.ndarray, J: np.ndarray):
+    """_char_hists of the inverted sum over the torus, one row per row of
+    lifted character indices J, buckets TQ[s] (p at s = 0): with x_last =
+    g^d_last / (x_1 ... x_n), s is x_1 + ... + x_n + g^d_last / (x_1 ... x_n)
+    on the grid of the free exponents, and the bucket of x_last,
+    j_last (d_last - sum_i e_i), moves to them and to one constant column."""
     p, M = E.p, E.q - 1
-    dt = digit_dtype((n + 1) * (p - 1))
-    DIG, EXP = E.digits.astype(dt, copy=False), E.exp
-
-    def chunks():
-        for _, exps in _toric_chunks(M, n):
-            e_last = (d_last - sum(exps)) % M
-            sd = np.take(DIG, EXP[e_last], axis=0)
-            for e in exps:
-                sd += np.take(DIG, EXP[e], axis=0)
-            sd %= p
-            yield TQ[_pack(sd, p)], exps + [e_last], (None,)
-    return _char_hists(J, p + 1, M, chunks())[0]
+    terms = [(0, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)] + [(d_last, (-1,) * n)]
+    tab, lut = _digit_table(E, n + 1, n + 1)
+    twisted = J.any()           # j_last e_last = j_last d_last - sum_i j_last e_i
+    J = np.concatenate([J[:, :n] - J[:, n:], J[:, n:] * d_last], axis=1) % M if twisted else J
+    chunks = ((TQ[_digit_sum(E, tab, lut, terms, exps, shape)],
+               exps + [np.ones((1,) * len(shape), dtype=np.int64)], (None,))
+              for shape, exps in _toric_chunks(M, n))
+    return _char_hists(J, twisted, p + 1, M, chunks)[0]
 
 
 def _validate_b(F: FieldTable, b: int) -> None:
@@ -458,16 +483,6 @@ def tower_sums(F: FieldTable, k: int, n: int, bs: Sequence[int]) -> np.ndarray:
 # toric sums
 # ----------------------------------------------------------------------
 
-def _digit_sum(tab: np.ndarray, terms, cols, L: int, p: int) -> np.ndarray:
-    """Packed encodings of sum c x^v over terms (dlog c, v) at the chunk: row
-    dlog c + sum_i cols[i, v_i] of tab per term, summed, then one % p."""
-    acc = np.zeros((L, tab.shape[1]), dtype=tab.dtype)
-    for dc, v in terms:
-        acc += np.take(tab, sum((cols[i, vi] for i, vi in enumerate(v) if vi), dc), axis=0)
-    acc %= p
-    return _pack(acc, p)
-
-
 def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     """Twisted toric exponential sum of f over (F_{q^k}^*)^n, exactly.
 
@@ -486,11 +501,11 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
     so only the other n - 1 coordinates are enumerated and priced.  The
     histogram stays the point count: x' with A = 0 puts Q - 1 points in
     bucket Tr C, x' with A != 0 puts Q/p - [s = 0] in bucket Tr C + s.
-    Without such a variable the whole torus is enumerated.  The digit rows
-    of the terms come from one table of (r + 1) (Q - 1) rows for the r
-    enumerated variables: built from Q - 1 gathered rows, it peaks at r + 2
-    times the field's digit table, on top of the chunks.  At r = 0 (one
-    point) the table holds only the terms' own rows.
+    Without such a variable the whole torus is enumerated, as a grid of the
+    r enumerated exponents: a term's digit rows are one take from a table of
+    (r + 1) (Q - 1) rows at dlog c + sum_i v_i e_i, broadcast from the
+    exponent vectors, and its part's sum is reduced mod p by a lookup table.
+    The table peaks at r + 2 digit tables; at r = 0 it holds the terms' rows.
     """
     _check_positive(k=k)
     Q, p = F.q ** k, F.p
@@ -515,21 +530,13 @@ def toric_sum(F: FieldTable, k: int, f: LaurentPoly, chis=None) -> np.ndarray:
         parts[0 if v is None else e[v]].append(
             (dcs[-1] if rest else len(dcs) - 1, [e[i] for i in rest]))
 
-    # tab[e] = digits of g^e for e < (r + 1) M: every column lies in [0, M];
     # at one point (r = 0) tab[j] = digits of term j's coefficient instead
-    dt = digit_dtype(max(map(len, parts)) * (p - 1))
-    tab = np.tile(np.take(E.digits, E.exp if rest else E.exp[dcs], axis=0)
-                  .astype(dt, copy=False), (len(rest) + 1, 1))
-    keys = {(i, vi) for _, vec in parts[0] + parts[1] for i, vi in enumerate(vec) if vi}
-
-    def chunks():               # buckets Tr C; the x' with A(x') = 0
-        for L, exps in _toric_chunks(M, len(rest)):
-            cols = {(i, vi): exps[i] if vi == 1 else M - exps[i] if vi == -1
-                    else vi * exps[i] % M for i, vi in keys}
-            t = E.tr_abs[_digit_sum(tab, parts[0], cols, L, p)]
-            yield t, exps, (None,) if v is None else (
-                None, _digit_sum(tab, parts[1], cols, L, p) == 0)
-    hist, *z = _char_hists(J, p, M, chunks(), 1 if v is None else 2)
+    tab, lut = _digit_table(E, max(map(len, parts)), len(rest) + 1, None if rest else dcs)
+    chunks = ((E.tr_abs[_digit_sum(E, tab, lut, parts[0], exps, shape)], exps,   # buckets Tr C
+               (None,) if v is None else
+               (None, _digit_sum(E, tab, lut, parts[1], exps, shape) == 0))     # A(x') = 0
+              for shape, exps in _toric_chunks(M, len(rest)))
+    hist, *z = _char_hists(J, J.any(), p, M, chunks, 1 if v is None else 2)
     if z:
         hist = Q * z[0] - hist + (Q // p) * (hist - z[0]).sum(axis=1, keepdims=True)
     return hist
@@ -542,22 +549,13 @@ def ik_laurent(F: FieldTable, n: int, b: int) -> LaurentPoly:
         x_{n+1} (1 - x_{n+2} (x_1 + ... + x_n + b/(x_1...x_n))) + x_{n+2}
     """
     _validate_b(F, b)
-    nv = n + 2
-    terms = []
 
     def unit(*idx):
-        e = [0] * nv
-        for i in idx:
-            e[i] = 1
-        return tuple(e)
-
-    terms.append((1, unit(n)))                       # x_{n+1}
-    minus_one = F.neg(1)
-    for i in range(n):
-        terms.append((minus_one, unit(i, n, n + 1)))  # -x_i x_{n+1} x_{n+2}
-    terms.append((F.neg(b), tuple([-1] * n + [1, 1])))
-    terms.append((1, unit(n + 1)))                   # x_{n+2}
-    return LaurentPoly(nv, tuple(terms))
+        return tuple(int(i in idx) for i in range(n + 2))
+    return LaurentPoly(n + 2, ((1, unit(n)),                        # x_{n+1}
+                               *((F.neg(1), unit(i, n, n + 1)) for i in range(n)),
+                               (F.neg(b), (-1,) * n + (1, 1)),     # -b x_{n+1} x_{n+2} / prod
+                               (1, unit(n + 1))))                  # x_{n+2}
 
 
 def e_sum(F: FieldTable, n: int, b: int, chis=None) -> np.ndarray:
@@ -627,7 +625,7 @@ def gauss_formula_parts(F: FieldTable, k: int, n: int, bs: Sequence[int],
         circulant, c[j, i] = g[i - j mod N], a strided view into GG[g]."""
         out = np.empty_like(X)
         step = GG.strides[1]
-        for g in np.unique(r):
+        for g in np.flatnonzero(np.bincount(r)):     # np.unique would import numpy.ma
             rows = r == g
             out[rows] = X[rows] @ as_strided(GG[g, N:], (N, N), (-step, step),
                                              writeable=False)

@@ -1,9 +1,14 @@
 import cmath
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,18 +360,19 @@ def test_key_arrays_stay_within_the_chunk(monkeypatch):
                         lambda x, **kw: sizes.append(x.size) or real(x, **kw))
     monkeypatch.setattr(expsum, "_CHUNK", 10)
     assert kloosterman_sums(F, 1, 2, 3, chis).tolist() == want
-    # chunks of 10 and 6 points; one row per key array at 10, one at 6
-    assert len(sizes) == 64 + 64 and max(sizes) <= 10
+    # the 4 x 4 grid of (x_1, x_2) in two slabs of 2 x 4 points; one row
+    # per key array
+    assert len(sizes) == 2 * 64 and max(sizes) == 8
     sizes.clear()
     monkeypatch.setattr(expsum, "_CHUNK", 40)
     assert kloosterman_sums(F, 1, 2, 3, chis).tolist() == want
     assert len(sizes) == 64 // 2 and max(sizes) == 32      # 2 rows x 16 points
     sizes.clear()
     assert e_sum(F, 2, 3, chis).tolist() == want_e
-    # 16 distinct twists over the 64 points of (x_1, x_2, x_4), in chunks
-    # of 40 and 24: one row per key array, and per row one bincount for
-    # every point and one for the points with A = 0
-    assert len(sizes) == 2 * 16 * 2 and max(sizes) <= 40
+    # 16 distinct twists over the 4 x 4 x 4 grid of (x_1, x_2, x_4), in two
+    # slabs of 2 x 4 x 4 points: one row per key array, and per row one
+    # bincount for every point and one for the points with A = 0
+    assert len(sizes) == 2 * 16 * 2 and max(sizes) == 32
 
 
 def test_kloosterman_sums_reads_none_as_one_trivial_tuple():
@@ -536,17 +542,77 @@ def test_toric_chunks_with_reduced_columns(monkeypatch):
     f2 = LaurentPoly(2, ((1, (2, -3)), (2, (-2, 1)), (1, (0, 0))))
     chi = CharacterTuple((1, 1))
     want = [_torus_hist(F8, 3, POWERS_AND_CONST), _torus_hist(F27, 3, f2, chi)]
-    lengths = []
+    sizes = []
     real = expsum._toric_chunks
     monkeypatch.setattr(expsum, "_toric_chunks", lambda M, n: (
-        lengths.append(c[0]) or c for c in real(M, n)))
+        sizes.append(math.prod(c[0])) or c for c in real(M, n)))
     monkeypatch.setattr(expsum, "_CHUNK", 16)
     assert toric_sum(F8, 3, POWERS_AND_CONST)[0].tolist() == want[0]
-    assert len(lengths) == 22 and sum(lengths) == 7 ** 3          # 343 points
-    lengths.clear()
+    # x_1 fixed, slabs of 2, 2, 2 and 1 rows of x_2 by the 7 values of x_3
+    assert len(sizes) == 7 * 4 and sum(sizes) == 7 ** 3 and max(sizes) == 14
+    sizes.clear()
     monkeypatch.setattr(expsum, "_CHUNK", 64)
     assert toric_sum(F27, 3, f2, [chi])[0].tolist() == want[1]
-    assert len(lengths) == 11 and sum(lengths) == 26 ** 2         # 676 points
+    # slabs of 2 rows of x_1 by the 26 values of x_2
+    assert len(sizes) == 13 and sum(sizes) == 26 ** 2 and max(sizes) == 52
+
+
+# (M, variables, _CHUNK, chunks): one chunk; slabs of the leading axis; a
+# fixed outer variable; _CHUNK < M, so two fixed variables
+GRID_LAYOUTS = [(6, 3, 1 << 18, 1), (6, 3, 80, 3), (6, 3, 12, 18), (6, 3, 4, 72)]
+
+
+@pytest.mark.parametrize("M,r,chunk,count",
+                         GRID_LAYOUTS + [(5, 1, 3, 2), (5, 0, 1 << 18, 1)])
+def test_grid_chunks_cover_the_torus_once(monkeypatch, M, r, chunk, count):
+    monkeypatch.setattr(expsum, "_CHUNK", chunk)
+    seen, chunks = Counter(), 0
+    for shape, exps in expsum._toric_chunks(M, r):
+        chunks += 1
+        assert math.prod(shape) <= chunk and len(exps) == r
+        assert all(e.ndim == len(shape) for e in exps)
+        seen.update(zip(*(np.broadcast_to(e, shape).ravel().tolist() for e in exps))
+                    if r else [()])
+    assert chunks == count
+    assert seen == Counter(product(range(M), repeat=r))     # each tuple once
+
+
+@pytest.mark.parametrize("chunk", [layout[2] for layout in GRID_LAYOUTS])
+def test_grid_kernels_match_brute_force_at_every_layout(monkeypatch, chunk):
+    # over F_7: three enumerated variables with exponents -1 and |v| >= 2 for
+    # toric_sum, the 6 x 6 grid of S_2 and T_2; trivial, twisted and
+    # equal-character rows.  Digit sums, up to 4 * 6, are reduced by % at
+    # _CHUNK 4 and 12 and through the lookup table at 80 and 2^18.
+    F = build_field(7, 1)
+    f = LaurentPoly(3, ((1, (2, -1, 0)), (3, (0, 3, -1)), (1, (-1, -2, 2)),
+                        (5, (0, 0, 0))))
+    rows = [(0, 0, 0), (1, 0, 2), (3, 5, 1)]
+    chis = [(1, 0, 2), (0, 0, 0), (5, 5, 5)]
+    want_t = [_pad(_torus_hist(F, 1, f, r), 6) for r in rows]
+    want = {(b, is_s): [_pad(_points_hist(F, 1, _inverted_points(F, 1, 2, b, is_s), c), 6)
+                        for c in chis]
+            for b in (1, 3) for is_s in (True, False)}
+    monkeypatch.setattr(expsum, "_CHUNK", chunk)
+    assert toric_sum(F, 1, f, rows).tolist() == want_t
+    for b in (1, 3):
+        assert kloosterman_sums(F, 1, 2, b, chis).tolist() == want[b, True]
+        assert tn_transform(F, 2, b, chis).tolist() == want[b, False]
+
+
+def test_toric_grid_peak_memory_per_point():
+    # identities (b) at n = 2, q = 7, k = 2: x_3 summed out, 48^3 points in
+    # one grid chunk; 58 B a point with flat chunks, about 30 as a grid
+    F = build_field(7, 1)
+    f = ik_laurent(F, 2, 3)
+    want = toric_sum(F, 2, f)                   # tables and lazy maps built first
+    tracemalloc.start()
+    try:
+        got = toric_sum(F, 2, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 48 ** 3, peak / 48 ** 3
+    assert np.array_equal(got, want)
 
 
 def test_toric_digit_table_peak_memory(monkeypatch):
@@ -743,6 +809,19 @@ def test_batched_oracle_peak_memory():
         tracemalloc.stop()
     assert len(parts) == 6 and parts[0][1].shape == (216, 7, 6)
     assert peak <= 4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_gauss_oracle_leaves_numpy_ma_unimported():
+    # np.unique on an int array imports numpy.ma (about 10 ms) on first use
+    code = ("import sys\n"
+            "from invkloos.gf import build_field\n"
+            "from invkloos.expsum import gauss_formula_parts\n"
+            "gauss_formula_parts(build_field(3, 1), 1, 1, [1, 2], [(0, 0), (1, 0)])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(expsum.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_oracle_refuses_products_that_overflow_int64():
