@@ -4,18 +4,22 @@ polygon, normalized volume, diagonal non-degeneracy, and the
 Stickelberger-style ordinariness test on solution groups.
 
 All functionals and weights are exact rationals; no floating point
-enters this module.  Facets are enumerated by exhaustive hyperplane
-search over dim-subsets of the candidate points (acceptable at the
-supported sizes: dimension <= 6, at most 64 points); the same search
-gives the coordinate projections that the weight counts walk through.
+enters this module.  Facets are found by a search over dim-subsets of
+the candidate points (acceptable at the supported sizes: dimension <= 6,
+at most 64 points): each subset's hyperplane is the kernel of one
+fraction-free elimination.  The same search gives the coordinate
+projections that the weight counts walk through; each point set is
+hulled once per process and the frozen result shared.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -34,46 +38,62 @@ DET_CAP = 10 ** 6
 # exact integer/rational linear algebra (small sizes)
 # ----------------------------------------------------------------------
 
+def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows.
+
+    Returns the reduced rows, their pivot columns and the sign of the row
+    swaps.  Every entry stays a minor of the input, so each division is
+    exact; the last pivot is the minor on the pivot rows and columns of
+    the swapped rows."""
+    m = [list(map(int, r)) for r in rows]
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        top, p = m[k], m[k][c]
+        for row in m[k + 1:]:           # columns before c are 0 below row k
+            f = row[c]
+            if f or p != prev:          # else the row is unchanged
+                row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
+        prev = p
+        pivots.append(c)
+    return m, pivots, sign
+
+
+def _kernel(rows) -> list[int] | None:
+    """The kernel of k integer rows of length k + 1, or None below rank k.
+
+    Back-substitution in the echelon form with the free coordinate set to
+    the last pivot d: by Cramer's rule the solution is the cofactor vector
+    up to sign, so it is integral and each division is exact."""
+    m, pivots, _ = _eliminate(rows)
+    if len(pivots) < len(m):
+        return None
+    x = [0] * (len(m) + 1)
+    x[min(set(range(len(x))) - set(pivots))] = m[-1][pivots[-1]]
+    for row, c in zip(reversed(m), reversed(pivots)):
+        x[c] = -sum(map(mul, row, x)) // row[c]
+    return x
+
+
 def det_int(rows: list[list[int]] | tuple) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    assert all(len(r) == n for r in a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square integer matrix by one fraction-free
+    elimination: the last pivot, signed by the row swaps (1 when 0 x 0)."""
+    assert all(len(r) == len(rows) for r in rows)
+    m, pivots, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * m[-1][-1] if rows else 1
 
 
 def frac_rank(rows) -> int:
-    """Rank over Q of integer rows by fraction-free (Bareiss) elimination:
-    every entry stays a minor of the input, so each division is exact."""
-    m = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(top[c] * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev, rank = top[c], rank + 1
-    return rank
+    """Rank over Q of integer rows: the pivot count of one fraction-free
+    elimination."""
+    return len(_eliminate(rows)[1])
 
 
 # ----------------------------------------------------------------------
@@ -114,21 +134,16 @@ class PolytopeData:
     contains_origin: bool
 
 
-def _hyperplane_from(points: list[tuple[int, ...]], subset) -> tuple | None:
+def _hyperplane_from(points: tuple[tuple[int, ...], ...], subset) -> tuple | None:
     """Primitive (normal, rhs) of the hyperplane through a dim-subset, or
-    None when the subset is affinely dependent.  Cofactor expansion of the
-    (dim x dim+1) homogeneous system keeps everything in integers."""
-    n = len(points[0])
-    a = [list(points[i]) + [1] for i in subset]
-    vec = []
-    for j in range(n + 1):
-        minor = [row[:j] + row[j + 1:] for row in a]
-        vec.append((-1) ** j * det_int(minor))
-    if all(v == 0 for v in vec):
+    None when the subset is affinely dependent: the kernel of the
+    dim x (dim+1) rows (point, 1) from one fraction-free elimination,
+    scaled to be primitive."""
+    vec = _kernel([points[i] + (1,) for i in subset])
+    if vec is None:
         return None
-    normal, rhs = vec[:n], -vec[n]
     g = math.gcd(*vec)
-    return tuple(v // g for v in normal), rhs // g
+    return tuple(v // g for v in vec[:-1]), -vec[-1] // g
 
 
 def build_polytope(src: LaurentPoly | list | tuple, *,
@@ -140,13 +155,17 @@ def build_polytope(src: LaurentPoly | list | tuple, *,
     origin and the exponent vectors); an explicit point list is taken
     as-is.  Raises when the hull is not full-dimensional, reporting the
     affine-hull dimension.  The caps bound the C(points, dim) hyperplane
-    search; callers with few points may raise them.
+    search; callers with few points may raise them.  Input and caps are
+    checked before the hull is looked up: each point set is hulled once
+    per process and the frozen result shared.
     """
     if isinstance(src, LaurentPoly):
         pts = {(0,) * src.n_vars} | {tuple(e) for e in src.exponents()}
     else:
         pts = {tuple(int(x) for x in v) for v in src}
-    points = sorted(pts)
+    if not pts:
+        raise ValueError("build_polytope needs at least one point, got none")
+    points = tuple(sorted(pts))
     n = len(points[0])
     if any(len(v) != n for v in points):
         raise ValueError("points of mixed dimension")
@@ -154,41 +173,37 @@ def build_polytope(src: LaurentPoly | list | tuple, *,
         raise BudgetExceeded(f"dimension {n} over the cap {dim_cap}")
     if len(points) > point_cap:
         raise BudgetExceeded(f"{len(points)} points over the cap {point_cap}")
-
     base = points[0]
     aff_rank = frac_rank([[v[i] - base[i] for i in range(n)] for v in points[1:]])
     if aff_rank < n:
         raise ValueError(
             f"polytope is not full-dimensional: affine hull has dimension {aff_rank}")
+    return _hull(points)
 
+
+@functools.cache
+def _hull(points: tuple[tuple[int, ...], ...]) -> PolytopeData:
+    """The hyperplane search behind build_polytope, on sorted points."""
+    n = len(points[0])
     facets: dict[tuple, tuple] = {}
     for subset in combinations(range(len(points)), n):
         hp = _hyperplane_from(points, subset)
         if hp is None:
             continue
         normal, rhs = hp
-        vals = [sum(c * x for c, x in zip(normal, v)) for v in points]
-        if all(val <= rhs for val in vals):
-            pass
-        elif all(val >= rhs for val in vals):
-            normal = tuple(-c for c in normal)
-            rhs = -rhs
-            vals = [-v for v in vals]
-        else:
-            continue
-        key = (normal, rhs)
-        if key not in facets:
-            on = tuple(i for i, val in enumerate(vals) if val == rhs)
-            facets[key] = on
+        vals = [sum(map(mul, normal, v)) for v in points]
+        if max(vals) > rhs:                     # orient: points on the <= side
+            if min(vals) < rhs:
+                continue
+            normal, rhs, vals = tuple(-c for c in normal), -rhs, [-v for v in vals]
+        if (normal, rhs) not in facets:
+            facets[normal, rhs] = tuple(i for i, val in enumerate(vals) if val == rhs)
 
     contains_origin = all(rhs >= 0 for (_, rhs) in facets)
 
     # vertices: points whose tight facet normals span the whole space
-    vert_ids = []
-    for i, v in enumerate(points):
-        normals = [list(nrm) for (nrm, rhs), on in facets.items() if i in on]
-        if normals and frac_rank(normals) == n:
-            vert_ids.append(i)
+    vert_ids = [i for i in range(len(points)) if frac_rank(
+        [nrm for (nrm, _), on in facets.items() if i in on]) == n]
     vertices = tuple(points[i] for i in vert_ids)
     reindex = {old: new for new, old in enumerate(vert_ids)}
 
@@ -239,24 +254,14 @@ class IkPolytope:
 
 
 def ik_vertices(n: int) -> list[tuple[int, ...]]:
-    nv = n + 2
-    verts = [tuple([0] * nv)]
-    for i in range(n):
-        e = [0] * nv
-        e[i] = 1
-        e[n] = 1
-        e[n + 1] = 1
-        verts.append(tuple(e))
-    verts.append(tuple([-1] * n + [1, 1]))
-    e = [0] * nv
-    e[n] = 1
-    verts.append(tuple(e))
-    e = [0] * nv
-    e[n + 1] = 1
-    verts.append(tuple(e))
-    return verts
+    """V_0 = 0, V_i = e_i + e_{n+1} + e_{n+2} (i = 1..n),
+    V_{n+1} = (-1, ..., -1, 1, 1), V_{n+2} = e_{n+1}, V_{n+3} = e_{n+2}."""
+    e = [tuple(int(i == j) for j in range(n + 2)) for i in range(n + 2)]
+    return ([(0,) * (n + 2)] + [e[i][:n] + (1, 1) for i in range(n)]
+            + [(-1,) * n + (1, 1), e[n], e[n + 1]])
 
 
+@functools.cache
 def ik_polytope(n: int) -> IkPolytope:
     """The Newton polyhedron of the (n+2)-variable rewrite, with the two
     vertex matrices of its origin-missing facets x_{n+1} = 1 and
@@ -268,18 +273,12 @@ def ik_polytope(n: int) -> IkPolytope:
     # above the generic dimension cap
     P = build_polytope(verts, dim_cap=10)
     nv = n + 2
-
-    def unit_normal(i):
-        e = [0] * nv
-        e[i] = 1
-        return tuple(e)
-
+    # the facet normals are the unit vectors V_{n+2} and V_{n+3}
     by_normal = {fac.normal: fac for fac in P.gauge_facets}
-    if set(by_normal) != {unit_normal(n), unit_normal(n + 1)}:
+    if set(by_normal) != {verts[n + 2], verts[n + 3]}:
         raise AssertionError("unexpected facet structure")
     vmap = {v: i for i, v in enumerate(P.vertices)}
-    f1 = by_normal[unit_normal(n)]
-    f2 = by_normal[unit_normal(n + 1)]
+    f1, f2 = by_normal[verts[n + 2]], by_normal[verts[n + 3]]
     want1 = {vmap[v] for v in verts[1:n + 3]}
     want2 = {vmap[v] for v in verts[1:n + 2] + [verts[n + 3]]}
     assert set(f1.vertex_idx) == want1 and set(f2.vertex_idx) == want2, \
@@ -441,14 +440,10 @@ def ordinary_test(M, p: int) -> tuple[SolutionGroup, bool]:
     if abs(d) > DET_CAP:
         raise BudgetExceeded(f"|det| = {abs(d)} over the cap {DET_CAP}")
     n, N = len(M), abs(d)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [[x for c, x in enumerate(row) if c != j]
-                 for r, row in enumerate(M) if r != i]
-        return (-1) ** (i + j) * det_int(minor) if n > 1 else 1
-
-    # column i of adj(M) holds the cofactors of row i of M
-    gens = [tuple(d // N * cofactor(i, j) % N for j in range(n)) for i in range(n)]
+    # x in the kernel of [M | e_i] has x[:n] = -x[n] M^-1 e_i and x[n] = +-N
+    kernels = (_kernel([[*row, int(r == i)] for r, row in enumerate(M)])
+               for i in range(n))
+    gens = [tuple(-x[n] // N * a % N for a in x[:n]) for x in kernels]
     seen = {(0,) * n}
     queue = list(seen)
     for x in queue:                 # appended to while read: breadth first

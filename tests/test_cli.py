@@ -206,6 +206,19 @@ def test_cli_verify_twisted_json_bytes_are_pinned(capsys, suite, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout at the default grids, recorded while each
+# facet hyperplane was a cofactor expansion and every hull was rebuilt
+@pytest.mark.parametrize("suite, digest", [
+    ("prop31", "a9db485d1386b749678335332a305e71fa06aa646ec45e68f009e9a239be9c60"),
+    ("thm33", "64a04e25853187093d2177f4534d1558b93a3ca7bfef7506395db7e73c73f0e0"),
+])
+def test_cli_verify_polytope_json_bytes_are_pinned(capsys, suite, digest):
+    code = main(["verify", suite, "--out", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_polytope_json_schema_and_csv(capsys):
     code, out = run(capsys, "polytope", "--n", "2", "--out", "json")
     assert code == 0

@@ -1,12 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from invkloos import polytope
+from invkloos import polytope, suites
 from invkloos.errors import BudgetExceeded
 from invkloos.expsum import LaurentPoly, ik_laurent
 from invkloos.gf import build_field
@@ -263,20 +264,87 @@ class _NoNumpy:
 
 
 def test_box_cap_refusal(monkeypatch):
-    # every refusal comes before any array exists
+    # every refusal comes before any array exists; all but the overflow
+    # check, which reads the projection facets, before any hull is looked up
+    polytope._hull.cache_clear()
     ik = ik_polytope(3).polytope
     huge, wide = build_polytope(_HUGE_D), build_polytope(_OVERFLOW)
     assert huge.D == 226759569
+    hull, looked_up = polytope._hull, []
+    size = hull.cache_info().currsize
+    monkeypatch.setattr(polytope, "_hull",
+                        lambda pts: looked_up.append(pts) or hull(pts))
     monkeypatch.setattr(polytope, "np", _NoNumpy())
     monkeypatch.setattr(polytope, "BOX_CAP", 10 ** 4)
     with pytest.raises(BudgetExceeded, match="bounding box"):
         hodge_data(ik, 40)
     with pytest.raises(BudgetExceeded, match="weight counts"):
         hodge_data(huge)                        # k_max = 4 * D
+    assert not looked_up and hull.cache_info().currsize == size
     with pytest.raises(BudgetExceeded, match="overflow int64"):
         hodge_data(wide, 1)
+    assert len(looked_up) == wide.dim - 1      # its projections, hulled once
     with pytest.raises(ValueError, match="negative"):
         hodge_data(ik, -1)
+    assert len(looked_up) == wide.dim - 1
+    assert hull.cache_info().currsize == size + wide.dim - 1
+
+
+def test_each_hull_is_built_once_per_process(monkeypatch):
+    polytope._hull.cache_clear()
+    ik_polytope.cache_clear()
+    hull, looked_up = polytope._hull, []
+    monkeypatch.setattr(polytope, "_hull",
+                        lambda pts: looked_up.append(pts) or hull(pts))
+    suites.suite_prop31()
+    suites.suite_thm33()
+    # ik_polytope(n) and its n + 1 projection hulls for n = 1..4 in each
+    # suite: 36 hull requests (all built before the cache) of 12 distinct
+    # point sets, as the projections of different n coincide.  ik_polytope
+    # is cached too, so its 4 hulls are asked for once.
+    assert len(looked_up) == 32 and len(set(looked_up)) == 12
+    assert hull.cache_info().misses == hull.cache_info().currsize == 12
+    assert ik_polytope(3) is ik_polytope(3)
+    assert hodge_data(ik_polytope(3).polytope) == hodge_data(ik_polytope(3).polytope)
+    assert hull.cache_info().misses == 12
+
+
+# sha256 of repr((vertices, gauge_facets, origin_facets, D)), recorded while
+# each facet hyperplane was a cofactor expansion of dim + 1 minors
+_HULL_DIGESTS = [
+    (_NON_IK[0][0], "199d9a405c8883befd989009eaa31f01483c9aaf28640a3aac693afc08553bda"),
+    (_NON_IK[1][0], "ec56f33a09eb66ec0420a38ff43013f021c46cc07825897c54b1829891432251"),
+    (_NON_IK[2][0], "bbbd27140e79ec7cd815585abdc33f0de246bbfab5043e6695946ff9d561a381"),
+    (_NON_IK[3][0], "8a911b4fc8da6bc33117c3dce492fc002b88de6f2a6f565bead81bdc1d2a22b1"),
+    (_NON_IK[4][0], "9e3b054acb3043cc5b0dfdd4e24927e8d1dc63a0e9d88108e9f057dfa1e70664"),
+    (_NON_IK[5][0], "593fb31388f0cbd776e327519499d9cb9a21f385c8b3b8b3ec496ff506aa5b58"),
+    (_HUGE_D, "b429a9834dd0a28f975c02464cd1fc23c2ddd1a34ca964c495c04e9ba8196c56"),
+    (_OVERFLOW, "7c9d4b8754862b4bd155a6f82a6f13a3967b84d0eb6b7e2169cc193208cef38c"),
+    (1, "ddf282cdb29dfe0efcf2b111f12930a9e24a81d5b6d881bf4b230bef40295c38"),
+    (2, "42b6f865a592e8fa8033e7393f8bf4407bed05b65e8e3b56787a205454644bb5"),
+    (3, "6e76b38118d4cb535235e611c70cfb994816161013895eb4d2a852290d9d9928"),
+    (4, "7411eb0e07cd9403ca2d912cb42895dd4fd7017c6f404fbaafe4a8e7e5c3efb7"),
+    (5, "0f664809db03826b9ae3945ba25357f44fe00ae6252ac5ea591edea50d3c0da6"),
+    (6, "e5cd59313771fad784da6e35c224cea82438205cbb92d30d77ec9d36e3f0eda9"),
+    (7, "569d1d1661743778b5c4b170ba4d953bf1f640dac275b1bc03dd7733c9bd96ef"),
+    (8, "0e7388bdf95ce133091b41b4032cea9b19eb3937dfd701adc1bda48b715b22e4"),
+]
+
+
+@pytest.mark.parametrize("src, digest", _HULL_DIGESTS, ids=[
+    *(f"non_ik{i}" for i in range(6)), "huge_d", "overflow",
+    *(f"ik{n}" for n in range(1, 9))])
+def test_hull_bytes_are_pinned(src, digest):
+    P = ik_polytope(src).polytope if isinstance(src, int) else build_polytope(src)
+    got = repr((P.vertices, P.gauge_facets, P.origin_facets, P.D))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+def test_empty_inputs():
+    # refused by name before any indexing; a 0 x 0 determinant is 1
+    with pytest.raises(ValueError, match="at least one point, got none"):
+        build_polytope([])
+    assert det_int([]) == 1
 
 
 def invert_matrix(rows) -> list[list[Fraction]]:
@@ -367,6 +435,63 @@ def test_frac_rank_matches_fraction_elimination(cols, data):
                                          max_size=len(rows)), max_size=4)):
         rows.append([sum(c * r[j] for c, r in zip(w, rows)) for j in range(cols)])
     assert polytope.frac_rank(rows) == _fraction_rank(rows)
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination in Fractions (1 when 0 x 0)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def _cofactor_hyperplane(points, subset):
+    """The cofactor expansion that polytope._hyperplane_from replaced: the
+    oracle for its one-elimination kernel.  Same contract, up to sign."""
+    a = [list(points[i]) + [1] for i in subset]
+    vec = [(-1) ** j * int(_fraction_det([r[:j] + r[j + 1:] for r in a]))
+           for j in range(len(a) + 1)]
+    if not any(vec):
+        return None
+    g = math.gcd(*vec)
+    return tuple(v // g for v in vec[:-1]), -vec[-1] // g
+
+
+@given(st.integers(1, 6), st.data())
+def test_hyperplane_kernel_matches_cofactor_expansion(dim, data):
+    point = st.tuples(*[st.integers(-4, 4)] * dim)
+    points = tuple(data.draw(st.lists(point, min_size=dim, max_size=dim + 3)))
+    for subset in combinations(range(len(points)), dim):
+        got = polytope._hyperplane_from(points, subset)
+        want = _cofactor_hyperplane(points, subset)
+        if want is None or got is None:
+            assert got == want
+        else:
+            negated = (tuple(-c for c in want[0]), -want[1])
+            assert got in (want, negated)
+    square = [list(v) for v in points[:dim]]
+    assert det_int(square) == _fraction_det(square)
+
+
+def test_hyperplane_kernel_examples():
+    pts = ((0, 0), (2, 0), (0, 3), (1, 1), (2, 2), (1, 1))
+    assert polytope._hyperplane_from(pts, (0, 3)) in (((1, -1), 0), ((-1, 1), 0))
+    assert polytope._hyperplane_from(pts, (1, 2)) in (((3, 2), 6), ((-3, -2), -6))
+    assert polytope._hyperplane_from(pts, (3, 5)) is None      # a repeated point
+    line = ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    assert polytope._hyperplane_from(line, (0, 1, 2)) is None
+    # the free column need not be the last: x_2 = 0 leaves column 2 free
+    assert polytope._hyperplane_from(((1, 0), (2, 0)), (0, 1)) in \
+        (((0, 1), 0), ((0, -1), 0))
 
 
 def test_frac_rank_examples():
