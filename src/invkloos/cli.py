@@ -410,8 +410,12 @@ def cmd_polytope(args) -> int:
     if args.n is not None:
         P = ik_polytope(args.n).polytope
     elif args.vertices:
-        with open(args.vertices) as fh:
-            P = build_polytope(json.load(fh)["vertices"])
+        try:
+            with open(args.vertices) as fh:
+                pts = [tuple(map(int, v)) for v in json.load(fh)["vertices"]]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"vertices file {args.vertices}: {exc!r}") from exc
+        P = build_polytope(pts)
     elif args.poly is not None:
         base = build_field(args.p, args.a) if args.p else None
         _, f = parse_laurent(args.poly, base)

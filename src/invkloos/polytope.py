@@ -5,11 +5,11 @@ Stickelberger-style ordinariness test on solution groups.
 
 All functionals and weights are exact rationals; no floating point
 enters this module.  Facets are found by a search over dim-subsets of
-the candidate points (acceptable at the supported sizes: dimension <= 6,
-at most 64 points): each subset's hyperplane is the kernel of one
-fraction-free elimination.  The same search gives the coordinate
-projections that the weight counts walk through; each point set is
-hulled once per process and the frozen result shared.
+the candidate points, priced by their count (HULL_CAP): each subset's
+hyperplane is the kernel of one fraction-free elimination.  The same
+search gives the coordinate projections that the weight counts walk
+through; each point set is hulled once per process and the frozen
+result shared.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 from .errors import BudgetExceeded
 from .expsum import LaurentPoly
 
-DIM_CAP = 6
-POINT_CAP = 64
-BOX_CAP = 10 ** 8
+HULL_CAP = 10 ** 5
+WALK_CAP = 10 ** 7
 WEIGHT_CAP = 10 ** 6
 _CHUNK = 1 << 18
 DET_CAP = 10 ** 6
@@ -146,18 +145,16 @@ def _hyperplane_from(points: tuple[tuple[int, ...], ...], subset) -> tuple | Non
     return tuple(v // g for v in vec[:-1]), -vec[-1] // g
 
 
-def build_polytope(src: LaurentPoly | list | tuple, *,
-                   dim_cap: int = DIM_CAP,
-                   point_cap: int = POINT_CAP) -> PolytopeData:
+def build_polytope(src: LaurentPoly | list | tuple) -> PolytopeData:
     """Facets and vertices of a full-dimensional lattice polytope.
 
     A LaurentPoly is turned into its Newton polyhedron (convex hull of the
     origin and the exponent vectors); an explicit point list is taken
     as-is.  Raises when the hull is not full-dimensional, reporting the
-    affine-hull dimension.  The caps bound the C(points, dim) hyperplane
-    search; callers with few points may raise them.  Input and caps are
-    checked before the hull is looked up: each point set is hulled once
-    per process and the frozen result shared.
+    affine-hull dimension.  The hyperplane search is priced by its
+    C(points, dim) candidate subsets; input and price are checked before
+    the hull is looked up: each point set is hulled once per process and
+    the frozen result shared.
     """
     if isinstance(src, LaurentPoly):
         pts = {(0,) * src.n_vars} | {tuple(e) for e in src.exponents()}
@@ -169,10 +166,11 @@ def build_polytope(src: LaurentPoly | list | tuple, *,
     n = len(points[0])
     if any(len(v) != n for v in points):
         raise ValueError("points of mixed dimension")
-    if n > dim_cap:
-        raise BudgetExceeded(f"dimension {n} over the cap {dim_cap}")
-    if len(points) > point_cap:
-        raise BudgetExceeded(f"{len(points)} points over the cap {point_cap}")
+    subsets = math.comb(len(points), n)
+    if subsets > HULL_CAP:
+        raise BudgetExceeded(f"hull search over {subsets} {n}-point subsets of "
+                             f"{len(points)} points, over the cap {HULL_CAP}",
+                             estimate=subsets)
     base = points[0]
     aff_rank = frac_rank([[v[i] - base[i] for i in range(n)] for v in points[1:]])
     if aff_rank < n:
@@ -269,9 +267,7 @@ def ik_polytope(n: int) -> IkPolytope:
     if not 1 <= n <= 8:
         raise ValueError("n must be in 1..8")
     verts = ik_vertices(n)
-    # only n+4 candidate points, so the hyperplane search stays tiny even
-    # above the generic dimension cap
-    P = build_polytope(verts, dim_cap=10)
+    P = build_polytope(verts)
     nv = n + 2
     # the facet normals are the unit vectors V_{n+2} and V_{n+3}
     by_normal = {fac.normal: fac for fac in P.gauge_facets}
@@ -319,10 +315,11 @@ def hodge_data(P: PolytopeData, k_max: int | None = None) -> HodgeData:
     The points of weight <= c are the lattice points of c * polytope, as
     the origin is in it.  Level j of the walk holds those of its projection
     onto the first j coordinates; a prefix's fibre in the next coordinate
-    is one integer interval.  The k_max + 1 counts and the bounding box,
-    which bounds every level, are priced first.  Hodge numbers are the
-    alternating-binomial transform of W; their total over k <= dim*D is
-    the normalized volume.
+    is one integer interval.  The k_max + 1 counts are priced first; each
+    level is priced by its fibre lengths before it is built, all levels
+    together against WALK_CAP, and the last one is consumed in pieces.
+    Hodge numbers are the alternating-binomial transform of W; their total
+    over k <= dim*D is the normalized volume.
     """
     if not P.contains_origin:
         raise ValueError("weights need the origin inside the polytope")
@@ -335,21 +332,14 @@ def hodge_data(P: PolytopeData, k_max: int | None = None) -> HodgeData:
     if k_max + 1 > WEIGHT_CAP:
         raise BudgetExceeded(f"{k_max + 1} weight counts, over the cap "
                              f"{WEIGHT_CAP}", estimate=k_max + 1)
-    scale = Fraction(k_max, D)
-    lo = [math.floor(min(scale * v[i] for v in P.vertices)) for i in range(n)]
-    hi = [math.ceil(max(scale * v[i] for v in P.vertices)) for i in range(n)]
-    total = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    if total > BOX_CAP:
-        raise BudgetExceeded(
-            f"bounding box has {total} lattice points, over the cap {BOX_CAP}",
-            estimate=total)
 
     # c * projection_j = {x : D * normal . x <= k_max * rhs} over its facets
-    hulls = [build_polytope([v[:j] for v in P.vertices] + [(0,) * j],
-                            dim_cap=n, point_cap=len(P.vertices) + 1)
+    hulls = [build_polytope([v[:j] for v in P.vertices] + [(0,) * j])
              for j in range(1, n)]
     levels = [Q.gauge_facets + Q.origin_facets for Q in hulls + [P]]
-    big = max(map(abs, lo + hi))
+    # no coordinate of c * polytope exceeds big in absolute value
+    big = math.ceil(Fraction(k_max, D)
+                    * max(abs(x) for v in P.vertices for x in v))
     if max(D * sum(map(abs, f.normal)) * big + k_max * f.rhs
            for fs in levels for f in fs) >= 1 << 62:
         raise BudgetExceeded("facet values would overflow int64")
@@ -360,21 +350,25 @@ def hodge_data(P: PolytopeData, k_max: int | None = None) -> HodgeData:
     gauge = [[D * c for c in fac.functional()] for fac in P.gauge_facets]
     assert all(x.denominator == 1 for row in gauge for x in row)
     gauge = np.array(gauge, dtype=np.int64)
-    W = np.zeros(k_max + 1, dtype=np.int64)
 
-    def walk(X):
-        if X.shape[1] == n:
-            W[:] += np.bincount(np.maximum((X @ gauge.T).max(axis=1), 0),
-                                minlength=k_max + 1)
-            return
-        A, b = levels[X.shape[1]]
+    X, visited = np.zeros((1, 0), dtype=np.int64), 0
+    for j, (A, b) in enumerate(levels, 1):
         num, a = b - X @ A[:, :-1].T, A[:, -1]    # a * t <= num, per facet
         t_lo = (-(-num[:, a < 0] // a[a < 0])).max(axis=1)
         t_hi = (num[:, a > 0] // a[a > 0]).min(axis=1)
-        for piece in _expand(X, t_lo, np.maximum(t_hi - t_lo + 1, 0)):
-            walk(piece)
-
-    walk(np.zeros((1, 0), dtype=np.int64))
+        cnt = np.maximum(t_hi - t_lo + 1, 0)
+        visited += int(cnt.sum())
+        if visited > WALK_CAP:
+            raise BudgetExceeded(f"the weight walk visits {visited} points by "
+                                 f"level {j} of {n}, over the cap {WALK_CAP}",
+                                 estimate=visited)
+        pieces = _expand(X, t_lo, cnt)
+        if j < n:
+            X = np.concatenate(list(pieces))
+    W = np.zeros(k_max + 1, dtype=np.int64)
+    for piece in pieces:
+        W += np.bincount(np.maximum((piece @ gauge.T).max(axis=1), 0),
+                         minlength=k_max + 1)
     assert W[0] == 1, "weight-0 set must be exactly the origin"
 
     H = np.zeros_like(W)

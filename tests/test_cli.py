@@ -1,9 +1,11 @@
 import hashlib
 import json
+from itertools import product
 
 import jsonschema
 import pytest
 
+from invkloos import polytope
 from invkloos.cli import (SCHEMAS, laurent_to_json, main, parse_laurent,
                           parse_laurent_json, parse_laurent_text)
 from invkloos.errors import ParseError
@@ -228,6 +230,36 @@ def test_cli_polytope_json_schema_and_csv(capsys):
     code, out = run(capsys, "polytope", "--n", "1", "--out", "csv")
     assert code == 0
     assert out.splitlines()[0] == "x,y_num,y_den"
+    code, out = run(capsys, "polytope", "--n", "6", "--out", "json")
+    obj = json.loads(out)
+    assert code == 0 and obj["H"] == [1, 2, 2, 2, 2, 2, 2, 1, 0] and obj["nvol"] == 14
+
+
+@pytest.mark.parametrize("suite", ["thm33", "prop31"])
+def test_cli_polytope_suites_reach_n_8(capsys, suite):
+    code, out = run(capsys, "verify", suite, "--n", "5,6,7,8", "--out", "json")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_cli_vertices_file_errors_are_parse_errors(capsys, tmp_path):
+    nokey, five = tmp_path / "nokey.json", tmp_path / "five.json"
+    nokey.write_text('{"points": [[0, 0], [1, 0], [0, 1]]}')
+    five.write_text('{"vertices": 5}')
+    for path in (tmp_path / "missing.json", nokey, five):
+        assert main(["polytope", "--vertices", str(path)]) == 2, path
+        captured = capsys.readouterr()
+        assert captured.out == "" and "parse error" in captured.err, path
+
+
+def test_cli_hull_search_refused_before_any_subset(capsys, tmp_path, monkeypatch):
+    def kernel(rows):
+        raise AssertionError("_kernel reached before the refusal")
+    monkeypatch.setattr(polytope, "_kernel", kernel)
+    cube = tmp_path / "cube.json"                       # {0, 1}^6: 64 points
+    cube.write_text(json.dumps({"vertices": list(product((0, 1), repeat=6))}))
+    assert main(["polytope", "--vertices", str(cube)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "74974368 6-point subsets" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -263,7 +263,7 @@ class _NoNumpy:
         raise AssertionError(f"np.{name} reached before the refusal")
 
 
-def test_box_cap_refusal(monkeypatch):
+def test_weight_and_overflow_refusals_come_first(monkeypatch):
     # every refusal comes before any array exists; all but the overflow
     # check, which reads the projection facets, before any hull is looked up
     polytope._hull.cache_clear()
@@ -275,9 +275,6 @@ def test_box_cap_refusal(monkeypatch):
     monkeypatch.setattr(polytope, "_hull",
                         lambda pts: looked_up.append(pts) or hull(pts))
     monkeypatch.setattr(polytope, "np", _NoNumpy())
-    monkeypatch.setattr(polytope, "BOX_CAP", 10 ** 4)
-    with pytest.raises(BudgetExceeded, match="bounding box"):
-        hodge_data(ik, 40)
     with pytest.raises(BudgetExceeded, match="weight counts"):
         hodge_data(huge)                        # k_max = 4 * D
     assert not looked_up and hull.cache_info().currsize == size
@@ -288,6 +285,31 @@ def test_box_cap_refusal(monkeypatch):
         hodge_data(ik, -1)
     assert len(looked_up) == wide.dim - 1
     assert hull.cache_info().currsize == size + wide.dim - 1
+
+
+def test_walk_cap_refuses_before_the_level_is_built(monkeypatch):
+    # ik_polytope(3) at k_max = 7 walks levels of 15, 85, 295, 736 and
+    # 2528 points; a cap of 1000 admits the first three
+    P = ik_polytope(3).polytope
+    built, expand = [], polytope._expand
+    monkeypatch.setattr(polytope, "_expand", lambda *args: (
+        built.append(piece) or piece for piece in expand(*args)))
+    monkeypatch.setattr(polytope, "WALK_CAP", 1000)
+    with pytest.raises(BudgetExceeded, match="visits 1131 points by level 4") as ei:
+        hodge_data(P, 7)
+    assert ei.value.estimate == 1131
+    assert [len(piece) for piece in built] == [15, 85, 295]
+    monkeypatch.setattr(polytope, "WALK_CAP", 3659)   # every level, exactly
+    assert hodge_data(P, 7).W == _box_oracle(P, 7)[0]
+
+
+def test_seven_dimensions_are_hulled():
+    # 9 points in dimension 7: 36 subsets, refused by a dimension cap of 6
+    # before the search was priced by its subsets
+    e = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    P = build_polytope([(0,) * 7, *e, (-1,) * 7])
+    assert (P.D, len(P.vertices), len(P.gauge_facets)) == (1, 8, 8)
+    assert hodge_data(P).H == (1,) * 8
 
 
 def test_each_hull_is_built_once_per_process(monkeypatch):
@@ -307,6 +329,21 @@ def test_each_hull_is_built_once_per_process(monkeypatch):
     assert ik_polytope(3) is ik_polytope(3)
     assert hodge_data(ik_polytope(3).polytope) == hodge_data(ik_polytope(3).polytope)
     assert hull.cache_info().misses == 12
+
+
+# sha256 of repr([(W, H, hodge_polygon, normalized_volume), ...]), recorded
+# while the walk was a recursion priced by the bounding box of the dilate
+def test_hodge_bytes_are_pinned():
+    cases = []
+    for n in (1, 2, 3, 4):
+        P = ik_polytope(n).polytope
+        cases += [hodge_data(P), hodge_data(P, (n + 2) * P.D + 2)]
+    for verts, _ in _NON_IK:
+        P = build_polytope(verts)
+        cases += [hodge_data(P), hodge_data(P, P.D + 1)]
+    got = repr([(h.W, h.H, h.hodge_polygon, h.normalized_volume) for h in cases])
+    assert hashlib.sha256(got.encode()).hexdigest() == \
+        "ebe940f8de06ddf19ecf5ad9825804d750a20a1751a007d1f0110454f3e8e56a"
 
 
 # sha256 of repr((vertices, gauge_facets, origin_facets, D)), recorded while
